@@ -34,7 +34,7 @@ from .formats import (
     load_identity,
     product_rows,
 )
-from .identities import first_violation, identity_space, shape_identity_space
+from .identities import first_violation, identity_space, shape_identity_space, worker_count
 from .linalg import format_rational
 from .monomials import shapes
 
@@ -323,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise _Usage(str(exc)) from exc
         return args.func(args)
     except _Usage as exc:
         print("error: %s" % exc, file=sys.stderr)

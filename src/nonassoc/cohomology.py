@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
 from typing import Optional
 
 import numpy as np
@@ -36,18 +35,17 @@ from .algebras import Algebra
 from .conservative import is_terminal, terminal_identity
 from .fastrank import certified_nullspace
 from .identities import (
+    _accumulator_dtype,
     _block_ranges,
-    _int_weights,
     _parallel_blocks,
     _proj_gather,
     _shape_key,
     _shape_tables,
+    _terms,
     first_violation,
 )
 from .linalg import Matrix, RankSink, RowEchelonBasis
-from .monomials import IdentityCombination, shapes
-
-_INT64_LIMIT = 1 << 62
+from .monomials import IdentityCombination
 
 BilinearForm = Matrix
 
@@ -67,32 +65,30 @@ def coborder_space(a: Algebra):
 
 
 def _root_pair_terms(a: Algebra, p: IdentityCombination):
-    """Per-monomial data for the cocycle system.
+    """(terms, dtype) for the cocycle system.
 
-    For each nonzero term of p: (integer weight, left-subtree value table,
-    right-subtree value table, gather of flat basis tuples into the left
-    table, same for the right, product of the two entry bounds).
+    One term per nonzero monomial of p: (integer weight, left-subtree value
+    table, right-subtree value table, gather of flat basis tuples into the
+    left table, same for the right). dtype is the accumulator's, chosen
+    from the product of the two subtree entry bounds of every term.
     """
     d = a.dim
     n = p.degree
-    weights, _wden = _int_weights(p)
     tables, bounds, _den = _shape_tables(a, n)
-    degree_shapes = shapes(n)
     perms = list(permutations(range(1, n + 1)))
-    nfact = factorial(n)
+    _wden, walk = _terms(p)
     terms = []
-    for mi, w in enumerate(weights):
-        if not w:
-            continue
-        sh = degree_shapes[mi // nfact]
-        perm = perms[mi % nfact]
+    weighted_bounds = []
+    for w, sh, pr in walk:
+        perm = perms[pr]
         left, right = sh.split()
         nl = left.leaves
         lkey, rkey = _shape_key(left), _shape_key(right)
-        lidx = _proj_gather(d, n, tuple(perm[:nl]))
-        ridx = _proj_gather(d, n, tuple(perm[nl:]))
-        terms.append((w, tables[lkey], tables[rkey], lidx, ridx, bounds[lkey] * bounds[rkey]))
-    return terms
+        lidx = _proj_gather(d, n, perm[:nl])
+        ridx = _proj_gather(d, n, perm[nl:])
+        terms.append((w, tables[lkey], tables[rkey], lidx, ridx))
+        weighted_bounds.append((w, bounds[lkey] * bounds[rkey]))
+    return terms, _accumulator_dtype(tables["x"].dtype == object, weighted_bounds)
 
 
 def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
@@ -107,11 +103,7 @@ def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     cols = d * d
     if d == 0:
         return RowEchelonBasis(0, [], [])
-    terms = _root_pair_terms(a, p)
-    wsum = sum(abs(t[0]) for t in terms)
-    maxprod = max((t[5] for t in terms), default=1)
-    tables_object = any(t[1].dtype == object or t[2].dtype == object for t in terms)
-    dtype = object if tables_object or wsum * maxprod >= _INT64_LIMIT else np.int64
+    terms, dtype = _root_pair_terms(a, p)
 
     rows_total = d**n
     ranges = _block_ranges(rows_total, max(16, min(rows_total, (1 << 19) // cols)))
@@ -119,12 +111,9 @@ def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     def build(rng):
         v0, v1 = rng
         acc = np.zeros((v1 - v0, d, d), dtype=dtype)
-        for w, tl, tr, lidx, ridx, _b in terms:
-            lv = tl[lidx[v0:v1]]
-            rv = tr[ridx[v0:v1]]
-            if dtype is object and lv.dtype != object:
-                lv = lv.astype(object)
-                rv = rv.astype(object)
+        for w, tl, tr, lidx, ridx in terms:
+            lv = tl[lidx[v0:v1]].astype(dtype, copy=False)
+            rv = tr[ridx[v0:v1]].astype(dtype, copy=False)
             acc += (w * lv)[:, :, None] * rv[:, None, :]
         return acc.reshape(v1 - v0, cols)
 

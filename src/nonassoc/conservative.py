@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .algebras import Algebra, BilinearMap
-from .fastrank import certified_rowspace
+from .fastrank import _INT64_LIMIT, certified_rowspace
 from .identities import evaluate_combination_table, first_violation, satisfies_identity
 from .monomials import IdentityCombination
 
@@ -125,7 +125,7 @@ def _g_tensor(a: Algebra):
     d = a.dim
     arr = np.asarray(carr)
     big = int(abs(np.asarray(arr, dtype=object)).max()) if d else 0
-    if arr.dtype != object and 3 * d * big * big >= 2**62:
+    if arr.dtype != object and 3 * d * big * big >= _INT64_LIMIT:
         arr = arr.astype(object)
     a1 = np.einsum("xym,kml->kxyl", arr, arr)  # e_k (e_x e_y)
     a2 = np.einsum("kxm,myl->kxyl", arr, arr)  # (e_k e_x) e_y

@@ -14,8 +14,13 @@ three stages:
    mod p are merely *suspected* dependent and are dropped.
 
 2. Exact stage. The accepted rows (at most `cols` of them) go through
-   fraction-free integer elimination, giving their exact RREF and the
-   candidate nullspace.
+   fraction-free integer elimination once, with the columns reversed.
+   The pivot P_i of each row of that RREF is then its last nonzero column
+   in the original order, so each free column f gives the null vector
+   e_f - sum_i R[i][f] e_{P_i}, whose leading entry is the 1 at f and
+   which is zero at every other free column. These vectors already are
+   the canonical RREF of the candidate nullspace; no second elimination
+   is needed.
 
 3. Certification. Every row of the original system is multiplied against
    the candidate nullspace exactly. A nonzero product exposes a row the
@@ -28,7 +33,7 @@ three stages:
 When stage 2 already shows full column rank the nullspace is empty and no
 certification pass is needed: accepted rows are independent outright.
 
-The prime must be small enough that a full reduction fits float64 exactly:
+PRIME must be small enough that a full reduction fits float64 exactly:
 with p < 2^20 and at most 2^13 pivot columns, every accumulated dot product
 stays below 2^13 * (p-1)^2 < 2^53.
 """
@@ -36,7 +41,7 @@ stays below 2^13 * (p-1)^2 < 2^53.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -44,6 +49,7 @@ from .linalg import RowEchelonBasis
 
 PRIME = 1_048_573  # largest prime below 2^20
 _MAX_FILTER_COLS = 8192  # 2^13; keeps float64 dot products exact
+_INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
 
 
 def _content_reduce(row: list) -> list:
@@ -112,39 +118,32 @@ def nullspace_int(rows, cols: int):
     """(rank, canonical nullspace basis, primitive integer basis rows).
 
     The third element carries the same basis rows scaled to primitive
-    integer vectors, for exact certification products.
+    integer vectors, for exact certification products. Clearing the
+    denominators of an RREF row (leading entry 1) leaves it primitive.
     """
-    pivots, rref = rref_int(rows, cols)
-    rank = len(pivots)
+    rev_pivots, rref = rref_int([row[::-1] for row in rows], cols)
+    pivots = [cols - 1 - p for p in rev_pivots]
     pivset = set(pivots)
-    free = [j for j in range(cols) if j not in pivset]
-    null_rows = []
+    free = [f for f in range(cols) if f not in pivset]
+    zero, one = Fraction(0), Fraction(1)
+    null_rows, prim = [], []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [zero] * cols
+        v[f] = one
+        entries = []
         for pc, row in zip(pivots, rref):
-            if row[f]:
-                v[pc] = -row[f]
+            x = row[cols - 1 - f]
+            if x:
+                v[pc] = -x
+                entries.append((pc, x))
+        den = lcm(*(x.denominator for _, x in entries))
+        w = [0] * cols
+        w[f] = den
+        for pc, x in entries:
+            w[pc] = -x.numerator * (den // x.denominator)
         null_rows.append(v)
-    # canonicalize (the standard basis above is not RREF in general)
-    if null_rows:
-        den_cleared = []
-        for v in null_rows:
-            den = 1
-            for x in v:
-                den = den * x.denominator // gcd(den, x.denominator)
-            den_cleared.append([int(x * den) for x in v])
-        npiv, nrref = rref_int(den_cleared, cols)
-        basis = RowEchelonBasis(cols, nrref, npiv)
-    else:
-        basis = RowEchelonBasis(cols, [], ())
-    prim = []
-    for row in basis.rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        prim.append(_content_reduce([int(x * den) for x in row]))
-    return rank, basis, prim
+        prim.append(w)
+    return len(pivots), RowEchelonBasis(cols, null_rows, free), prim
 
 
 class ModularFilter:
@@ -155,11 +154,10 @@ class ModularFilter:
     every other pivot, which back-substitution maintains.
     """
 
-    def __init__(self, cols: int, prime: int = PRIME):
+    def __init__(self, cols: int):
         if cols > _MAX_FILTER_COLS:
             raise ValueError("filter supports at most %d columns" % _MAX_FILTER_COLS)
         self.cols = cols
-        self.p = prime
         self._buf = np.zeros((min(cols, 64), cols), dtype=np.float64)
         self.pivcols: list[int] = []
 
@@ -169,7 +167,7 @@ class ModularFilter:
 
     def _insert(self, res: np.ndarray):
         """Normalize res, back-substitute the state, append. Returns (pivot, row)."""
-        p = self.p
+        p = PRIME
         pc = int(np.nonzero(res)[0][0])
         inv = pow(int(res[pc]), -1, p)
         newrow = np.mod(res * float(inv), p)
@@ -189,7 +187,7 @@ class ModularFilter:
 
     def filter_block(self, block: np.ndarray) -> list[int]:
         """Indices of rows provably independent of everything seen before."""
-        p = self.p
+        p = PRIME
         bm = np.mod(block, p).astype(np.float64)
         if self.pivcols:
             piv = np.array(self.pivcols)
@@ -225,19 +223,18 @@ def _exact_products(block: np.ndarray, null_rows: list[list[int]]) -> np.ndarray
         bmax = int(np.abs(block).max(initial=0))
         if bmax == 0:
             return np.zeros((block.shape[0], len(null_rows)), dtype=np.int64)
-        if bmax * nmax * cols < 2**62:
+        if bmax * nmax * cols < _INT64_LIMIT:
             return block @ np.array(null_rows, dtype=np.int64).T
     return block.astype(object) @ np.array(null_rows, dtype=object).T
 
 
-def certified_nullspace(cols: int, block_source, prime: int = PRIME):
-    """Exact (rank, nullspace basis) of a streamed integer row system.
+def _certify(cols: int, block_source):
+    """(rank, nullspace basis, accepted rows) of a streamed integer system.
 
-    block_source is a zero-argument callable returning a fresh iterable of
-    2-d integer numpy arrays (the system's rows, in any fixed order); it is
-    called once for the filter pass and once per certification pass.
+    The filter-certify loop behind every certified_* entry point; the
+    accepted rows span the row space of the whole system on return.
     """
-    filt = ModularFilter(cols, prime)
+    filt = ModularFilter(cols)
     accepted: list[list[int]] = []
     for block in block_source():
         for r in filt.filter_block(block):
@@ -248,11 +245,9 @@ def certified_nullspace(cols: int, block_source, prime: int = PRIME):
         if rank <= prev_rank:
             raise AssertionError("certification produced no rank growth")
         prev_rank = rank
-        if not prim:
-            return rank, basis
-        violators = _find_violators(block_source, prim, cols)
+        violators = _find_violators(block_source, prim, cols) if prim else []
         if not violators:
-            return rank, basis
+            return rank, basis, accepted
         accepted.extend(violators)
 
 
@@ -269,34 +264,27 @@ def _find_violators(block_source, prim, cols: int) -> list[list[int]]:
     return violators
 
 
-def certified_rank(cols: int, block_source, prime: int = PRIME) -> int:
-    rank, _basis = certified_nullspace(cols, block_source, prime)
-    return rank
+def certified_nullspace(cols: int, block_source):
+    """Exact (rank, nullspace basis) of a streamed integer row system.
+
+    block_source is a zero-argument callable returning a fresh iterable of
+    2-d integer numpy arrays (the system's rows, in any fixed order); it is
+    called once for the filter pass and once per certification pass.
+    """
+    rank, basis, _accepted = _certify(cols, block_source)
+    return rank, basis
 
 
-def certified_rowspace(cols: int, block_source, prime: int = PRIME):
+def certified_rank(cols: int, block_source) -> int:
+    return _certify(cols, block_source)[0]
+
+
+def certified_rowspace(cols: int, block_source):
     """Exact (rank, RowEchelonBasis of the row space) of a streamed system.
 
-    Same filter-certify loop as certified_nullspace; once no streamed row
-    violates the candidate nullspace, the accepted rows span the full row
-    space and their RREF is the canonical answer. A full-column-rank exact
-    stage also ends the loop: the row space is then all of Q^cols.
+    Once certification ends, the accepted rows span the full row space and
+    their RREF is the canonical answer.
     """
-    filt = ModularFilter(cols, prime)
-    accepted: list[list[int]] = []
-    for block in block_source():
-        for r in filt.filter_block(block):
-            accepted.append([int(v) for v in block[r]])
-    prev_rank = -1
-    while True:
-        rank, _basis, prim = nullspace_int(accepted, cols)
-        if rank <= prev_rank:
-            raise AssertionError("certification produced no rank growth")
-        prev_rank = rank
-        pivots, rref = rref_int(accepted, cols)
-        if not prim:
-            return rank, RowEchelonBasis(cols, rref, pivots)
-        violators = _find_violators(block_source, prim, cols)
-        if not violators:
-            return rank, RowEchelonBasis(cols, rref, pivots)
-        accepted.extend(violators)
+    rank, _basis, accepted = _certify(cols, block_source)
+    pivots, rref = rref_int(accepted, cols)
+    return rank, RowEchelonBasis(cols, rref, pivots)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -25,25 +26,32 @@ import numpy as np
 
 from . import fastrank
 from .algebras import Algebra, multiply
+from .fastrank import _INT64_LIMIT
 from .linalg import RankSink
 from .monomials import (
     BracketShape,
     IdentityCombination,
     MultilinearMonomial,
     monomial_count,
-    monomial_index,
-    perm_index,
     shapes,
 )
 
-_INT64_LIMIT = 2**62
-
 
 def worker_count() -> int:
-    env = os.environ.get("NONASSOC_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Worker threads for block assembly: NONASSOC_THREADS, else min(4, cores).
+
+    Raises ValueError when NONASSOC_THREADS is set but not an integer >= 1.
+    """
+    env = os.environ.get("NONASSOC_THREADS", "").strip()
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
+        k = int(env)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ValueError("NONASSOC_THREADS must be an integer >= 1, got %r" % env)
+    return k
 
 
 def _block_ranges(total: int, block: int):
@@ -51,14 +59,29 @@ def _block_ranges(total: int, block: int):
 
 
 def _parallel_blocks(ranges, build):
-    """Yield build(r) for each range, assembling ahead on worker threads."""
+    """Yield build(r) for each range in order, assembling on worker threads.
+
+    At most worker_count() blocks are in flight ahead of the consumer, so
+    memory stays bounded by a few blocks however slowly they are consumed;
+    builds still queued when the consumer abandons the stream are cancelled.
+    """
     k = worker_count()
     if k <= 1 or len(ranges) <= 1:
         for r in ranges:
             yield build(r)
         return
     with ThreadPoolExecutor(max_workers=k) as ex:
-        yield from ex.map(build, ranges)
+        pending = deque(ex.submit(build, r) for r in ranges[:k])
+        try:
+            for r in ranges[k:]:
+                block = pending.popleft().result()
+                pending.append(ex.submit(build, r))
+                yield block
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
 
 
 @lru_cache(maxsize=8)
@@ -195,13 +218,6 @@ def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
     return ev(m.shape.tree)
 
 
-def _int_weights(c: IdentityCombination):
-    den = 1
-    for x in c.coeffs:
-        den = lcm(den, x.denominator)
-    return [int(x * den) for x in c.coeffs], den
-
-
 def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     """Returns (build(range)->array, cols). Column order: for each listed
     shape, all n! permutations in lexicographic order."""
@@ -251,19 +267,18 @@ def _nullspace_combinations(a: Algebra, n: int, shape_indices):
 def identity_space(a: Algebra, n: int):
     """(dimension, canonical basis) of the degree-n identities of a.
 
-    Degree 5 joins all 14 shapes into one 1680-column system, and the
-    exact certification of such a wide nullspace is the expensive part:
-    a 4-dimensional algebra already needs around twenty minutes.  When
-    one shape at a time is enough, shape_identity_space stays fast even
-    at degree 5.
+    Degree 5 joins all 14 shapes into one 1680-column system with dim^6
+    rows and a very wide nullspace: on a 2-core machine it took 13 s for
+    E2 (dim 2) and 26 s for S2 (dim 4).  When one shape at a time is
+    enough, shape_identity_space stays fast even at degree 5.
     """
     if not 2 <= n <= 5:
         raise ValueError("degree must be between 2 and 5")
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly and can take tens of minutes; "
-            "shape_identity_space handles a single shape quickly"
+            "system exactly (26 s at dim 4 on a 2-core machine, more for "
+            "larger dims); shape_identity_space handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
             RuntimeWarning,
             stacklevel=2,
@@ -283,6 +298,49 @@ def satisfies_identity(a: Algebra, c: IdentityCombination) -> bool:
     return first_violation(a, c) is None
 
 
+def _terms(c: IdentityCombination):
+    """(weight denominator, [(integer weight, shape, permutation rank)]).
+
+    One entry per nonzero coefficient: coefficient i belongs to shape
+    i // n! and to the permutation of lexicographic rank i % n!.
+    """
+    nf = factorial(c.degree)
+    degree_shapes = shapes(c.degree)
+    wden = lcm(*(x.denominator for x in c.coeffs))
+    return wden, [(int(x * wden), degree_shapes[i // nf], i % nf)
+                  for i, x in enumerate(c.coeffs) if x]
+
+
+def _accumulator_dtype(tables_object: bool, weighted_bounds):
+    """int64 when the value tables are int64 and sum |w| * bound, over
+    (w, bound) pairs bounding every term, stays below the int64 limit;
+    object otherwise."""
+    if tables_object or sum(abs(w) * b for w, b in weighted_bounds) >= _INT64_LIMIT:
+        return object
+    return np.int64
+
+
+def _combination_values(a: Algebra, c: IdentityCombination):
+    """(values, denom): values(v0, v1)[v - v0, k] / denom is the exact value
+    of the combination at the flat basis tuple v, component k."""
+    n = c.degree
+    d = a.dim
+    tables, bounds, den = _shape_tables(a, n)
+    gathers = _perm_gathers(d, n)
+    wden, walk = _terms(c)
+    terms = [(w, _shape_key(sh), pr) for w, sh, pr in walk]
+    dtype = _accumulator_dtype(tables["x"].dtype == object,
+                               [(w, bounds[key]) for w, key, _pr in terms])
+
+    def values(v0, v1):
+        acc = np.zeros((v1 - v0, d), dtype=dtype)
+        for w, key, pr in terms:
+            acc += w * tables[key][gathers[pr, v0:v1]].astype(dtype, copy=False)
+        return acc
+
+    return values, wden * den ** (n - 1)
+
+
 def first_violation(a: Algebra, c: IdentityCombination):
     """None, or the lexicographically first basis tuple (1-based) where
     the combination has a nonzero value."""
@@ -290,34 +348,11 @@ def first_violation(a: Algebra, c: IdentityCombination):
     d = a.dim
     if d == 0:
         return None
-    tables, bounds, _den = _shape_tables(a, n)
-    gathers = _perm_gathers(d, n)
-    weights, _wden = _int_weights(c)
-    terms = []  # (weight, table, perm rank)
-    wsum = 0
-    bmax = 1
-    for m, _coef in c.terms():
-        idx = monomial_index(m)
-        key = _shape_key(m.shape)
-        terms.append((weights[idx], tables[key], perm_index(m.perm)))
-        wsum += abs(weights[idx])
-        bmax = max(bmax, bounds[key])
-    if not terms:
-        return None
-    as_object = tables["x"].dtype == object or wsum * bmax >= _INT64_LIMIT
-    block = 4096
-    for v0, v1 in _block_ranges(d**n, block):
-        acc = np.zeros((v1 - v0, d), dtype=object if as_object else np.int64)
-        for w, tab, pr in terms:
-            vals = tab[gathers[pr, v0:v1]]
-            if as_object and vals.dtype != object:
-                vals = vals.astype(object)
-            acc += w * vals
-        flat = acc.any(axis=1)
-        nz = np.nonzero(flat)[0]
+    values, _den = _combination_values(a, c)
+    for v0, v1 in _block_ranges(d**n, 4096):
+        nz = np.nonzero(values(v0, v1).any(axis=1))[0]
         if nz.size:
-            v = v0 + int(nz[0])
-            digits = _digit_table(d, n)[v]
+            digits = _digit_table(d, n)[v0 + int(nz[0])]
             return tuple(int(x) + 1 for x in digits)
     return None
 
@@ -325,28 +360,8 @@ def first_violation(a: Algebra, c: IdentityCombination):
 def evaluate_combination_table(a: Algebra, c: IdentityCombination):
     """(R, denom): R[flat(v), k] * 1/denom is the exact value of the
     combination at the basis tuple v, component k."""
-    n = c.degree
-    d = a.dim
-    tables, bounds, den = _shape_tables(a, n)
-    gathers = _perm_gathers(d, n)
-    weights, wden = _int_weights(c)
-    terms = []
-    wsum = 0
-    bmax = 1
-    for m, _coef in c.terms():
-        idx = monomial_index(m)
-        key = _shape_key(m.shape)
-        terms.append((weights[idx], tables[key], perm_index(m.perm)))
-        wsum += abs(weights[idx])
-        bmax = max(bmax, bounds[key])
-    as_object = tables["x"].dtype == object or wsum * bmax >= _INT64_LIMIT
-    acc = np.zeros((d**n, d), dtype=object if as_object else np.int64)
-    for w, tab, pr in terms:
-        vals = tab[gathers[pr]]
-        if as_object and vals.dtype != object:
-            vals = vals.astype(object)
-        acc += w * vals
-    return acc, wden * den ** (n - 1)
+    values, denom = _combination_values(a, c)
+    return values(0, a.dim**c.degree), denom
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:
@@ -364,7 +379,16 @@ def combination_in_span(c: IdentityCombination, basis) -> bool:
 
 def spaces_equal(basis_a, basis_b) -> bool:
     """Do two identity lists span the same subspace?"""
-    return (
-        all(combination_in_span(b, basis_a) for b in basis_b)
-        and all(combination_in_span(a, basis_b) for a in basis_a)
-    )
+    combos = [*basis_a, *basis_b]
+    if len({c.degree for c in combos}) > 1:
+        raise ValueError("degree mismatch")
+    if not combos:
+        return True
+    length = len(combos[0].coeffs)
+
+    def span(basis):
+        sink = RankSink(length)
+        sink.feed_many(c.coeffs for c in basis)
+        return sink.basis()
+
+    return span(basis_a) == span(basis_b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MAX_DEGREE = 5
 
@@ -390,9 +390,3 @@ def tail_fixed_alternating(n: int, j: int) -> IdentityCombination:
         leaf_perm = tuple(others[k - 1] for k in p) + (j,)
         terms.append((MultilinearMonomial(comb_shape, leaf_perm), perm_sign(p)))
     return IdentityCombination.from_terms(n, terms, name="tail%d_%d" % (n, j))
-
-
-def iter_leaf_assignments(m: MultilinearMonomial, args: Sequence) -> Iterator:
-    """Arguments in leaf order: position j gets args[perm[j]-1]."""
-    for v in m.perm:
-        yield args[v - 1]

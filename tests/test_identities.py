@@ -1,5 +1,7 @@
 import itertools
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from nonassoc.algebras import change_of_basis, multiply
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.identities import (
+    _parallel_blocks,
     combination_in_span,
     evaluate_combination_table,
     evaluate_monomial,
@@ -15,6 +18,7 @@ from nonassoc.identities import (
     satisfies_identity,
     shape_identity_space,
     spaces_equal,
+    worker_count,
 )
 from nonassoc.monomials import (
     IdentityCombination,
@@ -217,8 +221,48 @@ def test_combination_in_span_and_spaces_equal():
     assert not combination_in_span(s1, [s2])
     assert spaces_equal([s1, s2], [s1.plus(s2), s1.plus(s2.scaled(-1))])
     assert not spaces_equal([s1], [s2])
+    assert spaces_equal([zero], []) and spaces_equal([], [])
+    assert not spaces_equal([], [s1])
     with pytest.raises(ValueError):
         combination_in_span(st_identity(4, 1), [s1])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        spaces_equal([s1], [st_identity(4, 1)])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_parallel_blocks_bounded_read_ahead(monkeypatch, k):
+    monkeypatch.setenv("NONASSOC_THREADS", str(k))
+    built = []
+    lock = threading.Lock()
+
+    def build(r):
+        with lock:
+            built.append(r)
+        return r
+
+    ranges = list(range(40))
+    stream = _parallel_blocks(ranges, build)
+    for i, r in enumerate(stream):
+        assert r == i
+        time.sleep(0.02)  # a slow consumer
+        with lock:
+            assert len(built) <= i + 1 + k
+        if i == 5:
+            break
+    stream.close()
+    with lock:
+        assert len(built) <= 6 + k
+    # an unabandoned stream still yields every block, in order
+    assert list(_parallel_blocks(ranges, build)) == ranges
+
+
+def test_worker_count_rejects_bad_values(monkeypatch):
+    monkeypatch.setenv("NONASSOC_THREADS", " 3 ")
+    assert worker_count() == 3
+    for bad in ("abc", "-3", "0", "1.5"):
+        monkeypatch.setenv("NONASSOC_THREADS", bad)
+        with pytest.raises(ValueError, match="NONASSOC_THREADS"):
+            worker_count()
 
 
 def test_identity_dims_invariant_under_change_of_basis():
