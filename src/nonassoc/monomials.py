@@ -290,7 +290,7 @@ class IdentityCombination:
 
     def __init__(self, degree: int, coeffs: Sequence, name: str = ""):
         expected = monomial_count(degree)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != expected:
             raise ValueError(
                 "coefficient vector length %d, expected %d for degree %d"

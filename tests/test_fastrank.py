@@ -1,17 +1,23 @@
 import random
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonassoc.fastrank import (
     PRIME,
+    ModularFilter,
+    _mod_p,
     certified_nullspace,
     certified_rank,
     certified_rowspace,
 )
+from nonassoc.identities import _parallel_blocks
 from nonassoc.linalg import Matrix, nullspace, rref
 
 
@@ -152,3 +158,127 @@ def test_full_rank_and_one_column_systems():
     zero = np.zeros((3, 1), dtype=np.int64)
     rank, null = certified_nullspace(1, _blocks_of(zero, 2))
     assert rank == 0 and null.rows == [(Fraction(1),)]
+
+
+def test_mod_p_matches_np_mod():
+    edge = 2**53 - 1
+    bound = 8192 * (PRIME - 1) ** 2  # the filter's largest |dot product|
+    values = [0, 1, -1, PRIME - 1, PRIME, PRIME + 1, -PRIME, -PRIME - 1, 7 * PRIME,
+              -7 * PRIME, edge, -edge, edge - 1, -(edge - 1), bound, -bound, bound + PRIME,
+              -bound - PRIME + 1]
+    values += [edge - k for k in range(0, 4 * PRIME, 997)]
+    values += [-edge + k for k in range(0, 4 * PRIME, 991)]
+    values += [PRIME * q + r for q in (-(2**32), -3, 2, 2**32) for r in (-2, -1, 0, 1, 2)]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.array(values, dtype=np.float64),
+                        rng.integers(-edge, edge, size=10_000).astype(np.float64)])
+    assert np.all(np.abs(x) <= edge)
+    before = x.copy()
+    got = _mod_p(x)
+    assert np.array_equal(got, np.mod(x, PRIME))
+    assert got.min() >= 0 and got.max() < PRIME
+    assert np.array_equal(x, before)  # the input is left alone
+
+
+def _greedy_mod_p(rows):
+    """Indices of rows outside the mod-PRIME span of the rows before them,
+    one row at a time with Python integers."""
+    pivots = {}  # pivot column -> row with a 1 there
+    accepted = []
+    for i, raw in enumerate(rows):
+        row = [int(v) % PRIME for v in raw]
+        for pc, prow in pivots.items():
+            c = row[pc]
+            if c:
+                row = [(a - c * b) % PRIME for a, b in zip(row, prow)]
+        pc = next((j for j, v in enumerate(row) if v), None)
+        if pc is None:
+            continue
+        inv = pow(row[pc], -1, PRIME)
+        row = [v * inv % PRIME for v in row]
+        for q, qrow in pivots.items():
+            c = qrow[pc]
+            if c:
+                pivots[q] = [(a - c * b) % PRIME for a, b in zip(qrow, row)]
+        pivots[pc] = row
+        accepted.append(i)
+    return accepted
+
+
+@st.composite
+def filter_streams(draw):
+    """(rows, cols, block lengths): mostly dependent rows, a few fresh ones
+    at drawn positions, rows congruent to 0 or to earlier rows mod PRIME,
+    cut into blocks shorter than, equal to or longer than one chunk."""
+    cols = draw(st.integers(1, 6))
+    chunk = ModularFilter(cols)._chunk
+    total = draw(st.sampled_from([3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.zeros((total, cols), dtype=np.int64)
+    fresh = sorted(draw(st.lists(st.integers(0, total - 1), max_size=cols + 2)))
+    basis = []
+    for i in range(total):
+        if i in fresh or not basis:
+            row = rng.integers(-PRIME, PRIME, size=cols)
+        else:
+            coef = rng.integers(-3, 4, size=len(basis))
+            row = coef @ np.array(basis)
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                row = row * PRIME
+            elif kind == 1:
+                row = row + PRIME * rng.integers(-2, 3, size=cols)
+        rows[i] = row
+        basis.append(row % PRIME)
+        basis = basis[-3:]
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), max_size=2))) if total > 1 else []
+    return rows, cols, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_streams())
+def test_filter_block_accepts_the_greedy_rows(stream):
+    rows, cols, cuts = stream
+    filt = ModularFilter(cols)
+    got = []
+    edges = [0] + cuts + [len(rows)]
+    for lo, hi in zip(edges, edges[1:]):
+        got += [lo + r for r in filt.filter_block(rows[lo:hi])]
+    assert got == _greedy_mod_p(rows)
+    assert filt.rank_lower_bound == len(got)
+
+
+def test_full_rank_stops_the_stream():
+    pulled, closed = [], []
+    unit = np.eye(3, dtype=np.int64)
+
+    def blocks():
+        try:
+            for i in range(5):
+                pulled.append(i)
+                yield unit if i == 0 else np.ones((2, 3), dtype=np.int64)
+        finally:
+            closed.append(True)
+
+    stream = blocks()  # held here, so only an explicit close() ends it
+    assert certified_nullspace(3, lambda: stream)[0] == 3
+    assert pulled == [0] and closed == [True]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_full_rank_cancels_queued_builds(monkeypatch, k):
+    monkeypatch.setenv("NONASSOC_THREADS", str(k))
+    built = []
+    lock = threading.Lock()
+
+    def build(r):
+        with lock:
+            built.append(r)
+        time.sleep(0.02)
+        return np.eye(4, dtype=np.int64) if r == 0 else np.ones((3, 4), dtype=np.int64)
+
+    stream = _parallel_blocks(list(range(40)), build)
+    rank, null = certified_nullspace(4, lambda: stream)
+    assert rank == 4 and null.rows == []
+    with lock:
+        assert built[0] == 0 and len(built) <= 1 + k

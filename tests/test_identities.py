@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from nonassoc.algebras import change_of_basis, multiply
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.identities import (
     _parallel_blocks,
+    _shape_tables,
     combination_in_span,
     evaluate_combination_table,
     evaluate_monomial,
@@ -227,6 +230,18 @@ def test_combination_in_span_and_spaces_equal():
         combination_in_span(st_identity(4, 1), [s1])
     with pytest.raises(ValueError, match="degree mismatch"):
         spaces_equal([s1], [st_identity(4, 1)])
+
+
+def test_evicted_value_tables_are_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        tables, _bounds, _den = _shape_tables(catalog("D2"), 4)
+        ref = weakref.ref(tables[max(tables, key=len)])
+        del tables
+        _shape_tables.cache_clear()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", [2, 3])
