@@ -1,0 +1,7 @@
+"""``python -m nonassoc ...`` runs the command line."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

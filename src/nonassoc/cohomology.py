@@ -18,6 +18,14 @@ When B2 sits inside Z2_P, dim H2_P = dim Z2_P - dim B2 counts genuinely
 new extensions; H2_P = 0 means every extension in the variety of P is
 split or a trivial deformation.
 
+There is one row of that condition per basis tuple v. When P is
+alternating in all its variables, the row at v o tau is sgn(tau) times
+the row at v, and the row vanishes wherever an index of v repeats, so
+the rows at the strictly increasing tuples already span the whole row
+space: C(d, n) rows instead of d^n, and none at all when d < n, where
+every form is a cocycle. The nullspace, and so its canonical basis, is
+the same either way.
+
 The brute-force alternative, building the (d+1)-dimensional extension
 and running the identity checker on it, is deliberately kept as
 extension_algebra for tests to cross-validate the root-pair rule.
@@ -42,6 +50,7 @@ from .identities import (
     _shape_key,
     _shape_tables,
     _terms,
+    _tuple_indices,
     first_violation,
 )
 from .linalg import Matrix, RankSink, RowEchelonBasis
@@ -105,17 +114,18 @@ def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
         return RowEchelonBasis(0, [], [])
     terms, dtype = _root_pair_terms(a, p)
 
-    rows_total = d**n
+    tuples = _tuple_indices(p, d)
+    rows_total = len(tuples)
     ranges = _block_ranges(rows_total, max(16, min(rows_total, (1 << 19) // cols)))
 
     def build(rng):
-        v0, v1 = rng
-        acc = np.zeros((v1 - v0, d, d), dtype=dtype)
+        sel = tuples[rng[0]:rng[1]]
+        acc = np.zeros((len(sel), d, d), dtype=dtype)
         for w, tl, tr, lidx, ridx in terms:
-            lv = tl[lidx[v0:v1]].astype(dtype, copy=False)
-            rv = tr[ridx[v0:v1]].astype(dtype, copy=False)
+            lv = tl[lidx[sel]].astype(dtype, copy=False)
+            rv = tr[ridx[sel]].astype(dtype, copy=False)
             acc += (w * lv)[:, :, None] * rv[:, None, :]
-        return acc.reshape(v1 - v0, cols)
+        return acc.reshape(len(sel), cols)
 
     def block_source():
         return _parallel_blocks(ranges, build)

@@ -20,6 +20,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, lcm
 
 import numpy as np
@@ -98,8 +99,6 @@ def _digit_table(d: int, n: int) -> np.ndarray:
 def _perm_gathers(d: int, n: int) -> np.ndarray:
     """(n!, d^n): row r maps flat(v) to flat(w), w_j = v_{tau(j)}, where
     tau is the r-th permutation of (1..n) in lexicographic order."""
-    from itertools import permutations
-
     digits = _digit_table(d, n)
     powers = d ** (n - 1 - np.arange(n, dtype=np.int64))
     rows = []
@@ -132,14 +131,43 @@ def _subtree_keys(tree, out):
     return key
 
 
+class _ValueTables(dict):
+    """Subtree key -> value table, each table built on its first lookup and
+    kept. Only the structure constants and each key's two children are
+    held, never a function that refers back to the mapping, so an evicted
+    entry is freed at once. Lookups that build must not run on worker
+    threads: callers resolve their tables before assembling blocks."""
+
+    def __init__(self, cflat: np.ndarray, children: dict):
+        d = cflat.shape[0]
+        super().__init__(x=np.eye(d, dtype=cflat.dtype))
+        self.cflat = cflat
+        self.children = children
+
+    def __missing__(self, key):
+        lk, rk = self.children[key]
+        tl, tr = self[lk], self[rk]
+        d = self.cflat.shape[0]
+        dl, dr = tl.shape[0], tr.shape[0]
+        w = (tl @ self.cflat).reshape(dl, d, d)  # [a, q, k]
+        t = tr @ w.transpose(1, 0, 2).reshape(d, dl * d)  # [b, (a k)]
+        t = t.reshape(dr, dl, d).transpose(1, 0, 2).reshape(dl * dr, d)
+        t = np.ascontiguousarray(t)
+        t.setflags(write=False)
+        self[key] = t
+        return t
+
+
 @lru_cache(maxsize=6)
 def _shape_tables(a: Algebra, n: int):
-    """Value tables for every subtree of every degree-n shape.
+    """Value tables for the subtrees of the degree-n shapes.
 
     Returns (tables, bounds, den): tables maps a subtree key to an array
     of shape (d^leaves, d) whose row at flat leaf tuple w is the product
     vector scaled by den^(leaves-1); bounds maps the key to a proven bound
-    on absolute entries. dtype is int64 unless a bound crosses 2^62.
+    on absolute entries. Bounds and the dtype (int64 unless a bound
+    crosses 2^62) are decided here for every subtree; a table is built
+    the first time a caller looks it up, and stays in this cached entry.
     """
     d = a.dim
     carr, den = a.int_constants()
@@ -149,8 +177,7 @@ def _shape_tables(a: Algebra, n: int):
     for s in shapes(n):
         _subtree_keys(s.tree, trees)
     # _subtree_keys inserts every subtree after both of its children, so one
-    # pass in insertion order meets each child's bound and table first.  No
-    # recursive closure holds the tables, so an evicted entry is freed at once.
+    # pass in insertion order meets each child's bound first.
     children = {key: (_subtree_keys(tree[0], {}), _subtree_keys(tree[1], {}))
                 for key, tree in trees.items() if tree is not None}
 
@@ -160,19 +187,7 @@ def _shape_tables(a: Algebra, n: int):
 
     use_object = any(b >= _INT64_LIMIT for b in bounds.values()) or carr.dtype == object
     dtype = object if use_object else np.int64
-    cflat = carr.astype(dtype).reshape(d, d * d)
-
-    tables = {"x": np.eye(d, dtype=dtype)}
-    for key, (lk, rk) in children.items():
-        tl, tr = tables[lk], tables[rk]
-        dl, dr = tl.shape[0], tr.shape[0]
-        w = (tl @ cflat).reshape(dl, d, d)  # [a, q, k]
-        t = tr @ w.transpose(1, 0, 2).reshape(d, dl * d)  # [b, (a k)]
-        t = t.reshape(dr, dl, d).transpose(1, 0, 2).reshape(dl * dr, d)
-        t = np.ascontiguousarray(t)
-        t.setflags(write=False)
-        tables[key] = t
-    return tables, bounds, den
+    return _ValueTables(carr.astype(dtype).reshape(d, d * d), children), bounds, den
 
 
 def _shape_key(shape: BracketShape) -> str:
@@ -205,17 +220,17 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     tables, _bounds, _den = _shape_tables(a, n)
     gathers = _perm_gathers(d, n)
     nf = factorial(n)
-    keys = [_shape_key(shapes(n)[si]) for si in shape_indices]
-    dtype = tables[keys[0]].dtype
-    cols = nf * len(keys)
+    roots = [tables[_shape_key(shapes(n)[si])] for si in shape_indices]
+    dtype = roots[0].dtype
+    cols = nf * len(roots)
 
     def build(rng):
         v0, v1 = rng
         bs = v1 - v0
         sub = np.ascontiguousarray(gathers[:, v0:v1])
         m3 = np.empty((bs, d, cols), dtype=dtype)
-        for ci, key in enumerate(keys):
-            vals = tables[key][sub]  # (n!, bs, d)
+        for ci, root in enumerate(roots):
+            vals = root[sub]  # (n!, bs, d)
             m3[:, :, ci * nf:(ci + 1) * nf] = vals.transpose(1, 2, 0)
         return m3.reshape(bs * d, cols)
 
@@ -300,22 +315,65 @@ def _accumulator_dtype(tables_object: bool, weighted_bounds):
     return np.int64
 
 
+@lru_cache(maxsize=4)
+def _adjacent_swaps(n: int) -> tuple:
+    """For each adjacent transposition s_i of variables (i = 1..n-1), the
+    list mapping the lexicographic rank of sigma to that of s_i o sigma."""
+    perms = list(permutations(range(1, n + 1)))
+    rank = {perm: r for r, perm in enumerate(perms)}
+    swaps = []
+    for i in range(1, n):
+        flip = {i: i + 1, i + 1: i}
+        swaps.append([rank[tuple(flip.get(v, v) for v in perm)] for perm in perms])
+    return tuple(swaps)
+
+
+def _is_alternating(c: IdentityCombination) -> bool:
+    """True iff c changes sign under every adjacent transposition of its
+    variables: the coefficient of (shape, s_i o sigma) is minus that of
+    (shape, sigma). Each s_i is an involution, so checking the nonzero
+    coefficients is enough."""
+    nf = factorial(c.degree)
+    coeffs = c.coeffs
+    for swap in _adjacent_swaps(c.degree):
+        for i, x in enumerate(coeffs):
+            if x and coeffs[i - i % nf + swap[i % nf]] != -x:
+                return False
+    return True
+
+
+def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
+    """Flat indices, ascending, of the basis tuples to evaluate c on.
+
+    All d^n tuples in general. When c is alternating in all n variables,
+    its value at v o tau is sgn(tau) times its value at v and vanishes
+    wherever an index repeats (the same holds for its cocycle rows), so
+    the strictly increasing tuples decide everything: C(d, n) of them,
+    none when d < n.
+    """
+    n = c.degree
+    if not _is_alternating(c):
+        return np.arange(d**n)
+    return np.flatnonzero((np.diff(_digit_table(d, n), axis=1) > 0).all(axis=1))
+
+
 def _combination_values(a: Algebra, c: IdentityCombination):
-    """(values, denom): values(v0, v1)[v - v0, k] / denom is the exact value
-    of the combination at the flat basis tuple v, component k."""
+    """(values, denom): values(idx)[j, k] / denom is the exact value of the
+    combination at the flat basis tuple idx[j], component k."""
     n = c.degree
     d = a.dim
     tables, bounds, den = _shape_tables(a, n)
     gathers = _perm_gathers(d, n)
     wden, walk = _terms(c)
-    terms = [(w, _shape_key(sh), pr) for w, sh, pr in walk]
+    keyed = [(w, _shape_key(sh), pr) for w, sh, pr in walk]
     dtype = _accumulator_dtype(tables["x"].dtype == object,
-                               [(w, bounds[key]) for w, key, _pr in terms])
+                               [(w, bounds[key]) for w, key, _pr in keyed])
+    terms = [(w, tables[key], pr) for w, key, pr in keyed]
 
-    def values(v0, v1):
-        acc = np.zeros((v1 - v0, d), dtype=dtype)
-        for w, key, pr in terms:
-            acc += w * tables[key][gathers[pr, v0:v1]].astype(dtype, copy=False)
+    def values(idx):
+        acc = np.zeros((len(idx), d), dtype=dtype)
+        for w, table, pr in terms:
+            acc += w * table[gathers[pr, idx]].astype(dtype, copy=False)
         return acc
 
     return values, wden * den ** (n - 1)
@@ -323,16 +381,23 @@ def _combination_values(a: Algebra, c: IdentityCombination):
 
 def first_violation(a: Algebra, c: IdentityCombination):
     """None, or the lexicographically first basis tuple (1-based) where
-    the combination has a nonzero value."""
+    the combination has a nonzero value.
+
+    Only _tuple_indices' tuples are scanned, in order. For an alternating
+    c that loses nothing: a violator v has distinct entries, and its
+    sorted rearrangement is no later than v and takes plus or minus the
+    nonzero value at v, so the first violator is strictly increasing.
+    """
     n = c.degree
     d = a.dim
     if d == 0:
         return None
     values, _den = _combination_values(a, c)
-    for v0, v1 in _block_ranges(d**n, 4096):
-        nz = np.nonzero(values(v0, v1).any(axis=1))[0]
+    idx = _tuple_indices(c, d)
+    for v0, v1 in _block_ranges(len(idx), 4096):
+        nz = np.flatnonzero(values(idx[v0:v1]).any(axis=1))
         if nz.size:
-            digits = _digit_table(d, n)[v0 + int(nz[0])]
+            digits = _digit_table(d, n)[idx[v0 + nz[0]]]
             return tuple(int(x) + 1 for x in digits)
     return None
 
@@ -341,7 +406,7 @@ def evaluate_combination_table(a: Algebra, c: IdentityCombination):
     """(R, denom): R[flat(v), k] * 1/denom is the exact value of the
     combination at the basis tuple v, component k."""
     values, denom = _combination_values(a, c)
-    return values(0, a.dim**c.degree), denom
+    return values(np.arange(a.dim**c.degree)), denom
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:

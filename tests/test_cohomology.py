@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_identities import alternating_combinations
 
 from nonassoc.algebras import Algebra, multiply
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.cohomology import (
     CohomologyReport,
+    _root_pair_terms,
     coborder_space,
     cocycle_space,
     cohomology,
@@ -14,7 +18,8 @@ from nonassoc.cohomology import (
     terminal_cohomology,
 )
 from nonassoc.conservative import is_terminal, terminal_identity
-from nonassoc.identities import satisfies_identity
+from nonassoc.fastrank import certified_nullspace
+from nonassoc.identities import first_violation, satisfies_identity
 from nonassoc.linalg import Matrix
 from nonassoc.monomials import st_identity
 
@@ -65,6 +70,45 @@ def test_cocycle_dimensions_spot_values():
     assert cocycle_space(catalog("D2"), st_identity(3, 1))[0] == 8
     assert cocycle_space(catalog("E2"), st_identity(3, 1))[0] == 4
     assert cocycle_space(catalog("S2"), st_identity(5, 1))[0] == 16
+
+
+def all_tuple_cocycles(a, p):
+    """Z2 of p from the certified nullspace of its rows at all d^n tuples."""
+    d, n = a.dim, p.degree
+    terms, dtype = _root_pair_terms(a, p)
+    rows = np.zeros((d**n, d, d), dtype=dtype)
+    for w, tl, tr, lidx, ridx in terms:
+        rows += (w * tl[lidx].astype(dtype))[:, :, None] * tr[ridx].astype(dtype)[:, None, :]
+    _rank, null = certified_nullspace(d * d, lambda: [rows.reshape(d**n, d * d)])
+    return null.rank, [Matrix(d, d, row) for row in null.rows]
+
+
+# All d^n rows of a degree-5 system on dimension 8 take seconds per
+# example, so the drawn cases stop at 8^4 tuples and S1bar's st5_2, the
+# widest system in the registry, is checked once on its own.
+@settings(max_examples=25, deadline=None)
+@given(case=alternating_combinations(satisfied=True, max_tuples=8**4))
+def test_cocycles_of_alternating_combinations_match_rows_at_all_tuples(case):
+    name, p = case
+    a = catalog(name)
+    assert cocycle_space(a, p) == all_tuple_cocycles(a, p)
+
+
+def test_st5_cocycles_of_the_widest_system_match_rows_at_all_tuples():
+    a = catalog("S1bar")
+    p = st_identity(5, 2)
+    assert cocycle_space(a, p) == all_tuple_cocycles(a, p)
+
+
+@pytest.mark.parametrize("name", ["E2", "S2"])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_below_degree_five_every_form_is_an_st5_cocycle(name, variant):
+    a = catalog(name)
+    d = a.dim
+    p = st_identity(5, variant)
+    assert first_violation(a, p) is None
+    units = [Matrix(d, d, [Fraction(int(i == j)) for j in range(d * d)]) for i in range(d * d)]
+    assert cocycle_space(a, p) == (d * d, units)
 
 
 def test_extensions_by_cocycles_satisfy_the_identity():

@@ -5,14 +5,24 @@ import threading
 import time
 import weakref
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.algebras import change_of_basis, multiply
 from nonassoc.catalog import catalog, sab_bar
+from nonassoc.conservative import terminal_identity
+from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
+    _is_alternating,
     _parallel_blocks,
+    _shape_key,
     _shape_tables,
+    _ValueTables,
     combination_in_span,
     evaluate_combination_table,
     evaluate_monomial,
@@ -27,9 +37,15 @@ from nonassoc.monomials import (
     IdentityCombination,
     enumerate_monomials,
     monomial_count,
+    perm_sign,
+    right_comb,
     shapes,
     st_identity,
+    tail_fixed_alternating,
 )
+
+# Catalog algebras of dimensions 2 to 8.
+SMALL_TO_LARGE = ("E2", "D2", "S2", "C2", "W2", "B2", "S1bar", "W2tildetilde")
 
 
 def _naive_monomial(a, m, args):
@@ -236,6 +252,7 @@ def test_evicted_value_tables_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         tables, _bounds, _den = _shape_tables(catalog("D2"), 4)
+        tables[_shape_key(shapes(4)[0])]  # tables are built on demand
         ref = weakref.ref(tables[max(tables, key=len)])
         del tables
         _shape_tables.cache_clear()
@@ -295,3 +312,99 @@ def test_identity_dims_invariant_under_change_of_basis():
             except ValueError:
                 continue
         assert identity_space(b, 3)[0] == want
+
+
+def antisymmetrised(n, terms):
+    """sum over tau of sgn(tau) tau.m, weighted, for (shape index, perm, weight)
+    terms: (shape, rho) gets the sum of weight * sgn(perm) * sgn(rho)."""
+    nf = factorial(n)
+    coeffs = [Fraction(0)] * monomial_count(n)
+    for si, perm, weight in terms:
+        for r, rho in enumerate(itertools.permutations(range(1, n + 1))):
+            coeffs[si * nf + r] += weight * perm_sign(perm) * perm_sign(rho)
+    return IdentityCombination(n, coeffs)
+
+
+@lru_cache(maxsize=None)
+def alternating_identities(name, n):
+    """Weights over shapes of a basis of the alternating degree-n identities
+    of the algebra, from its values at all d^n basis tuples."""
+    a = catalog(name)
+    ident = tuple(range(1, n + 1))
+    tables = [evaluate_combination_table(a, antisymmetrised(n, [(si, ident, 1)]))[0]
+              for si in range(len(shapes(n)))]
+    system = np.stack([t.reshape(-1) for t in tables], axis=1)
+    return certified_nullspace(len(tables), lambda: [system])[1].rows
+
+
+@st.composite
+def alternating_combinations(draw, satisfied, max_tuples=8**5):
+    """(algebra name, alternating combination over mixed shapes) with at
+    most max_tuples basis tuples; with satisfied, an alternating identity
+    of the algebra, from at most two of its basis rows."""
+    name = draw(st.sampled_from(SMALL_TO_LARGE))
+    dim = catalog(name).dim
+    n = draw(st.sampled_from([k for k in (3, 4, 5) if dim**k <= max_tuples]))
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    ident = tuple(range(1, n + 1))
+    if satisfied:
+        basis = alternating_identities(name, n)
+        rows = draw(st.lists(st.tuples(weight, st.sampled_from(basis)), max_size=2)
+                    if basis else st.just([]))
+        terms = [(si, ident, y * x) for y, row in rows for si, x in enumerate(row) if x]
+    else:
+        perm = st.permutations(ident).map(tuple)
+        term = st.tuples(st.integers(0, len(shapes(n)) - 1), perm, weight)
+        terms = draw(st.lists(term, min_size=1, max_size=4))
+    return name, antisymmetrised(n, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.booleans().flatmap(alternating_combinations))
+def test_first_violation_of_alternating_combinations_matches_a_full_scan(case):
+    name, c = case
+    a = catalog(name)
+    assert _is_alternating(c)
+    table, _den = evaluate_combination_table(a, c)
+    nz = np.flatnonzero((table != 0).any(axis=1))
+    want = None
+    if nz.size:
+        want = tuple(int(x) + 1 for x in np.unravel_index(nz[0], (a.dim,) * c.degree))
+    assert first_violation(a, c) == want
+
+
+def test_is_alternating():
+    for n in (3, 4, 5):
+        for variant in (1, 2):
+            assert _is_alternating(st_identity(n, variant))
+    assert _is_alternating(st_identity(3, 1).scaled(2).plus(st_identity(3, 2).scaled(3)))
+    for j in range(1, 6):
+        assert not _is_alternating(tail_fixed_alternating(5, j))
+    assert not _is_alternating(terminal_identity())
+    extra = IdentityCombination.from_terms(5, [((right_comb(5), (1, 2, 3, 4, 5)), 1)])
+    assert not _is_alternating(st_identity(5, 1).plus(extra))
+
+
+def test_first_violation_builds_only_the_tables_it_reads():
+    a = catalog("W2bar")
+    _shape_tables.cache_clear()
+    assert first_violation(a, st_identity(5, 1)) is None
+    tables, bounds, _den = _shape_tables(a, 5)
+    assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)", "((((xx)x)x)x)"}
+    assert set(bounds) > set(tables)  # bounds stay eager
+
+
+def test_value_tables_are_built_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("NONASSOC_THREADS", "2")
+    threads = set()
+    build = _ValueTables.__missing__
+
+    def traced(tables, key):
+        threads.add(threading.current_thread())
+        return build(tables, key)
+
+    monkeypatch.setattr(_ValueTables, "__missing__", traced)
+    _shape_tables.cache_clear()
+    # 7,776 tuples of W2 (dim 6) make two blocks, assembled on two workers
+    assert shape_identity_space(catalog("W2"), 5, 14)[0] >= 0
+    assert threads == {threading.main_thread()}
