@@ -29,10 +29,8 @@ def main():
     print("(only products whose t-power is positive change in the limit):")
     lc = laurent_constants(a, (2,))
     moved = 0
-    for (i, j, k), mono in sorted(lc.items()):
-        e = mono.min_exponent()
+    for (i, j, k), (e, coef) in sorted(lc.items()):
         if e:
-            coef = dict(mono.coeffs)[e]
             print("  e%d e%d -> (%s t^%d) e%d   vanishes at t=0"
                   % (i, j, format_rational(coef), e, k))
             moved += 1

@@ -22,7 +22,7 @@ from .linalg import Matrix, RankSink, RowEchelonBasis
 class BilinearMap:
     """n x n x n rational array: (x, y) -> sum x_i y_j c[i][j]."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_hash")
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -33,6 +33,8 @@ class BilinearMap:
             len(p) != dim or any(len(r) != dim for r in p) for p in self.c
         ):
             raise ValueError("structure array is not %d^3" % dim)
+        # immutable, and hashed on every value-table cache lookup
+        self._hash = hash((dim, self.c))
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearMap":
@@ -72,7 +74,7 @@ class BilinearMap:
         return isinstance(other, BilinearMap) and self.dim == other.dim and self.c == other.c
 
     def __hash__(self):
-        return hash((self.dim, self.c))
+        return self._hash
 
     def is_zero(self) -> bool:
         return all(not x for p in self.c for r in p for x in r)

@@ -26,6 +26,11 @@ space: C(d, n) rows instead of d^n, and none at all when d < n, where
 every form is a cocycle. The nullspace, and so its canonical basis, is
 the same either way.
 
+The rows (identities._cocycle_rows) and the tuples they are read at
+(identities._tuple_indices) come from identities, the one module that
+evaluates combinations at basis tuples; this module streams the rows in
+blocks and certifies their nullspace.
+
 The brute-force alternative, building the (d+1)-dimensional extension
 and running the identity checker on it, is deliberately kept as
 extension_algebra for tests to cross-validate the root-pair rule.
@@ -34,25 +39,21 @@ extension_algebra for tests to cross-validate the root-pair rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
-
-import numpy as np
 
 from .algebras import Algebra
 from .conservative import is_terminal, terminal_identity
 from .fastrank import certified_nullspace
 from .identities import (
-    _accumulator_dtype,
     _block_ranges,
+    _cocycle_rows,
     _parallel_blocks,
-    _proj_gather,
-    _shape_key,
-    _shape_tables,
-    _terms,
     _tuple_indices,
     first_violation,
 )
+# Unused here: benchmark/test_bench.py checks that its tracer rebinds this
+# binding too. Drop both together.
+from .identities import _shape_tables  # noqa: F401
 from .linalg import Matrix, RankSink, RowEchelonBasis
 from .monomials import IdentityCombination
 
@@ -73,33 +74,6 @@ def coborder_space(a: Algebra):
     return basis.rank, [Matrix(d, d, row) for row in basis.rows]
 
 
-def _root_pair_terms(a: Algebra, p: IdentityCombination):
-    """(terms, dtype) for the cocycle system.
-
-    One term per nonzero monomial of p: (integer weight, left-subtree value
-    table, right-subtree value table, gather of flat basis tuples into the
-    left table, same for the right). dtype is the accumulator's, chosen
-    from the product of the two subtree entry bounds of every term.
-    """
-    d = a.dim
-    n = p.degree
-    tables, bounds, _den = _shape_tables(a, n)
-    perms = list(permutations(range(1, n + 1)))
-    _wden, walk = _terms(p)
-    terms = []
-    weighted_bounds = []
-    for w, sh, pr in walk:
-        perm = perms[pr]
-        left, right = sh.split()
-        nl = left.leaves
-        lkey, rkey = _shape_key(left), _shape_key(right)
-        lidx = _proj_gather(d, n, perm[:nl])
-        ridx = _proj_gather(d, n, perm[nl:])
-        terms.append((w, tables[lkey], tables[rkey], lidx, ridx))
-        weighted_bounds.append((w, bounds[lkey] * bounds[rkey]))
-    return terms, _accumulator_dtype(tables["x"].dtype == object, weighted_bounds)
-
-
 def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     d = a.dim
     n = p.degree
@@ -112,23 +86,12 @@ def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     cols = d * d
     if d == 0:
         return RowEchelonBasis(0, [], [])
-    terms, dtype = _root_pair_terms(a, p)
-
+    rows = _cocycle_rows(a, p)
     tuples = _tuple_indices(p, d)
-    rows_total = len(tuples)
-    ranges = _block_ranges(rows_total, max(16, min(rows_total, (1 << 19) // cols)))
-
-    def build(rng):
-        sel = tuples[rng[0]:rng[1]]
-        acc = np.zeros((len(sel), d, d), dtype=dtype)
-        for w, tl, tr, lidx, ridx in terms:
-            lv = tl[lidx[sel]].astype(dtype, copy=False)
-            rv = tr[ridx[sel]].astype(dtype, copy=False)
-            acc += (w * lv)[:, :, None] * rv[:, None, :]
-        return acc.reshape(len(sel), cols)
+    ranges = _block_ranges(len(tuples), max(16, min(len(tuples), (1 << 19) // cols)))
 
     def block_source():
-        return _parallel_blocks(ranges, build)
+        return _parallel_blocks(ranges, lambda rng: rows(tuples[rng[0]:rng[1]]))
 
     _rank, null = certified_nullspace(cols, block_source)
     return null

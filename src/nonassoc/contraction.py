@@ -1,9 +1,11 @@
 """Inönü–Wigner contraction along a subset of the basis.
 
-Scaling the chosen basis vectors by t turns each structure constant into a
-monomial c * t^(s_i + s_j - s_k). When the unscaled vectors span a
-subalgebra no negative power can appear, and letting t -> 0 keeps exactly
-the exponent-zero entries.
+Scaling the chosen basis vectors by t (s_i = 1 for a scaled e_i, else 0)
+turns each structure constant into a monomial c * t^(s_i + s_j - s_k). A
+negative power appears exactly when a product of two unscaled vectors has
+a component along a scaled one, that is, when the unscaled vectors span no
+subalgebra; otherwise letting t -> 0 keeps exactly the exponent-zero
+entries.
 """
 
 from __future__ import annotations
@@ -11,101 +13,56 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Algebra, BilinearMap, multiply
+from .algebras import Algebra, BilinearMap
 
 
 class ContractionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScaledBasis:
-    dim: int
-    exponents: tuple  # s_1..s_n, each 0 or 1
-
-    def __post_init__(self):
-        if len(self.exponents) != self.dim:
-            raise ContractionError("exponent list length != dim")
-        if any(s not in (0, 1) for s in self.exponents):
-            raise ContractionError("exponents must be 0 or 1")
-
-    @classmethod
-    def scaling(cls, dim: int, scaled_indices) -> "ScaledBasis":
-        idx = set(scaled_indices)
-        for i in idx:
-            if not (1 <= i <= dim):
-                raise ContractionError("basis index %r out of range" % (i,))
-        return cls(dim, tuple(1 if i in idx else 0 for i in range(1, dim + 1)))
-
-
-@dataclass(frozen=True)
-class LaurentConstant:
-    """A structure constant as a finite map t-exponent -> coefficient."""
-
-    coeffs: tuple  # ((exponent, Fraction), ...) sorted by exponent
-
-    @classmethod
-    def monomial(cls, exponent: int, coef: Fraction) -> "LaurentConstant":
-        if not coef:
-            return cls(())
-        return cls(((exponent, coef),))
-
-    def min_exponent(self):
-        return self.coeffs[0][0] if self.coeffs else None
-
-    def at_zero(self) -> Fraction:
-        for e, c in self.coeffs:
-            if e < 0:
-                raise ContractionError("negative t-power t^%d" % e)
-            if e == 0:
-                return c
-        return Fraction(0)
-
-
 def laurent_constants(a: Algebra, scaled_indices) -> dict:
-    """{(i, j, k): LaurentConstant} in the scaled basis, 1-based keys."""
-    sb = ScaledBasis.scaling(a.dim, scaled_indices)
-    s = sb.exponents
+    """{(i, j, k): (exponent, coefficient)}, 1-based keys, one entry per
+    nonzero structure constant: in the scaled basis c[i][j][k] becomes
+    coefficient * t^exponent with exponent s_i + s_j - s_k.
+
+    Raises ContractionError for a basis index outside 1..dim, and when a
+    negative exponent appears, which happens exactly when the unscaled
+    vectors do not span a subalgebra; the message names the first such
+    (i, j, k).
+    """
+    scaled = set(scaled_indices)
+    for i in sorted(scaled):
+        if not 1 <= i <= a.dim:
+            raise ContractionError("basis index %r out of range" % (i,))
+    s = [int(i in scaled) for i in range(1, a.dim + 1)]
     out = {}
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
                 c = a.c[i][j][k]
-                if c:
-                    e = s[i] + s[j] - s[k]
-                    out[(i + 1, j + 1, k + 1)] = LaurentConstant.monomial(e, c)
-    return out
-
-
-def _check_complement_closed(a: Algebra, scaled: set) -> None:
-    unscaled = [i for i in range(1, a.dim + 1) if i not in scaled]
-    for i in unscaled:
-        for j in unscaled:
-            prod = multiply(a, a.basis_vector(i), a.basis_vector(j))
-            for k in scaled:
-                if prod[k - 1]:
+                if not c:
+                    continue
+                e = s[i] + s[j] - s[k]
+                if e < 0:
                     raise ContractionError(
                         "not a subalgebra: e_%d e_%d has component %s e_%d"
-                        % (i, j, prod[k - 1], k)
-                    )
+                        % (i + 1, j + 1, c, k + 1))
+                out[(i + 1, j + 1, k + 1)] = (e, c)
+    return out
 
 
 def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
     """Contract a with respect to the subalgebra spanned by the unscaled
-    basis vectors; errors out if they do not span one."""
-    scaled = set(scaled_indices)
-    _check_complement_closed(a, scaled)
-    lc = laurent_constants(a, scaled)
+    basis vectors, keeping the exponent-zero constants; errors out if a
+    scaled index is out of range or the unscaled vectors span no
+    subalgebra."""
+    scaled = sorted(set(scaled_indices))
     n = a.dim
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), mono in lc.items():
-        e = mono.min_exponent()
-        if e is not None and e < 0:
-            raise ContractionError(
-                "negative t-power t^%d at (e_%d, e_%d -> e_%d)" % (e, i, j, k)
-            )
-        c[i - 1][j - 1][k - 1] = mono.at_zero()
-    label = name or "%s~contracted{%s}" % (a.name, ",".join(map(str, sorted(scaled))))
+    for (i, j, k), (e, coef) in laurent_constants(a, scaled).items():
+        if e == 0:
+            c[i - 1][j - 1][k - 1] = coef
+    label = name or "%s~contracted{%s}" % (a.name, ",".join(map(str, scaled)))
     return Algebra(label, n, BilinearMap(n, c))
 
 

@@ -5,8 +5,15 @@ component) and one column per monomial. Rather than evaluating monomials
 tuple by tuple, each bracketing shape gets a value table: an array indexed
 by the flattened leaf tuple whose row is the product vector. Tables are
 built bottom-up with integer matrix products (structure constants cleared
-of denominators; the uniform scale den^(n-1) does not move nullspaces),
-and a permutation of variables becomes a precomputed gather.
+of denominators; the uniform scale den^(n-1) does not move nullspaces).
+A permutation of variables, or the leaf positions of a subtree, becomes
+an index map into a table, computed from the digit table at just the
+basis tuples being read.
+
+This module is the one place that evaluates a combination at basis
+tuples: its values (first_violation, evaluate_combination_table) and the
+cocycle rows of its central extensions (cohomology) come from one term
+walk over the same tables.
 
 Row blocks stream into the certified rank engine; NONASSOC_THREADS caps
 how many blocks are assembled concurrently.
@@ -95,29 +102,15 @@ def _digit_table(d: int, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _perm_gathers(d: int, n: int) -> np.ndarray:
-    """(n!, d^n): row r maps flat(v) to flat(w), w_j = v_{tau(j)}, where
-    tau is the r-th permutation of (1..n) in lexicographic order."""
-    digits = _digit_table(d, n)
-    powers = d ** (n - 1 - np.arange(n, dtype=np.int64))
-    rows = []
-    for tau in permutations(range(1, n + 1)):
-        rows.append(digits[:, [t - 1 for t in tau]] @ powers)
-    out = np.stack(rows)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=512)
-def _proj_gather(d: int, n: int, positions: tuple) -> np.ndarray:
-    """(d^n,): flat(v) -> flat((v_{p})_{p in positions}), 1-based."""
-    digits = _digit_table(d, n)
-    m = len(positions)
-    powers = d ** (m - 1 - np.arange(m, dtype=np.int64))
-    out = digits[:, [p - 1 for p in positions]] @ powers
-    out.setflags(write=False)
-    return out
+def _flat_indices(d: int, positions, digits: np.ndarray) -> np.ndarray:
+    """(len(positions), len(digits)) int64: entry (r, j) is the flat index
+    of the subtuple (v_p for p in positions[r], 1-based) of the basis tuple
+    whose digits are digits[j]."""
+    weights = np.zeros((len(positions), digits.shape[1]), dtype=np.int64)
+    for r, pos in enumerate(positions):
+        for j, p in enumerate(pos):
+            weights[r, p - 1] = d ** (len(pos) - 1 - j)
+    return weights @ digits.T
 
 
 def _subtree_keys(tree, out):
@@ -218,8 +211,9 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     shape, all n! permutations in lexicographic order."""
     d = a.dim
     tables, _bounds, _den = _shape_tables(a, n)
-    gathers = _perm_gathers(d, n)
-    nf = factorial(n)
+    digits = _digit_table(d, n)
+    perms = list(permutations(range(1, n + 1)))
+    nf = len(perms)
     roots = [tables[_shape_key(shapes(n)[si])] for si in shape_indices]
     dtype = roots[0].dtype
     cols = nf * len(roots)
@@ -227,7 +221,7 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     def build(rng):
         v0, v1 = rng
         bs = v1 - v0
-        sub = np.ascontiguousarray(gathers[:, v0:v1])
+        sub = _flat_indices(d, perms, digits[v0:v1])
         m3 = np.empty((bs, d, cols), dtype=dtype)
         for ci, root in enumerate(roots):
             vals = root[sub]  # (n!, bs, d)
@@ -293,28 +287,6 @@ def satisfies_identity(a: Algebra, c: IdentityCombination) -> bool:
     return first_violation(a, c) is None
 
 
-def _terms(c: IdentityCombination):
-    """(weight denominator, [(integer weight, shape, permutation rank)]).
-
-    One entry per nonzero coefficient: coefficient i belongs to shape
-    i // n! and to the permutation of lexicographic rank i % n!.
-    """
-    nf = factorial(c.degree)
-    degree_shapes = shapes(c.degree)
-    wden = lcm(*(x.denominator for x in c.coeffs))
-    return wden, [(int(x * wden), degree_shapes[i // nf], i % nf)
-                  for i, x in enumerate(c.coeffs) if x]
-
-
-def _accumulator_dtype(tables_object: bool, weighted_bounds):
-    """int64 when the value tables are int64 and sum |w| * bound, over
-    (w, bound) pairs bounding every term, stays below the int64 limit;
-    object otherwise."""
-    if tables_object or sum(abs(w) * b for w, b in weighted_bounds) >= _INT64_LIMIT:
-        return object
-    return np.int64
-
-
 @lru_cache(maxsize=4)
 def _adjacent_swaps(n: int) -> tuple:
     """For each adjacent transposition s_i of variables (i = 1..n-1), the
@@ -357,26 +329,83 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     return np.flatnonzero((np.diff(_digit_table(d, n), axis=1) > 0).all(axis=1))
 
 
+def _term_factors(a: Algebra, c: IdentityCombination, split):
+    """(terms, positions, dtype, denom) for evaluating c at basis tuples.
+
+    Each nonzero coefficient (shape i // n!, permutation of lexicographic
+    rank i % n!), scaled to an integer weight w, is a term; split(shape,
+    permutation) lists its factors as (subtree shape, leaf positions).
+    terms holds (w, [(value table, row of positions)]); positions lists the
+    distinct position tuples, for _flat_indices. dtype is int64 unless the
+    tables are object or sum |w| * (product of factor bounds) reaches the
+    int64 limit; denom = weight denominator * den^(n-1). Tables are looked
+    up here, on the calling thread.
+    """
+    n = c.degree
+    tables, bounds, den = _shape_tables(a, n)
+    nf = factorial(n)
+    degree_shapes = shapes(n)
+    perms = list(permutations(range(1, n + 1)))
+    wden = lcm(*(x.denominator for x in c.coeffs))
+    positions: dict = {}
+    terms = []
+    total_bound = 0
+    for i, x in enumerate(c.coeffs):
+        if not x:
+            continue
+        w = int(x * wden)
+        factors, bound = [], abs(w)
+        for sub, pos in split(degree_shapes[i // nf], perms[i % nf]):
+            key = _shape_key(sub)
+            factors.append((tables[key], positions.setdefault(pos, len(positions))))
+            bound *= bounds[key]
+        terms.append((w, factors))
+        total_bound += bound
+    use_object = tables["x"].dtype == object or total_bound >= _INT64_LIMIT
+    return terms, list(positions), object if use_object else np.int64, wden * den ** (n - 1)
+
+
 def _combination_values(a: Algebra, c: IdentityCombination):
     """(values, denom): values(idx)[j, k] / denom is the exact value of the
     combination at the flat basis tuple idx[j], component k."""
-    n = c.degree
     d = a.dim
-    tables, bounds, den = _shape_tables(a, n)
-    gathers = _perm_gathers(d, n)
-    wden, walk = _terms(c)
-    keyed = [(w, _shape_key(sh), pr) for w, sh, pr in walk]
-    dtype = _accumulator_dtype(tables["x"].dtype == object,
-                               [(w, bounds[key]) for w, key, _pr in keyed])
-    terms = [(w, tables[key], pr) for w, key, pr in keyed]
+    digits = _digit_table(d, c.degree)
+    terms, positions, dtype, denom = _term_factors(a, c, lambda sh, perm: [(sh, perm)])
 
     def values(idx):
+        gathers = _flat_indices(d, positions, digits[idx])
         acc = np.zeros((len(idx), d), dtype=dtype)
-        for w, table, pr in terms:
-            acc += w * table[gathers[pr, idx]].astype(dtype, copy=False)
+        for w, [(table, r)] in terms:
+            acc += w * table[gathers[r]].astype(dtype, copy=False)
         return acc
 
-    return values, wden * den ** (n - 1)
+    return values, denom
+
+
+def _root_pair(shape: BracketShape, perm: tuple):
+    left, right = shape.split()
+    return [(left, perm[:left.leaves]), (right, perm[left.leaves:])]
+
+
+def _cocycle_rows(a: Algebra, p: IdentityCombination):
+    """rows(idx) -> (len(idx), d^2) array: row j is the cocycle condition
+    of p at the flat basis tuple idx[j], the sum over p's terms of the
+    weight times the outer product of the values of the two root subtrees
+    (see cohomology)."""
+    d = a.dim
+    digits = _digit_table(d, p.degree)
+    terms, positions, dtype, _denom = _term_factors(a, p, _root_pair)
+
+    def rows(idx):
+        gathers = _flat_indices(d, positions, digits[idx])
+        acc = np.zeros((len(idx), d, d), dtype=dtype)
+        for w, [(tl, lr), (tr, rr)] in terms:
+            lv = tl[gathers[lr]].astype(dtype, copy=False)
+            rv = tr[gathers[rr]].astype(dtype, copy=False)
+            acc += (w * lv)[:, :, None] * rv[:, None, :]
+        return acc.reshape(len(idx), d * d)
+
+    return rows
 
 
 def first_violation(a: Algebra, c: IdentityCombination):

@@ -318,3 +318,15 @@ def test_algebra_equality_ignores_name():
 def test_algebra_structure_array_must_be_cubic():
     with pytest.raises(ValueError):
         Algebra("bad", 2, [[[1, 0], [0, 0]]])
+
+
+def test_hashing_an_algebra_does_not_rehash_its_constants(monkeypatch):
+    a = catalog("W2(big)")
+    b = Algebra("copy", a.dim, [[list(row) for row in plane] for plane in a.c])
+    assert a == b and hash(a) == hash(b) and hash(a.mult) == hash(b.mult)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    hash(a)
+    hash(b.mult)
+    assert hashed == []

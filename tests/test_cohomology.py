@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from nonassoc.algebras import Algebra, multiply
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.cohomology import (
     CohomologyReport,
-    _root_pair_terms,
     coborder_space,
     cocycle_space,
     cohomology,
@@ -19,7 +19,13 @@ from nonassoc.cohomology import (
 )
 from nonassoc.conservative import is_terminal, terminal_identity
 from nonassoc.fastrank import certified_nullspace
-from nonassoc.identities import first_violation, satisfies_identity
+from nonassoc.identities import (
+    _cocycle_rows,
+    _digit_table,
+    _shape_tables,
+    first_violation,
+    satisfies_identity,
+)
 from nonassoc.linalg import Matrix
 from nonassoc.monomials import st_identity
 
@@ -75,11 +81,8 @@ def test_cocycle_dimensions_spot_values():
 def all_tuple_cocycles(a, p):
     """Z2 of p from the certified nullspace of its rows at all d^n tuples."""
     d, n = a.dim, p.degree
-    terms, dtype = _root_pair_terms(a, p)
-    rows = np.zeros((d**n, d, d), dtype=dtype)
-    for w, tl, tr, lidx, ridx in terms:
-        rows += (w * tl[lidx].astype(dtype))[:, :, None] * tr[ridx].astype(dtype)[:, None, :]
-    _rank, null = certified_nullspace(d * d, lambda: [rows.reshape(d**n, d * d)])
+    rows = _cocycle_rows(a, p)(np.arange(d**n))
+    _rank, null = certified_nullspace(d * d, lambda: [rows])
     return null.rank, [Matrix(d, d, row) for row in null.rows]
 
 
@@ -98,6 +101,32 @@ def test_st5_cocycles_of_the_widest_system_match_rows_at_all_tuples():
     a = catalog("S1bar")
     p = st_identity(5, 2)
     assert cocycle_space(a, p) == all_tuple_cocycles(a, p)
+
+
+@pytest.mark.parametrize("compute, variant", [(first_violation, 1), (cocycle_space, 2)])
+def test_degree_five_on_dim_eight_stays_small_from_cold_caches(compute, variant):
+    # 56 increasing tuples are read of 32,768; index maps for all of them
+    # (120 permutations) alone would take 30 MB
+    a = catalog("S1bar")
+    _shape_tables.cache_clear()
+    _digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        compute(a, st_identity(5, variant))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cocycle_rows_with_weights_beyond_int64_are_exact():
+    a = catalog("D2")
+    p = st_identity(3, 1)
+    idx = np.arange(a.dim**3)
+    rows = _cocycle_rows(a, p)(idx)
+    big_rows = _cocycle_rows(a, p.scaled(3**40))(idx)
+    assert big_rows.dtype == object and rows.any()
+    assert (big_rows == rows.astype(object) * 3**40).all()
 
 
 @pytest.mark.parametrize("name", ["E2", "S2"])

@@ -5,8 +5,6 @@ import pytest
 from nonassoc.catalog import catalog, sab_adapted, sab_bar
 from nonassoc.contraction import (
     ContractionError,
-    LaurentConstant,
-    ScaledBasis,
     compare_tables,
     contraction_chain_check,
     iw_contract,
@@ -63,36 +61,24 @@ def test_contraction_requires_closed_complement():
     assert "e_2 e_3" in str(exc.value)
 
 
-def test_scaled_basis_validation():
-    with pytest.raises(ContractionError):
-        ScaledBasis.scaling(4, {5})
-    with pytest.raises(ContractionError):
-        ScaledBasis(3, (0, 1))
-    with pytest.raises(ContractionError):
-        ScaledBasis(3, (0, 2, 0))
-    sb = ScaledBasis.scaling(4, {2, 4})
-    assert sb.exponents == (0, 1, 0, 1)
+def test_iw_contract_rejects_out_of_range_indices():
+    a = catalog("W2(big)")
+    for bad in (0, 9, -1):
+        with pytest.raises(ContractionError, match="basis index %d out of range" % bad):
+            iw_contract(a, {bad})
+    with pytest.raises(ContractionError, match="basis index 9 out of range"):
+        iw_contract(a, {2, 9})
 
 
 def test_laurent_constants_bookkeeping():
     a = catalog("W2(big)")
     lc = laurent_constants(a, {2})
     # e_2 e_3 = 2 e_1 picks up one factor of t, e_1 e_2 = -3 e_2 stays flat
-    assert lc[(2, 3, 1)].coeffs == ((1, Fraction(2)),)
-    assert lc[(2, 3, 1)].at_zero() == 0
-    assert lc[(1, 2, 2)].coeffs == ((0, Fraction(-3)),)
-    assert lc[(1, 2, 2)].at_zero() == -3
+    assert lc[(2, 3, 1)] == (1, Fraction(2))
+    assert lc[(1, 2, 2)] == (0, Fraction(-3))
     assert (4, 1, 1) not in lc
     assert all(1 <= i <= 8 and 1 <= j <= 8 and 1 <= k <= 8 for (i, j, k) in lc)
-
-
-def test_laurent_constant_edge_cases():
-    assert LaurentConstant.monomial(3, Fraction(0)).coeffs == ()
-    assert LaurentConstant.monomial(3, Fraction(0)).min_exponent() is None
-    assert LaurentConstant.monomial(0, Fraction(5)).at_zero() == 5
-    assert LaurentConstant.monomial(2, Fraction(5)).at_zero() == 0
-    with pytest.raises(ContractionError):
-        LaurentConstant.monomial(-1, Fraction(5)).at_zero()
+    assert all(coef and e in (0, 1, 2) for e, coef in lc.values())
 
 
 def test_compare_tables_reports_triples():

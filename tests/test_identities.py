@@ -18,6 +18,9 @@ from nonassoc.catalog import catalog, sab_bar
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
+    _digit_table,
+    _evaluation_block_builder,
+    _flat_indices,
     _is_alternating,
     _parallel_blocks,
     _shape_key,
@@ -35,6 +38,7 @@ from nonassoc.identities import (
 )
 from nonassoc.monomials import (
     IdentityCombination,
+    MultilinearMonomial,
     enumerate_monomials,
     monomial_count,
     perm_sign,
@@ -193,39 +197,92 @@ def test_first_violation_is_lexicographically_first():
     v = first_violation(a, c)
     assert v is not None and len(v) == 4
     # no earlier tuple evaluates to a nonzero vector
-    def value_at(args):
-        total = [Fraction(0)] * a.dim
-        for m, coef in c.terms():
-            vec = evaluate_monomial(a, m, args)
-            total = [t + coef * x for t, x in zip(total, vec)]
-        return total
-
-    assert any(value_at(v))
+    assert any(_value_at(a, c, v))
     for args in itertools.product(range(1, a.dim + 1), repeat=4):
         if args == v:
             break
-        assert not any(value_at(args))
+        assert not any(_value_at(a, c, args))
 
 
 def test_first_violation_none_for_satisfied_identity():
     assert first_violation(catalog("D2"), st_identity(3, 1)) is None
 
 
-def test_evaluate_combination_table_is_exact():
-    a = catalog("S2")
-    c = st_identity(3, 1).scaled(Fraction(1, 2))
+def _value_at(a, c, args):
+    """Exact value of c at 1-based basis indices, monomial by monomial."""
+    total = [Fraction(0)] * a.dim
+    for m, coef in c.terms():
+        vec = evaluate_monomial(a, m, args)
+        total = [t + coef * x for t, x in zip(total, vec)]
+    return total
+
+
+# Dims 4 to 8; Sab_bar(1/2,-2/3) has structure constants with a denominator.
+EVALUATED_ALGEBRAS = ("S2", "W2", "S1bar", (Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def evaluated_combinations(draw):
+    """Random mixed-shape combinations of degree 3-5 with fractional
+    weights, terminal, or tail5_j."""
+    kind = draw(st.sampled_from(["mixed", "terminal", "tail"]))
+    if kind == "terminal":
+        return terminal_identity()
+    if kind == "tail":
+        return tail_fixed_alternating(5, draw(st.integers(1, 5)))
+    n = draw(st.integers(3, 5))
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    term = st.tuples(st.sampled_from(shapes(n)), st.permutations(range(1, n + 1)), weight)
+    terms = draw(st.lists(term, min_size=1, max_size=6))
+    return IdentityCombination.from_terms(n, [((sh, tuple(p)), w) for sh, p, w in terms])
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=evaluated_combinations(), data=st.data())
+def test_evaluate_combination_table_is_exact(c, data):
+    for key in EVALUATED_ALGEBRAS:
+        a = catalog(key) if isinstance(key, str) else sab_bar(*key)
+        table, denom = evaluate_combination_table(a, c)
+        assert table.shape == (a.dim**c.degree, a.dim)
+        index = st.integers(1, a.dim)
+        for args in data.draw(st.lists(st.tuples(*[index] * c.degree), min_size=1, max_size=2)):
+            flat = 0
+            for v in args:
+                flat = flat * a.dim + (v - 1)
+            got = [Fraction(int(table[flat][k]), denom) for k in range(a.dim)]
+            assert got == _value_at(a, c, args)
+
+
+def test_evaluation_blocks_hold_the_monomial_values_at_their_tuples():
+    a = sab_bar(Fraction(1, 2), Fraction(-2, 3))  # dim 8, constants with a denominator
+    n = 3
+    shape_indices = (1, 0)
+    build, cols = _evaluation_block_builder(a, n, shape_indices)
+    scale = a.int_constants()[1] ** (n - 1)
+    assert scale > 1
+    perms = list(itertools.permutations(range(1, n + 1)))
+    assert cols == len(shape_indices) * len(perms)
+    for v0, v1 in [(0, 5), (200, 233), (448, 460)]:
+        block = build((v0, v1)).reshape(v1 - v0, a.dim, cols)
+        assert block.any()
+        for v in range(v0, v1):
+            args = tuple(int(x) + 1 for x in np.unravel_index(v, (a.dim,) * n))
+            for ci, si in enumerate(shape_indices):
+                for r, perm in enumerate(perms):
+                    want = evaluate_monomial(a, MultilinearMonomial(shapes(n)[si], perm), args)
+                    got = block[v - v0, :, ci * len(perms) + r]
+                    assert [Fraction(int(x), scale) for x in got] == want
+
+
+def test_weights_beyond_int64_are_evaluated_exactly():
+    a = catalog("W2(big)")
+    c = st_identity(3, 1)
+    big = c.scaled(3**40)
     table, denom = evaluate_combination_table(a, c)
-    rng = random.Random(9)
-    for _ in range(10):
-        args = tuple(rng.randint(1, a.dim) for _ in range(3))
-        flat = 0
-        for v in args:
-            flat = flat * a.dim + (v - 1)
-        want = [Fraction(0)] * a.dim
-        for m, coef in c.terms():
-            vec = evaluate_monomial(a, m, args)
-            want = [t + coef * x for t, x in zip(want, vec)]
-        assert [Fraction(int(table[flat][k]), denom) for k in range(a.dim)] == want
+    big_table, big_denom = evaluate_combination_table(a, big)
+    assert big_table.dtype == object and denom == big_denom
+    assert (big_table == table.astype(object) * 3**40).all()
+    assert first_violation(a, big) == first_violation(a, c)
 
 
 def test_combination_in_span_and_spaces_equal():
@@ -408,3 +465,35 @@ def test_value_tables_are_built_on_the_calling_thread(monkeypatch):
     # 7,776 tuples of W2 (dim 6) make two blocks, assembled on two workers
     assert shape_identity_space(catalog("W2"), 5, 14)[0] >= 0
     assert threads == {threading.main_thread()}
+
+
+@st.composite
+def position_tuples(draw, n):
+    """A permutation of 1..n, or the leaf positions of one root subtree
+    under it: a proper prefix or suffix."""
+    perm = tuple(draw(st.permutations(range(1, n + 1))))
+    cut = draw(st.integers(0, n - 1))
+    if not cut:
+        return perm
+    return perm[:cut] if draw(st.booleans()) else perm[cut:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_indices_decode_the_basis_tuples(data):
+    d = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 5))
+    positions = data.draw(st.lists(position_tuples(n), min_size=1, max_size=6))
+    idx = np.array(data.draw(st.lists(st.integers(0, d**n - 1), max_size=20)), dtype=np.int64)
+    got = _flat_indices(d, positions, _digit_table(d, n)[idx])
+    assert got.shape == (len(positions), len(idx))
+    for j, v in enumerate(idx.tolist()):
+        digits = []
+        for _ in range(n):
+            v, r = divmod(v, d)
+            digits.insert(0, r)
+        for r, pos in enumerate(positions):
+            want = 0
+            for p in pos:
+                want = want * d + digits[p - 1]
+            assert got[r, j] == want
