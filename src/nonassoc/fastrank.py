@@ -17,31 +17,40 @@ three stages:
    accepted rows are the greedy in-order ones whatever the chunking.
    Residues come from _mod_p, x - p * trunc(x * (1/p)) plus one
    conditional correction each way, which is exact for |x| < 2^53 (see
-   _mod_p) and far cheaper than np.mod. Once the filter rank reaches
-   cols, the rest of the stream is never read: the accepted rows are
-   independent outright, the block iterator is closed (a parallel source
-   then cancels its queued builds), and stage 2 finds an empty nullspace.
+   _mod_p) and far cheaper than np.mod.
 
-2. Exact stage. The accepted rows (at most `cols` of them) go through
+   Full-rank shortcut: once the filter rank reaches cols, the rest of the
+   stream is never read and the answer is rank cols with an empty
+   nullspace. The accepted rows are independent mod p, hence over Q, so
+   neither the exact stage nor certification runs; the block iterator is
+   closed, and a parallel source cancels its queued builds.
+
+2. Exact stage. The filter runs until a block accepts no row, or the
+   stream ends. The accepted rows (at most `cols` of them) then go through
    fraction-free integer elimination once, with the columns reversed.
-   The pivot P_i of each row of that RREF is then its last nonzero column
-   in the original order, so each free column f gives the null vector
+   The pivot P_i of each row of that RREF is its last nonzero column in
+   the original order, so each free column f gives the null vector
    e_f - sum_i R[i][f] e_{P_i}, whose leading entry is the 1 at f and
    which is zero at every other free column. These vectors already are
    the canonical RREF of the candidate nullspace; no second elimination
    is needed.
 
-3. Certification. Every row of the original system is multiplied against
-   the candidate nullspace exactly (float64 BLAS when a proven bound keeps
-   every partial sum below 2^53). A nonzero product exposes a row the
-   filter wrongly dropped; such rows are added to the accepted set and the
-   exact stage reruns. Each round strictly increases the exact rank, so
-   the loop terminates. When no row violates the candidate, the nullspace
-   is exactly right: the accepted rows prove rank >= r, the certification
-   proves rank <= r.
-
-When stage 2 shows full column rank the nullspace is empty and no
-certification pass is needed.
+3. Certification. Each row is multiplied against the candidate nullspace
+   exactly (float64 BLAS when a proven bound keeps every partial sum below
+   2^53). A nonzero product exposes a row the filter dropped wrongly or
+   never saw; at most cols - rank such rows join the accepted set, and the
+   exact stage reruns. Each rerun strictly increases the exact rank, so
+   the loop terminates; at rank cols the stream is closed.
+   - In-stream: the block that accepted nothing, and every block after
+     it, skip the filter and are certified against the candidate as they
+     arrive.
+   - Final pass: only the leading blocks that the filter alone has seen
+     are streamed again, and the stream is closed after them.
+   Adding rows only shrinks the candidate kernel, so a row that
+   annihilates an earlier candidate annihilates every later one: when no
+   row violates the final candidate, every row of the system has been
+   certified against it, the accepted rows prove rank >= r, and the
+   certification proves rank <= r.
 
 PRIME must be small enough that a full reduction fits float64 exactly:
 with p < 2^20 and at most 2^13 pivot columns, every accumulated dot product
@@ -51,7 +60,9 @@ stays below 2^13 * (p-1)^2 < 2^53.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,48 +300,102 @@ def _exact_products(block: np.ndarray, null_rows: list[list[int]], nmax: int) ->
     return block.astype(object) @ np.array(null_rows, dtype=object).T
 
 
+def _close(blocks):
+    close = getattr(blocks, "close", None)
+    if close is not None:
+        close()  # a generator source cancels the builds still queued
+
+
+class _Candidate(NamedTuple):
+    """The exact nullspace of the accepted rows: their rank, its canonical
+    basis, the same rows as primitive integer vectors, and the largest
+    |entry| of those."""
+
+    rank: int
+    basis: RowEchelonBasis
+    prim: list
+    nmax: int
+
+
+def _candidate(accepted: list[list[int]], cols: int, prev_rank: int) -> _Candidate:
+    rank, basis, prim = nullspace_int(accepted, cols)
+    if rank <= prev_rank:
+        raise AssertionError("certification produced no rank growth")
+    return _Candidate(rank, basis, prim, max((abs(v) for r in prim for v in r), default=0))
+
+
+def _violating_rows(block: np.ndarray, cand: _Candidate) -> np.ndarray:
+    """Indices of the block's rows not annihilated by the candidate basis."""
+    prod = _exact_products(block, cand.prim, cand.nmax)
+    nz = prod.astype(bool) if prod.dtype == object else prod != 0
+    return np.nonzero(nz.any(axis=1))[0]
+
+
 def _certify(cols: int, block_source):
     """(rank, nullspace basis, accepted rows) of a streamed integer system.
 
-    The filter-certify loop behind every certified_* entry point; the
-    accepted rows span the row space of the whole system on return.
+    The filter-certify loop behind every certified_* entry point; unless
+    the rank is cols, the accepted rows span the row space of the whole
+    system on return. Blocks go through the filter until one accepts no
+    row; from that block on, each block is certified exactly against the
+    candidate as it arrives, and a final pass re-streams only the blocks
+    before it.
     """
     filt = ModularFilter(cols)
     accepted: list[list[int]] = []
+    filtered = 0  # leading blocks that only the filter has seen
+    cand = None  # the exact candidate, once a block accepts no row
     blocks = iter(block_source())
     try:
         for block in blocks:
-            for r in filt.filter_block(block):
-                accepted.append([int(v) for v in block[r]])
-            if filt.rank_lower_bound == cols:
-                break  # full rank: the accepted rows are independent outright
+            if cand is None:
+                rows = filt.filter_block(block)
+                accepted.extend([int(v) for v in block[r]] for r in rows)
+                if filt.rank_lower_bound == cols:
+                    # the accepted rows are independent outright
+                    return cols, RowEchelonBasis(cols, [], []), accepted
+                if rows:
+                    filtered += 1
+                    continue
+                cand = _candidate(accepted, cols, -1)
+            # Rows of this block annihilate the candidate, and so every later,
+            # smaller one, unless they violate it; only violators are rechecked.
+            while True:
+                bad = _violating_rows(block, cand)
+                if not bad.size:
+                    break
+                k = cols - cand.rank  # no more of them can be independent
+                accepted.extend([int(v) for v in block[r]] for r in bad[:k])
+                cand = _candidate(accepted, cols, cand.rank)
+                if cand.rank == cols:
+                    return cols, cand.basis, accepted
+                block = block[bad[k:]]
     finally:
-        close = getattr(blocks, "close", None)
-        if close is not None:
-            close()  # a generator source cancels the builds still queued
-    prev_rank = -1
-    while True:
-        rank, basis, prim = nullspace_int(accepted, cols)
-        if rank <= prev_rank:
-            raise AssertionError("certification produced no rank growth")
-        prev_rank = rank
-        violators = _find_violators(block_source, prim, cols) if prim else []
+        _close(blocks)
+    if cand is None:  # every block accepted rows
+        cand = _candidate(accepted, cols, -1)
+    while cand.prim and filtered:  # re-stream the blocks only the filter has seen
+        violators = _find_violators(block_source, cand, filtered)
         if not violators:
-            return rank, basis, accepted
-        accepted.extend(violators)
-
-
-def _find_violators(block_source, prim, cols: int) -> list[list[int]]:
-    """Rows of the streamed system not annihilated by the candidate basis."""
-    violators: list[list[int]] = []
-    nmax = max(abs(v) for r in prim for v in r)
-    for block in block_source():
-        prod = _exact_products(block, prim, nmax)
-        nz = prod.astype(bool) if prod.dtype == object else prod != 0
-        for r in np.nonzero(nz.any(axis=1))[0]:
-            violators.append([int(v) for v in block[r]])
-        if len(violators) > cols:
             break
+        accepted.extend(violators)
+        cand = _candidate(accepted, cols, cand.rank)
+    return cand.rank, cand.basis, accepted
+
+
+def _find_violators(block_source, cand: _Candidate, nblocks: int) -> list[list[int]]:
+    """Up to cols - rank rows among the first nblocks streamed blocks that
+    the candidate basis does not annihilate; the stream is closed after them."""
+    violators: list[list[int]] = []
+    blocks = iter(block_source())
+    try:
+        for block in islice(blocks, nblocks):
+            for r in _violating_rows(block, cand):
+                violators.append([int(v) for v in block[r]])
+                if len(violators) == len(cand.prim):
+                    return violators
+    finally:
+        _close(blocks)
     return violators
 
 
@@ -338,8 +403,11 @@ def certified_nullspace(cols: int, block_source):
     """Exact (rank, nullspace basis) of a streamed integer row system.
 
     block_source is a zero-argument callable returning a fresh iterable of
-    2-d integer numpy arrays (the system's rows, in any fixed order); it is
-    called once for the filter pass and once per certification pass.
+    2-d integer numpy arrays, the system's rows. Every call must yield the
+    same blocks in the same order: it is called once for the filter pass
+    and once per final certification pass, and a pass may stop early (the
+    iterator is then closed) because a final pass reads only the leading
+    blocks that accepted rows.
     """
     rank, basis, _accepted = _certify(cols, block_source)
     return rank, basis
@@ -353,8 +421,11 @@ def certified_rowspace(cols: int, block_source):
     """Exact (rank, RowEchelonBasis of the row space) of a streamed system.
 
     Once certification ends, the accepted rows span the full row space and
-    their RREF is the canonical answer.
+    their RREF is the canonical answer; at full rank it is the identity.
     """
     rank, _basis, accepted = _certify(cols, block_source)
+    if rank == cols:
+        identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        return rank, RowEchelonBasis(cols, identity, range(cols))
     pivots, rref = rref_int(accepted, cols)
     return rank, RowEchelonBasis(cols, rref, pivots)

@@ -208,25 +208,24 @@ def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
 
 def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     """Returns (build(range)->array, cols). Column order: for each listed
-    shape, all n! permutations in lexicographic order."""
+    shape, all n! permutations in lexicographic order. Rows are
+    component-major: row k * len(range) + j holds component k at the j-th
+    tuple of the range. A block is one gather from the shapes' root tables
+    laid side by side, with no copy."""
     d = a.dim
     tables, _bounds, _den = _shape_tables(a, n)
     digits = _digit_table(d, n)
     perms = list(permutations(range(1, n + 1)))
-    nf = len(perms)
-    roots = [tables[_shape_key(shapes(n)[si])] for si in shape_indices]
-    dtype = roots[0].dtype
-    cols = nf * len(roots)
+    # shape ci's leaf tuple w sits at column ci * d^n + w
+    table = np.concatenate([tables[_shape_key(shapes(n)[si])] for si in shape_indices]).T
+    offsets = np.arange(len(shape_indices))[:, None] * d**n
+    cols = len(perms) * len(shape_indices)
 
     def build(rng):
         v0, v1 = rng
-        bs = v1 - v0
-        sub = _flat_indices(d, perms, digits[v0:v1])
-        m3 = np.empty((bs, d, cols), dtype=dtype)
-        for ci, root in enumerate(roots):
-            vals = root[sub]  # (n!, bs, d)
-            m3[:, :, ci * nf:(ci + 1) * nf] = vals.transpose(1, 2, 0)
-        return m3.reshape(bs * d, cols)
+        sub = _flat_indices(d, perms, digits[v0:v1]).T  # (block, n!)
+        idx = (sub[:, None, :] + offsets).reshape(v1 - v0, cols)
+        return np.take(table, idx, axis=1).reshape(-1, cols)
 
     return build, cols
 

@@ -282,3 +282,117 @@ def test_full_rank_cancels_queued_builds(monkeypatch, k):
     assert rank == 4 and null.rows == []
     with lock:
         assert built[0] == 0 and len(built) <= 1 + k
+
+
+class CountingSource:
+    """A block source that records how many blocks each pass pulls and
+    whether the pass's stream was closed."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.pulls = []
+        self.closed = []
+
+    def __call__(self):
+        k = len(self.pulls)
+        self.pulls.append(0)
+        self.closed.append(False)
+
+        def stream():
+            try:
+                for block in self.blocks:
+                    self.pulls[k] += 1
+                    yield block
+            finally:
+                self.closed[k] = True
+
+        return stream()
+
+
+def _assert_oracle_answers(blocks, cols):
+    """Rank, nullspace and row space of the blocks agree with the Fraction
+    oracle; returns the counting source of the certified_nullspace call."""
+    m = Matrix.from_rows([[int(x) for x in row] for block in blocks for row in block])
+    oracle_rows, oracle_null = rref(m), nullspace(m)
+    assert certified_rank(cols, CountingSource(blocks)) == oracle_rows.rank
+    source = CountingSource(blocks)
+    assert certified_nullspace(cols, source) == (oracle_rows.rank, oracle_null)
+    assert certified_rowspace(cols, CountingSource(blocks)) == (oracle_rows.rank, oracle_rows)
+    return source
+
+
+@st.composite
+def saturating_streams(draw):
+    """(blocks, cols): a first block of drawn rows, a second block of integer
+    combinations of them (which the filter accepts nothing from), then
+    blocks of more combinations, one of which also holds PRIME times a drawn
+    row: zero mod PRIME, nonzero over Q unless the drawn row is zero."""
+    cols = draw(st.integers(2, 6))
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    base = np.array(draw(st.lists(row, min_size=1, max_size=cols - 1)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def combos(k):
+        return rng.integers(-3, 4, size=(k, len(base))) @ base
+
+    hidden = PRIME * np.array([draw(row)], dtype=np.int64)
+    blocks = [base, combos(3), combos(2), combos(2)]
+    at = draw(st.integers(2, 3))
+    blocks[at] = np.vstack([blocks[at][:1], hidden, blocks[at][1:]])
+    return blocks, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(saturating_streams())
+def test_zero_mod_p_row_after_saturation_is_caught_in_stream(system):
+    blocks, cols = system
+    source = _assert_oracle_answers(blocks, cols)
+    # Only the leading blocks that the filter alone has seen are re-streamed
+    # (the first, unless it is zero); later blocks were certified as they came.
+    pre_switch = 1 if blocks[0].any() else 0
+    assert all(pulled == pre_switch for pulled in source.pulls[1:])
+    assert all(source.closed)
+
+
+def test_a_block_after_one_that_accepted_nothing_raises_the_rank():
+    blocks = [
+        np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64),
+        np.array([[2, 3, 0, 0]], dtype=np.int64),  # accepts nothing
+        np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int64),  # rank 3
+        np.array([[1, 1, 2, 2]], dtype=np.int64),
+    ]
+    source = _assert_oracle_answers(blocks, 4)
+    assert source.pulls == [4, 1] and all(source.closed)
+
+
+def test_a_violator_block_that_reaches_full_rank_ends_the_stream():
+    blocks = [
+        np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64),
+        np.array([[1, 1, 0]], dtype=np.int64),  # accepts nothing
+        np.array([[0, 0, PRIME]], dtype=np.int64),  # zero mod p: found exactly
+        np.array([[1, 2, 3]], dtype=np.int64),
+    ]
+    source = _assert_oracle_answers(blocks, 3)
+    assert source.pulls == [3] and source.closed == [True]
+
+
+def test_full_rank_needs_no_exact_elimination(monkeypatch):
+    import nonassoc.fastrank as fastrank
+
+    def refuse(*args):
+        raise AssertionError("exact elimination at full rank")
+
+    rng = np.random.default_rng(11)
+    arr = rng.integers(-9, 10, size=(9, 5))
+    m = Matrix.from_rows(arr.tolist())
+    oracle_rows, oracle_null = rref(m), nullspace(m)
+    assert oracle_rows.rank == 5
+    monkeypatch.setattr(fastrank, "nullspace_int", refuse)
+    monkeypatch.setattr(fastrank, "rref_int", refuse)
+    for step in (1, 4, 9):
+        blocks = [arr[i:i + step] for i in range(0, len(arr), step)]
+        assert certified_rank(5, CountingSource(blocks)) == 5
+        assert certified_nullspace(5, CountingSource(blocks)) == (5, oracle_null)
+        source = CountingSource(blocks)
+        assert certified_rowspace(5, source) == (5, oracle_rows)
+        assert len(source.pulls) == 1 and source.closed == [True]

@@ -256,22 +256,24 @@ def test_evaluate_combination_table_is_exact(c, data):
 def test_evaluation_blocks_hold_the_monomial_values_at_their_tuples():
     a = sab_bar(Fraction(1, 2), Fraction(-2, 3))  # dim 8, constants with a denominator
     n = 3
-    shape_indices = (1, 0)
-    build, cols = _evaluation_block_builder(a, n, shape_indices)
     scale = a.int_constants()[1] ** (n - 1)
     assert scale > 1
     perms = list(itertools.permutations(range(1, n + 1)))
-    assert cols == len(shape_indices) * len(perms)
-    for v0, v1 in [(0, 5), (200, 233), (448, 460)]:
-        block = build((v0, v1)).reshape(v1 - v0, a.dim, cols)
-        assert block.any()
-        for v in range(v0, v1):
-            args = tuple(int(x) + 1 for x in np.unravel_index(v, (a.dim,) * n))
-            for ci, si in enumerate(shape_indices):
-                for r, perm in enumerate(perms):
-                    want = evaluate_monomial(a, MultilinearMonomial(shapes(n)[si], perm), args)
-                    got = block[v - v0, :, ci * len(perms) + r]
-                    assert [Fraction(int(x), scale) for x in got] == want
+    # rows are component-major: a block reads as (d, block, cols)
+    for shape_indices in [(1, 0), (1,)]:
+        build, cols = _evaluation_block_builder(a, n, shape_indices)
+        assert cols == len(shape_indices) * len(perms)
+        for v0, v1 in [(0, 5), (200, 233), (448, 460)]:
+            block = build((v0, v1)).reshape(a.dim, v1 - v0, cols)
+            assert block.any()
+            for v in range(v0, v1):
+                args = tuple(int(x) + 1 for x in np.unravel_index(v, (a.dim,) * n))
+                for ci, si in enumerate(shape_indices):
+                    for r, perm in enumerate(perms):
+                        m = MultilinearMonomial(shapes(n)[si], perm)
+                        want = evaluate_monomial(a, m, args)
+                        got = block[:, v - v0, ci * len(perms) + r]
+                        assert [Fraction(int(x), scale) for x in got] == want
 
 
 def test_weights_beyond_int64_are_evaluated_exactly():
