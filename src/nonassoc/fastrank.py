@@ -15,9 +15,7 @@ three stages:
    BLAS product reduces a chunk against the current RREF, and the
    per-pivot loop then runs over that chunk's surviving rows only, so the
    accepted rows are the greedy in-order ones whatever the chunking.
-   Residues come from _mod_p, x - p * trunc(x * (1/p)) plus one
-   conditional correction each way, which is exact for |x| < 2^53 (see
-   _mod_p) and far cheaper than np.mod.
+   Residues come from _mod_p, exact below 2^53 and cheaper than np.mod.
 
    Full-rank shortcut: once the filter rank reaches cols, the rest of the
    stream is never read and the answer is rank cols with an empty
@@ -26,14 +24,25 @@ three stages:
    closed, and a parallel source cancels its queued builds.
 
 2. Exact stage. The filter runs until a block accepts no row, or the
-   stream ends. The accepted rows (at most `cols` of them) then go through
-   fraction-free integer elimination once, with the columns reversed.
-   The pivot P_i of each row of that RREF is its last nonzero column in
-   the original order, so each free column f gives the null vector
-   e_f - sum_i R[i][f] e_{P_i}, whose leading entry is the 1 at f and
-   which is zero at every other free column. These vectors already are
-   the canonical RREF of the candidate nullspace; no second elimination
-   is needed.
+   stream ends. rref_int then takes the RREF of the accepted rows (at
+   most `cols` of them) once, columns reversed, on the filter's kernel:
+   a ModularFilter over each prime q from _primes leaves the RREF mod q
+   as its state. A prime dividing a minor can only lower the rank or move
+   a pivot right, so primes rank by highest rank, then smallest pivot
+   list, and CRT joins only those tying with the best, modulo their
+   product M. Rational reconstruction (Wang) over one common denominator
+   den lifts the result, kept only if the rows' pivot columns times its
+   numerators equal den times the rows: the rows then lie in the span of
+   the r lifted rows, which are in RREF, and have rank >= r (their rank
+   mod q), so the lift is their unique RREF, byte-identical to that of
+   any exact elimination. Otherwise the next prime joins. RREF entries
+   are ratios of minors over one common minor, so once M > 2 H^2, H the
+   Hadamard bound of the rows, the lift is right and a failure raises.
+   The pivot P_i of each row R_i is its last nonzero column in the
+   original order, so each free column f gives the null vector e_f -
+   sum_i R[i][f] e_{P_i}: 1 at f and zero at every other free column.
+   These vectors already are the canonical RREF of the candidate
+   nullspace; no second elimination is needed.
 
 3. Certification. Each row is multiplied against the candidate nullspace
    exactly (float64 BLAS when a proven bound keeps every partial sum below
@@ -41,9 +50,8 @@ three stages:
    never saw; at most cols - rank such rows join the accepted set, and the
    exact stage reruns. Each rerun strictly increases the exact rank, so
    the loop terminates; at rank cols the stream is closed.
-   - In-stream: the block that accepted nothing, and every block after
-     it, skip the filter and are certified against the candidate as they
-     arrive.
+   - In-stream: from the block that accepted nothing on, blocks skip the
+     filter and are certified against the candidate as they arrive.
    - Final pass: only the leading blocks that the filter alone has seen
      are streamed again, and the stream is closed after them.
    Adding rows only shrinks the candidate kernel, so a row that
@@ -52,16 +60,16 @@ three stages:
    certified against it, the accepted rows prove rank >= r, and the
    certification proves rank <= r.
 
-PRIME must be small enough that a full reduction fits float64 exactly:
-with p < 2^20 and at most 2^13 pivot columns, every accumulated dot product
-stays below 2^13 * (p-1)^2 < 2^53.
+Every filter prime (PRIME and all that _primes yields) must be small enough
+that a full reduction fits float64 exactly: with p < 2^20 and at most 2^13
+pivot columns, every accumulated dot product stays below 2^13 * (p-1)^2 < 2^53.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -74,87 +82,88 @@ _INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
 _FLOAT64_LIMIT = 2**53  # a proven |entry| bound below this keeps float64 exact
 _MIN_CHUNK = 512  # filter rows per BLAS reduction, whatever the width
 _PRODUCT_ROWS = 1024  # block rows per float64 certification product
-_INV_PRIME = 1.0 / PRIME
 
 
-def _mod_p(x: np.ndarray) -> np.ndarray:
-    """x mod PRIME, in [0, PRIME), for a float64 array of integers below 2^53.
+def _mod_p(x: np.ndarray, p: int = PRIME) -> np.ndarray:
+    """x mod p, in [0, p), for a float64 array of integers below 2^53; p < 2^20.
 
-    The computed quotient x * (1/PRIME) is within |x| * 2^-52 / PRIME of
-    x / PRIME, so its truncation q is off by at most one and |q * PRIME|
-    <= |x| + 1 <= 2^53: the product and the difference are exact, x - q *
-    PRIME lies in [-PRIME, PRIME], and one conditional +PRIME and one
-    -PRIME bring it into range. A new array is returned; x is unchanged.
+    The computed quotient x * (1/p) is within |x| * 2^-52 / p of x / p, so
+    its truncation q is off by at most one and |q * p| <= |x| + 1 <= 2^53:
+    the product and the difference are exact, x - q * p lies in [-p, p],
+    and one conditional +p and one -p bring it into range. A new array is
+    returned; x is unchanged.
     """
-    r = x * _INV_PRIME
+    r = x * (1.0 / p)
     np.trunc(r, out=r)
-    r *= -PRIME
+    r *= -p
     r += x
-    np.add(r, PRIME, out=r, where=r < 0)
-    np.subtract(r, PRIME, out=r, where=r >= PRIME)
+    np.add(r, p, out=r, where=r < 0)
+    np.subtract(r, p, out=r, where=r >= p)
     return r
 
 
-def _content_reduce(row: list) -> list:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+def _primes():
+    """PRIME, then every smaller odd prime in descending order."""
+    return (q for q in range(PRIME, 2, -2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
 
 
-def echelon_int(rows, cols: int):
-    """Fraction-free forward elimination over the integers.
-
-    Returns (pivot_cols, echelon_rows) with echelon rows sorted by pivot
-    column and content-reduced. Inserting rows out of arrival order is
-    sound: every stored row is zero left of its own pivot.
-    """
-    piv = []  # sorted list of (pivot_col, row)
-    for raw in rows:
-        row = [int(v) for v in raw]
-        for pc, prow in piv:
-            c = row[pc]
-            if c:
-                lead = prow[pc]
-                row = [a * lead - c * b for a, b in zip(row, prow)]
-        p = next((j for j, v in enumerate(row) if v), None)
-        if p is None:
-            continue
-        row = _content_reduce(row)
-        lo = 0
-        while lo < len(piv) and piv[lo][0] < p:
-            lo += 1
-        piv.insert(lo, (p, row))
-    return tuple(p for p, _ in piv), [r for _, r in piv]
+def _int_array(rows, cols: int) -> np.ndarray:
+    """rows as an int64 array, or as an object array if an entry does not fit."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), cols)
 
 
-def _backward_eliminate(pivots, rows):
-    """Clear entries above each pivot, keeping integer rows."""
-    rows = [list(r) for r in rows]
-    for i in range(len(rows) - 1, -1, -1):
-        pc = pivots[i]
-        lead = rows[i][pc]
-        for u in range(i):
-            c = rows[u][pc]
-            if c:
-                rows[u] = [a * lead - c * b for a, b in zip(rows[u], rows[i])]
-                rows[u] = _content_reduce(rows[u])
-    return rows
+def _abs_max(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _lift(res: np.ndarray, mod: int):
+    """(num, den) with num = den * res mod `mod` and every |num| and den at
+    most sqrt(mod / 2), by rational reconstruction; den is 0 if none."""
+    bound = isqrt((mod - 1) // 2)
+    den = 1
+    while den <= bound:
+        num = res * den % mod
+        bad = np.flatnonzero((num > bound) & (num < mod - bound))
+        if not bad.size:
+            return np.where(num > bound, num - mod, num), den
+        r0, r1, t0, t1 = mod, int(num.flat[bad[0]]), 0, 1
+        while r1 > bound:  # half-extended Euclid: t1 * u = r1 (mod `mod`)
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+    return None, 0
 
 
 def rref_int(rows, cols: int):
-    """(pivot_cols, RREF rows as Fraction tuples) of an integer matrix."""
-    pivots, ech = echelon_int(rows, cols)
-    ech = _backward_eliminate(pivots, ech)
-    out = []
-    for pc, row in zip(pivots, ech):
-        lead = row[pc]
-        out.append(tuple(Fraction(v, lead) for v in row))
-    return pivots, out
+    """(pivot_cols, RREF rows as Fraction tuples) of an integer matrix, from
+    its RREF modulo one prime at a time (stage 2 of the module docstring)."""
+    a = _int_array(rows, cols)
+    amax = _abs_max(a)
+    bits = len(a) * (cols * amax * amax).bit_length()  # 2^bits >= H^2
+    best = None
+    for q in _primes():
+        filt = ModularFilter(cols, q)
+        filt.filter_block(a)
+        key = (-len(filt.pivcols), sorted(filt.pivcols))
+        rq = filt.state[np.argsort(filt.pivcols)].astype(np.int64)
+        if best is None or key < best:
+            best, res, mod = key, rq, q
+        elif key == best:
+            if mod * q * isqrt(mod * q) >= _INT64_LIMIT:  # _lift's res * den
+                res, rq = res.astype(object), rq.astype(object)
+            res, mod = res + mod * ((rq - res) * pow(mod, -1, q) % q), mod * q
+        else:
+            continue
+        num, den = _lift(res, mod)
+        if den:
+            want = a * den if den * amax < _INT64_LIMIT else a.astype(object) * den
+            if np.array_equal(_exact_products(a[:, best[1]], num.T), want):
+                return tuple(best[1]), [tuple(Fraction(v, den) for v in r) for r in num.tolist()]
+        if mod.bit_length() > bits + 1:  # M > 2 H^2: a kept prime is lucky
+            raise AssertionError("no verified RREF at a %d-bit modulus" % mod.bit_length())
 
 
 def nullspace_int(rows, cols: int):
@@ -189,32 +198,30 @@ def nullspace_int(rows, cols: int):
     return len(pivots), RowEchelonBasis(cols, null_rows, free), prim
 
 
-def _residues(rows: np.ndarray) -> np.ndarray:
-    """float64 integers congruent to rows mod PRIME, all in (-PRIME, PRIME).
+def _residues(rows: np.ndarray, p: int = PRIME) -> np.ndarray:
+    """float64 integers congruent to rows mod p, all in (-p, p).
 
-    Integer entries already in that range are converted as they are (the
-    conversion is monotone, so the range check on the result is exact);
+    Integer entries already in that range are converted as they are;
     anything else is reduced with integer arithmetic first.
     """
-    if rows.dtype != object:
-        out = rows.astype(np.float64)
-        if max(out.max(initial=0.0), -out.min(initial=0.0)) < PRIME:
-            return out
-    return np.mod(rows, PRIME).astype(np.float64)
+    if rows.dtype != object and _abs_max(rows) < p:
+        return rows.astype(np.float64)
+    return np.mod(rows, p).astype(np.float64)
 
 
 class ModularFilter:
-    """Streaming independence filter modulo PRIME, reductions in float64.
+    """Streaming independence filter modulo p (PRIME by default), in float64.
 
     The RREF state is kept in insertion order (not pivot order); bulk
     reduction only needs each state row to be 1 at its own pivot and 0 at
     every other pivot, which back-substitution maintains.
     """
 
-    def __init__(self, cols: int):
+    def __init__(self, cols: int, p: int = PRIME):
         if cols > _MAX_FILTER_COLS:
             raise ValueError("filter supports at most %d columns" % _MAX_FILTER_COLS)
         self.cols = cols
+        self.p = p
         self._buf = np.zeros((min(cols, 64), cols), dtype=np.float64)
         self.pivcols: list[int] = []
         self._chunk = max(2 * cols, _MIN_CHUNK)
@@ -226,14 +233,14 @@ class ModularFilter:
     def _insert(self, res: np.ndarray):
         """Normalize res, back-substitute the state, append. Returns (pivot, row)."""
         pc = int(np.nonzero(res)[0][0])
-        inv = pow(int(res[pc]), -1, PRIME)
-        newrow = _mod_p(res * float(inv))
+        inv = pow(int(res[pc]), -1, self.p)
+        newrow = _mod_p(res * float(inv), self.p)
         newrow[pc] = 1.0
         r = len(self.pivcols)
         if r:
             col = self._buf[:r, pc].copy()
             if col.any():
-                self._buf[:r] = _mod_p(self._buf[:r] - np.outer(col, newrow))
+                self._buf[:r] = _mod_p(self._buf[:r] - np.outer(col, newrow), self.p)
         if r == self._buf.shape[0]:
             grown = np.zeros((min(self.cols, 2 * r), self.cols), dtype=np.float64)
             grown[:r] = self._buf
@@ -252,10 +259,10 @@ class ModularFilter:
         for start in range(0, block.shape[0], self._chunk):
             if len(self.pivcols) == self.cols:
                 break
-            bm = _residues(block[start:start + self._chunk])
+            bm = _residues(block[start:start + self._chunk], self.p)
             if self.pivcols:
                 bm = bm - bm[:, self.pivcols] @ self.state
-            bm = _mod_p(bm)
+            bm = _mod_p(bm, self.p)
             live = np.nonzero(bm.any(axis=1))[0]
             while live.size:
                 r = int(live[0])
@@ -266,7 +273,7 @@ class ModularFilter:
                 hit = np.nonzero(coef)[0]
                 if hit.size:
                     rows = live[hit]
-                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow))
+                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow), self.p)
                     live = live[bm[live].any(axis=1)]
         return accepted
 
@@ -275,29 +282,25 @@ class ModularFilter:
         return len(self.pivcols)
 
 
-def _exact_products(block: np.ndarray, null_rows: list[list[int]], nmax: int) -> np.ndarray:
-    """block @ null^T computed exactly; nmax bounds |entry| of null_rows.
+def _exact_products(block: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """block @ null^T computed exactly, for integer arrays block and null.
 
-    A proven bound bmax * nmax * cols on every partial sum picks the path:
-    float64 BLAS below 2^53 (every product then is an exact integer held in
-    float64), int64 below 2^62, Python integers otherwise.
+    A proven bound max|block| * max|null| * cols on every partial sum picks
+    the path: float64 BLAS below 2^53 (every product then is an exact
+    integer held in float64), int64 below 2^62, Python integers otherwise.
     """
-    cols = block.shape[1]
-    if block.dtype != object:
-        bmax = max(int(block.max(initial=0)), -int(block.min(initial=0)))
-        if bmax == 0:
-            return np.zeros((block.shape[0], len(null_rows)), dtype=np.int64)
-        bound = bmax * nmax * cols
+    if block.dtype != object and null.dtype != object:
+        bound = _abs_max(block) * _abs_max(null) * block.shape[1]
         if bound < _FLOAT64_LIMIT:
-            null_t = np.array(null_rows, dtype=np.float64).T
-            out = np.empty((block.shape[0], len(null_rows)))
+            null_t = null.T.astype(np.float64)
+            out = np.empty((block.shape[0], len(null)))
             for i in range(0, block.shape[0], _PRODUCT_ROWS):  # bounds the float64 copy
                 rows = slice(i, i + _PRODUCT_ROWS)
                 np.matmul(block[rows].astype(np.float64), null_t, out=out[rows])
             return out
         if bound < _INT64_LIMIT:
-            return block @ np.array(null_rows, dtype=np.int64).T
-    return block.astype(object) @ np.array(null_rows, dtype=object).T
+            return block @ null.T
+    return block.astype(object) @ null.astype(object).T
 
 
 def _close(blocks):
@@ -308,25 +311,23 @@ def _close(blocks):
 
 class _Candidate(NamedTuple):
     """The exact nullspace of the accepted rows: their rank, its canonical
-    basis, the same rows as primitive integer vectors, and the largest
-    |entry| of those."""
+    basis, and the same rows as primitive integer vectors in one array."""
 
     rank: int
     basis: RowEchelonBasis
-    prim: list
-    nmax: int
+    prim: np.ndarray
 
 
 def _candidate(accepted: list[list[int]], cols: int, prev_rank: int) -> _Candidate:
     rank, basis, prim = nullspace_int(accepted, cols)
     if rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
-    return _Candidate(rank, basis, prim, max((abs(v) for r in prim for v in r), default=0))
+    return _Candidate(rank, basis, _int_array(prim, cols))
 
 
 def _violating_rows(block: np.ndarray, cand: _Candidate) -> np.ndarray:
     """Indices of the block's rows not annihilated by the candidate basis."""
-    prod = _exact_products(block, cand.prim, cand.nmax)
+    prod = _exact_products(block, cand.prim)
     nz = prod.astype(bool) if prod.dtype == object else prod != 0
     return np.nonzero(nz.any(axis=1))[0]
 
@@ -374,7 +375,7 @@ def _certify(cols: int, block_source):
         _close(blocks)
     if cand is None:  # every block accepted rows
         cand = _candidate(accepted, cols, -1)
-    while cand.prim and filtered:  # re-stream the blocks only the filter has seen
+    while len(cand.prim) and filtered:  # re-stream the blocks only the filter has seen
         violators = _find_violators(block_source, cand, filtered)
         if not violators:
             break

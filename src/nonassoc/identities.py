@@ -256,16 +256,16 @@ def identity_space(a: Algebra, n: int):
     """(dimension, canonical basis) of the degree-n identities of a.
 
     Degree 5 joins all 14 shapes into one 1680-column system with dim^6
-    rows and a very wide nullspace: on a 2-core machine it took 1.3 s for
-    E2 (dim 2) and 5.6 s for S2 (dim 4).  When one shape at a time is
-    enough, shape_identity_space stays fast even at degree 5.
+    rows and a very wide nullspace: on a 2-core machine it took 0.9-1.2 s
+    for E2 (dim 2) and 2.3-3.0 s for S2 (dim 4).  When one shape at a
+    time is enough, shape_identity_space stays fast even at degree 5.
     """
     if not 2 <= n <= 5:
         raise ValueError("degree must be between 2 and 5")
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 6 s at dim 4 on a 2-core machine, more for "
+            "system exactly (about 3 s at dim 4 on a 2-core machine, more for "
             "larger dims); shape_identity_space handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
             RuntimeWarning,

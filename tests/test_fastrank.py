@@ -2,6 +2,7 @@ import random
 import threading
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from nonassoc.fastrank import (
     PRIME,
     ModularFilter,
     _mod_p,
+    _primes,
     certified_nullspace,
     certified_rank,
     certified_rowspace,
+    rref_int,
 )
 from nonassoc.identities import _parallel_blocks
 from nonassoc.linalg import Matrix, nullspace, rref
@@ -27,6 +30,9 @@ def _blocks_of(arr, step):
     return source
 
 
+SECOND_PRIME = list(islice(_primes(), 2))[1]
+
+
 def exact_rank(arr):
     return rref(Matrix.from_rows([[int(x) for x in row] for row in arr])).rank
 
@@ -35,6 +41,24 @@ def test_prime_is_prime_and_small_enough():
     assert sympy.isprime(PRIME)
     # the float64 filter needs cols * (p-1)^2 < 2^53 for exact accumulation
     assert 8192 * (PRIME - 1) ** 2 < 2 ** 53
+    # so do the primes of the exact stage
+    first = list(islice(_primes(), 20))
+    assert first[0] == PRIME and len(set(first)) == 20
+    assert all(sympy.isprime(q) and q < 2 ** 20 for q in first)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 1 + PRIME]],  # PRIME lowers the rank
+    [[PRIME, 1]],  # PRIME moves the pivot right
+    [[SECOND_PRIME, 1]],  # a later prime, needed for the lift, moves it right
+    [[1, PRIME + 1]],  # the lift from PRIME alone looks valid but is wrong
+    [[3 ** 40, 1]],  # 1/3^40 needs several primes; 3^40 lies in [2^63, 2^64)
+    [[2 ** 71, 3, 5], [2 ** 72 + 1, 7, 0], [3 * 2 ** 71 + 1, 10, 5]],  # dependent, object
+    [[0, 0, 0], [0, 0, 0]],
+])
+def test_rref_int_matches_the_fraction_oracle(rows):
+    oracle = rref(Matrix.from_rows(rows))
+    assert rref_int(rows, len(rows[0])) == (oracle.pivot_cols, oracle.rows)
 
 
 def test_certified_rank_random_matrices():
@@ -111,7 +135,8 @@ def adversarial_systems(draw):
     """(integer rows, cols, block size) built to trip the modular filter and
     the int64 product bound: rows that vanish mod PRIME, rows that agree
     with another row mod PRIME, scaled unit rows (full rank over Q, zero
-    mod PRIME), entries above 2^31 and object arrays above 2^63."""
+    mod PRIME), entries above 2^31, and object arrays with entries in
+    [2^63, 2^64) or above 2^70."""
     cols = draw(st.integers(1, 5))
     row = st.lists(st.integers(-1000, 1000), min_size=cols, max_size=cols)
     rows = draw(st.lists(row, min_size=1, max_size=8))
@@ -125,12 +150,15 @@ def adversarial_systems(draw):
     if draw(st.booleans()):
         rows += [[PRIME * (j == i) for j in range(cols)] for i in range(cols)]
     dtype = np.int64
-    size = draw(st.sampled_from(["small", "above_2_31", "object"]))
+    size = draw(st.sampled_from(["small", "above_2_31", "above_2_63", "object"]))
     if size != "small":
-        scale = 2**33 if size == "above_2_31" else 2**70
         big = draw(st.integers(0, len(rows) - 1))
-        rows[big] = [scale * x + 1 for x in rows[big]]
-        if size == "object":
+        if size == "above_2_63":
+            rows[big] = [2**63 + (x + 1000) * 2**40 for x in rows[big]]
+        else:
+            scale = 2**33 if size == "above_2_31" else 2**70
+            rows[big] = [scale * x + 1 for x in rows[big]]
+        if size != "above_2_31":
             dtype = object
     step = draw(st.integers(1, len(rows)))
     return np.array(rows, dtype=dtype), cols, step
@@ -178,6 +206,10 @@ def test_mod_p_matches_np_mod():
     assert np.array_equal(got, np.mod(x, PRIME))
     assert got.min() >= 0 and got.max() < PRIME
     assert np.array_equal(x, before)  # the input is left alone
+    q = list(islice(_primes(), 20))[-1]  # a prime of the exact stage
+    got = _mod_p(x, q)
+    assert np.array_equal(got, np.mod(x, q))
+    assert got.min() >= 0 and got.max() < q
 
 
 def _greedy_mod_p(rows):
