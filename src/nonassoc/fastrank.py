@@ -60,6 +60,27 @@ three stages:
    certified against it, the accepted rows prove rank >= r, and the
    certification proves rank <= r.
 
+4. Symmetries. A caller may name column permutations g under which the
+   system's row set is closed: if x is a row, so is x[g]. The source's
+   blocks are then read as generators: the system is the set of images
+   of their rows under the group G the g generate. After the source's
+   own blocks, the translates x[g] of the accepted rows not yet
+   translated run through the same loop as further blocks, each no
+   larger than the largest source block. They are filtered mod p while
+   blocks accept rows (the closure mod p: translates of rows a translate
+   block accepted follow in later blocks), then certified exactly; rows
+   that certification adds are translated in turn, and the final pass
+   rebuilds the translate blocks the filter alone has seen from the
+   accepted rows. On return the final candidate annihilates every source
+   row and every translate of every accepted row. That is a complete
+   proof. The accepted rows are genuine rows, since translates of rows
+   are rows; they are independent mod p or raised the exact rank, so
+   rank >= r. A row the candidate annihilates lies in the span A of the
+   accepted rows, since the candidate is their exact nullspace. So A
+   contains the source rows and A[g] is in A for each g; with equal
+   dimensions A[g] = A, so A is invariant under G and contains every
+   row of the system: rank <= r.
+
 Every filter prime (PRIME and all that _primes yields) must be small enough
 that a full reduction fits float64 exactly: with p < 2^20 and at most 2^13
 pivot columns, every accumulated dot product stays below 2^13 * (p-1)^2 < 2^53.
@@ -332,7 +353,77 @@ def _violating_rows(block: np.ndarray, cand: _Candidate) -> np.ndarray:
     return np.nonzero(nz.any(axis=1))[0]
 
 
-def _certify(cols: int, block_source):
+def _absorb(block: np.ndarray, cand: _Candidate, accepted: list, cols: int) -> _Candidate:
+    """Certify a block exactly against the candidate; rows that violate it
+    join the accepted rows, and the new candidate is returned.
+
+    Rows of the block annihilate the candidate, and so every later, smaller
+    one, unless they violate it; only violators are rechecked.
+    """
+    while True:
+        bad = _violating_rows(block, cand)
+        if not bad.size:
+            return cand
+        k = cols - cand.rank  # no more of them can be independent
+        accepted.extend([int(v) for v in block[r]] for r in bad[:k])
+        cand = _candidate(accepted, cols, cand.rank)
+        if cand.rank == cols:
+            return cand
+        block = block[bad[k:]]
+
+
+class _System:
+    """The blocks of a system given by a source and column symmetries.
+
+    The stream is the source's blocks, then the translates x[g] of the
+    accepted rows x, g in symmetries, read from the accepted list as it
+    grows. Each translate block holds the translates of a range of accepted
+    rows, no more rows than the largest source block (or one row's
+    translates); the ranges are kept, so the blocks can be streamed again.
+    """
+
+    def __init__(self, cols: int, block_source, symmetries, accepted: list):
+        self.cols = cols
+        self.block_source = block_source
+        self.symmetries = [np.asarray(g) for g in symmetries]
+        self.accepted = accepted
+        self.spans: list[tuple[int, int]] = []  # accepted-row range per translate block
+        self.step = 1  # accepted rows per translate block
+
+    def _translate(self, span) -> np.ndarray:
+        rows = _int_array(self.accepted[span[0]:span[1]], self.cols)
+        return np.concatenate([rows[:, g] for g in self.symmetries])
+
+    def stream(self):
+        """Source blocks, then translate blocks until every accepted row has
+        been translated."""
+        blocks = iter(self.block_source())
+        try:
+            for block in blocks:
+                if self.symmetries:
+                    self.step = max(self.step, len(block) // len(self.symmetries))
+                yield block
+        finally:
+            _close(blocks)
+        yield from self.translates()
+
+    def translates(self):
+        """Translate blocks of the accepted rows not translated yet."""
+        done = self.spans[-1][1] if self.spans else 0
+        while self.symmetries and done < len(self.accepted):
+            span = (done, min(len(self.accepted), done + self.step))
+            self.spans.append(span)
+            yield self._translate(span)
+            done = span[1]
+
+    def replay(self):
+        """The blocks streamed so far, in the same order."""
+        yield from self.block_source()
+        for span in self.spans:
+            yield self._translate(span)
+
+
+def _certify(cols: int, block_source, symmetries=()):
     """(rank, nullspace basis, accepted rows) of a streamed integer system.
 
     The filter-certify loop behind every certified_* entry point; unless
@@ -340,13 +431,15 @@ def _certify(cols: int, block_source):
     system on return. Blocks go through the filter until one accepts no
     row; from that block on, each block is certified exactly against the
     candidate as it arrives, and a final pass re-streams only the blocks
-    before it.
+    before it. With symmetries, translates of the accepted rows follow
+    the source's blocks through the same loop.
     """
     filt = ModularFilter(cols)
     accepted: list[list[int]] = []
+    system = _System(cols, block_source, symmetries, accepted)
     filtered = 0  # leading blocks that only the filter has seen
     cand = None  # the exact candidate, once a block accepts no row
-    blocks = iter(block_source())
+    blocks = system.stream()
     try:
         for block in blocks:
             if cand is None:
@@ -359,28 +452,23 @@ def _certify(cols: int, block_source):
                     filtered += 1
                     continue
                 cand = _candidate(accepted, cols, -1)
-            # Rows of this block annihilate the candidate, and so every later,
-            # smaller one, unless they violate it; only violators are rechecked.
-            while True:
-                bad = _violating_rows(block, cand)
-                if not bad.size:
-                    break
-                k = cols - cand.rank  # no more of them can be independent
-                accepted.extend([int(v) for v in block[r]] for r in bad[:k])
-                cand = _candidate(accepted, cols, cand.rank)
-                if cand.rank == cols:
-                    return cols, cand.basis, accepted
-                block = block[bad[k:]]
+            cand = _absorb(block, cand, accepted, cols)
+            if cand.rank == cols:
+                return cols, cand.basis, accepted
     finally:
-        _close(blocks)
+        blocks.close()  # a generator source cancels the builds still queued
     if cand is None:  # every block accepted rows
         cand = _candidate(accepted, cols, -1)
     while len(cand.prim) and filtered:  # re-stream the blocks only the filter has seen
-        violators = _find_violators(block_source, cand, filtered)
+        violators = _find_violators(system.replay, cand, filtered)
         if not violators:
             break
         accepted.extend(violators)
         cand = _candidate(accepted, cols, cand.rank)
+        for block in system.translates():  # of the violators, certified as they come
+            cand = _absorb(block, cand, accepted, cols)
+            if cand.rank == cols:
+                return cols, cand.basis, accepted
     return cand.rank, cand.basis, accepted
 
 
@@ -400,7 +488,7 @@ def _find_violators(block_source, cand: _Candidate, nblocks: int) -> list[list[i
     return violators
 
 
-def certified_nullspace(cols: int, block_source):
+def certified_nullspace(cols: int, block_source, symmetries=()):
     """Exact (rank, nullspace basis) of a streamed integer row system.
 
     block_source is a zero-argument callable returning a fresh iterable of
@@ -409,22 +497,27 @@ def certified_nullspace(cols: int, block_source):
     and once per final certification pass, and a pass may stop early (the
     iterator is then closed) because a final pass reads only the leading
     blocks that accepted rows.
+
+    symmetries lists column permutations g (index arrays of length cols)
+    under which the system's row set is closed: if x is a row, so is x[g].
+    The blocks then need only generate the system: its rows are the images
+    of the blocks' rows under the group the g generate.
     """
-    rank, basis, _accepted = _certify(cols, block_source)
+    rank, basis, _accepted = _certify(cols, block_source, symmetries)
     return rank, basis
 
 
-def certified_rank(cols: int, block_source) -> int:
-    return _certify(cols, block_source)[0]
+def certified_rank(cols: int, block_source, symmetries=()) -> int:
+    return _certify(cols, block_source, symmetries)[0]
 
 
-def certified_rowspace(cols: int, block_source):
+def certified_rowspace(cols: int, block_source, symmetries=()):
     """Exact (rank, RowEchelonBasis of the row space) of a streamed system.
 
     Once certification ends, the accepted rows span the full row space and
     their RREF is the canonical answer; at full rank it is the identity.
     """
-    rank, _basis, accepted = _certify(cols, block_source)
+    rank, _basis, accepted = _certify(cols, block_source, symmetries)
     if rank == cols:
         identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
         return rank, RowEchelonBasis(cols, identity, range(cols))

@@ -10,6 +10,24 @@ A permutation of variables, or the leaf positions of a subtree, becomes
 an index map into a table, computed from the digit table at just the
 basis tuples being read.
 
+The system is symmetric. Column (s, sigma), at index s * n! + (the
+lexicographic rank of sigma), holds the monomial of shape s whose leaves
+read the variables sigma(1), ..., sigma(n); _flat_indices evaluates it at
+the tuple v o sigma, with (v o sigma)_i = v_{sigma(i)}. For a permutation
+tau, (v o tau) o sigma = v o (tau sigma), so the rows at v o tau and at v
+(same component) satisfy
+
+    x_{v o tau}[(s, sigma)] = x_v[(s, tau sigma)].
+
+For the adjacent transposition tau = s_i of variables i and i + 1 this
+says x_{v o s_i} = x_v[g_i] in numpy's reading (x[g][c] = x[g[c]]), where
+g_i maps column s * n! + r to s * n! + _adjacent_swaps(n)[i - 1][r], the
+rank of s_i o sigma_r. The s_i generate S_n and every tuple is v o tau for
+its non-decreasing rearrangement v, so the rows at the C(d + n - 1, n)
+non-decreasing tuples generate the whole d^n-tuple system under the g_i:
+those rows are all that is built, and fastrank certifies that their span
+is invariant under each g_i.
+
 This module is the one place that evaluates a combination at basis
 tuples: its values (first_violation, evaluate_combination_table) and the
 cocycle rows of its central extensions (cohomology) come from one term
@@ -207,11 +225,11 @@ def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
 
 
 def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
-    """Returns (build(range)->array, cols). Column order: for each listed
-    shape, all n! permutations in lexicographic order. Rows are
-    component-major: row k * len(range) + j holds component k at the j-th
-    tuple of the range. A block is one gather from the shapes' root tables
-    laid side by side, with no copy."""
+    """Returns (build(idx)->array, cols), idx an array of flat basis tuple
+    indices. Column order: for each listed shape, all n! permutations in
+    lexicographic order. Rows are component-major: row k * len(idx) + j
+    holds component k at the tuple idx[j]. A block is one gather from the
+    shapes' root tables laid side by side, with no copy."""
     d = a.dim
     tables, _bounds, _den = _shape_tables(a, n)
     digits = _digit_table(d, n)
@@ -221,52 +239,70 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     offsets = np.arange(len(shape_indices))[:, None] * d**n
     cols = len(perms) * len(shape_indices)
 
-    def build(rng):
-        v0, v1 = rng
-        sub = _flat_indices(d, perms, digits[v0:v1]).T  # (block, n!)
-        idx = (sub[:, None, :] + offsets).reshape(v1 - v0, cols)
-        return np.take(table, idx, axis=1).reshape(-1, cols)
+    def build(idx):
+        sub = _flat_indices(d, perms, digits[idx]).T  # (block, n!)
+        gather = (sub[:, None, :] + offsets).reshape(len(idx), cols)
+        return np.take(table, gather, axis=1).reshape(-1, cols)
 
     return build, cols
 
 
+def _sorted_tuples(d: int, n: int, strict: bool = False) -> np.ndarray:
+    """Flat indices, ascending, of the non-decreasing basis tuples of
+    length n (strictly increasing if strict)."""
+    steps = np.diff(_digit_table(d, n), axis=1)
+    return np.flatnonzero((steps > 0 if strict else steps >= 0).all(axis=1))
+
+
 def _nullspace_combinations(a: Algebra, n: int, shape_indices):
+    """(dimension, canonical basis) of the identities supported on the
+    listed shapes, from the rows at the non-decreasing tuples and the
+    symmetries g_i of the module docstring."""
     build, cols = _evaluation_block_builder(a, n, shape_indices)
-    d = a.dim
-    block = max(16, min(d**n, (1 << 19) // max(1, cols)))
-    ranges = _block_ranges(d**n, block)
+    nf = factorial(n)
+    tuples = _sorted_tuples(a.dim, n)
+    block = max(16, (1 << 19) // max(1, cols))
+    chunks = [tuples[v0:v1] for v0, v1 in _block_ranges(len(tuples), block)]
+    shape_cols = np.arange(len(shape_indices))[:, None] * nf
+    symmetries = [(shape_cols + swap).ravel() for swap in _adjacent_swaps(n)]
 
     def source():
-        return _parallel_blocks(ranges, build)
+        return _parallel_blocks(chunks, build)
 
-    rank, basis = fastrank.certified_nullspace(cols, source)
-    total = monomial_count(n)
-    nf = factorial(n)
-    combos = []
-    for row in basis.rows:
-        coeffs = [Fraction(0)] * total
-        for ci, si in enumerate(shape_indices):
-            for r in range(nf):
-                coeffs[si * nf + r] = row[ci * nf + r]
-        combos.append(IdentityCombination(n, coeffs))
-    return basis.rank, combos
+    _rank, basis = fastrank.certified_nullspace(cols, source, symmetries)
+    if tuple(shape_indices) == tuple(range(len(shapes(n)))):
+        coeffs = basis.rows  # every shape, in order: the columns are the monomials
+    else:  # shape ci's n! columns are the coefficients of shape si
+        zero = [Fraction(0)] * monomial_count(n)
+        coeffs = []
+        for row in basis.rows:
+            full = list(zero)
+            for ci, si in enumerate(shape_indices):
+                full[si * nf:(si + 1) * nf] = row[ci * nf:(ci + 1) * nf]
+            coeffs.append(tuple(full))
+    return basis.rank, [IdentityCombination._from_fractions(n, c) for c in coeffs]
 
 
 def identity_space(a: Algebra, n: int):
     """(dimension, canonical basis) of the degree-n identities of a.
 
     Degree 5 joins all 14 shapes into one 1680-column system with dim^6
-    rows and a very wide nullspace: on a 2-core machine it took 0.9-1.2 s
-    for E2 (dim 2) and 2.3-3.0 s for S2 (dim 4).  When one shape at a
-    time is enough, shape_identity_space stays fast even at degree 5.
+    rows and a very wide nullspace, built only at the non-decreasing
+    tuples (C(dim + 4, 5) of them) and certified invariant under the
+    symmetries of the module docstring. Warm, on a 2-core machine, it
+    took 0.4-0.8 s for E2 (dim 2), 1.3-1.8 s for S2 (dim 4), 2.2-2.8 s
+    for S1bar and 7-8 s for W2bar (dim 8); W2(big) (dim 8, large
+    constants) takes over a minute. When one shape at a time is enough,
+    shape_identity_space stays fast even at degree 5.
     """
     if not 2 <= n <= 5:
         raise ValueError("degree must be between 2 and 5")
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 3 s at dim 4 on a 2-core machine, more for "
-            "larger dims); shape_identity_space handles a single shape quickly"
+            "system exactly (about 1.5 s at dim 4 and 2.5-8 s at dim 8 on a "
+            "2-core machine, over a minute for W2(big)); shape_identity_space "
+            "handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
             RuntimeWarning,
             stacklevel=2,
@@ -322,10 +358,9 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     the strictly increasing tuples decide everything: C(d, n) of them,
     none when d < n.
     """
-    n = c.degree
     if not _is_alternating(c):
-        return np.arange(d**n)
-    return np.flatnonzero((np.diff(_digit_table(d, n), axis=1) > 0).all(axis=1))
+        return np.arange(d**c.degree)
+    return _sorted_tuples(d, c.degree, strict=True)
 
 
 def _term_factors(a: Algebra, c: IdentityCombination, split):

@@ -301,6 +301,14 @@ class IdentityCombination:
         self.name = name
 
     @classmethod
+    def _from_fractions(cls, degree: int, coeffs: tuple) -> "IdentityCombination":
+        """Unchecked constructor for the package's own results: coeffs is
+        already a tuple of monomial_count(degree) Fractions."""
+        c = cls.__new__(cls)
+        c.degree, c.coeffs, c.name = degree, coeffs, ""
+        return c
+
+    @classmethod
     def from_terms(cls, degree: int, terms, name: str = "") -> "IdentityCombination":
         """terms: iterable of (MultilinearMonomial | (shape, perm), coefficient)."""
         coeffs = [Fraction(0)] * monomial_count(degree)

@@ -37,6 +37,21 @@ def exact_rank(arr):
     return rref(Matrix.from_rows([[int(x) for x in row] for row in arr])).rank
 
 
+def _orbit(rows, symmetries):
+    """Every row reachable from the given rows by maps x -> x[g], g in
+    symmetries: the fully expanded system, for the oracle."""
+    seen = {tuple(int(v) for v in row) for row in rows}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in symmetries:
+            y = tuple(x[i] for i in g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return sorted(seen)
+
+
 def test_prime_is_prime_and_small_enough():
     assert sympy.isprime(PRIME)
     # the float64 filter needs cols * (p-1)^2 < 2^53 for exact accumulation
@@ -161,19 +176,21 @@ def adversarial_systems(draw):
         if size != "above_2_31":
             dtype = object
     step = draw(st.integers(1, len(rows)))
-    return np.array(rows, dtype=dtype), cols, step
+    # none, one or two column permutations; the rows then generate a system
+    symmetries = [np.array(g) for g in draw(st.lists(st.permutations(range(cols)), max_size=2))]
+    return np.array(rows, dtype=dtype), cols, step, symmetries
 
 
 @settings(max_examples=150, deadline=None)
 @given(adversarial_systems())
 def test_certified_rank_agrees_with_fraction_oracle(system):
-    arr, cols, step = system
-    m = Matrix.from_rows([[int(x) for x in row] for row in arr])
+    arr, cols, step, symmetries = system
+    m = Matrix.from_rows(_orbit(arr, symmetries))
     oracle_rows, oracle_null = rref(m), nullspace(m)
     source = _blocks_of(arr, step)
-    assert certified_rank(cols, source) == oracle_rows.rank
-    assert certified_nullspace(cols, source) == (oracle_rows.rank, oracle_null)
-    assert certified_rowspace(cols, source) == (oracle_rows.rank, oracle_rows)
+    assert certified_rank(cols, source, symmetries) == oracle_rows.rank
+    assert certified_nullspace(cols, source, symmetries) == (oracle_rows.rank, oracle_null)
+    assert certified_rowspace(cols, source, symmetries) == (oracle_rows.rank, oracle_rows)
 
 
 def test_full_rank_and_one_column_systems():
@@ -341,15 +358,17 @@ class CountingSource:
         return stream()
 
 
-def _assert_oracle_answers(blocks, cols):
-    """Rank, nullspace and row space of the blocks agree with the Fraction
-    oracle; returns the counting source of the certified_nullspace call."""
-    m = Matrix.from_rows([[int(x) for x in row] for block in blocks for row in block])
+def _assert_oracle_answers(blocks, cols, symmetries=()):
+    """Rank, nullspace and row space of the system the blocks generate
+    agree with the Fraction oracle on its expanded orbit; returns the
+    counting source of the certified_nullspace call."""
+    m = Matrix.from_rows(_orbit([row for block in blocks for row in block], symmetries))
     oracle_rows, oracle_null = rref(m), nullspace(m)
-    assert certified_rank(cols, CountingSource(blocks)) == oracle_rows.rank
+    assert certified_rank(cols, CountingSource(blocks), symmetries) == oracle_rows.rank
     source = CountingSource(blocks)
-    assert certified_nullspace(cols, source) == (oracle_rows.rank, oracle_null)
-    assert certified_rowspace(cols, CountingSource(blocks)) == (oracle_rows.rank, oracle_rows)
+    assert certified_nullspace(cols, source, symmetries) == (oracle_rows.rank, oracle_null)
+    rowspace = certified_rowspace(cols, CountingSource(blocks), symmetries)
+    assert rowspace == (oracle_rows.rank, oracle_rows)
     return source
 
 
@@ -428,3 +447,69 @@ def test_full_rank_needs_no_exact_elimination(monkeypatch):
         source = CountingSource(blocks)
         assert certified_rowspace(5, source) == (5, oracle_rows)
         assert len(source.pulls) == 1 and source.closed == [True]
+
+
+CYCLE5 = np.array([1, 2, 3, 4, 0])  # x[CYCLE5] shifts the entries left
+
+
+def test_translates_of_translates_carry_the_rank():
+    # the source rows have rank 1; the orbit of e_0 - e_1 under the cycle
+    # spans the sum-zero hyperplane, and only repeated translation reaches it
+    blocks = [np.array([[1, -1, 0, 0, 0], [2, -2, 0, 0, 0]], dtype=np.int64)]
+    _assert_oracle_answers(blocks, 5, [CYCLE5])
+    rank, null = certified_nullspace(5, CountingSource(blocks), [CYCLE5])
+    assert rank == 4 and null.rows == [tuple(Fraction(1) for _ in range(5))]
+
+
+@pytest.mark.parametrize("rows, g", [
+    # x[g] = (1 + p, 1) is x mod PRIME, and independent of x over Q
+    ([[[1, 1 + PRIME]]], [1, 0]),
+    # b[g] = (0, 0, 1 + p, 1) is b mod PRIME and arrives in a block that
+    # also accepts a[g]; only the final pass over that block finds it
+    ([[[1, 0, 0, 0], [0, 0, 1, 1 + PRIME]]], [1, 0, 3, 2]),
+    # PRIME * e_0 is found exactly; its translate is zero mod PRIME
+    ([[[1, 1, 1, 1]], [[PRIME, 0, 0, 0]]], [1, 2, 3, 0]),
+])
+def test_a_translate_independent_only_over_q_is_caught(rows, g):
+    blocks = [np.array(block, dtype=np.int64) for block in rows]
+    cols = len(g)
+    _assert_oracle_answers(blocks, cols, [np.array(g)])
+    assert certified_rank(cols, CountingSource(blocks), [np.array(g)]) == cols
+
+
+def test_full_rank_through_translates_needs_no_exact_elimination(monkeypatch):
+    import nonassoc.fastrank as fastrank
+
+    def refuse(*args):
+        raise AssertionError("exact elimination at full rank")
+
+    # the source rows have rank 2; their translates under the cycle reach 5
+    blocks = [np.array([[3, 0, 1, 0, 0], [6, 0, 2, 0, 0]], dtype=np.int64),
+              np.array([[1, 5, 0, 0, 0]], dtype=np.int64)]
+    _assert_oracle_answers(blocks, 5, [CYCLE5])
+    monkeypatch.setattr(fastrank, "nullspace_int", refuse)
+    monkeypatch.setattr(fastrank, "rref_int", refuse)
+    source = CountingSource(blocks)
+    assert certified_nullspace(5, source, [CYCLE5]) == (5, nullspace(Matrix.identity(5)))
+    assert certified_rowspace(5, CountingSource(blocks), [CYCLE5])[0] == 5
+    assert source.pulls == [2] and source.closed == [True]
+
+
+def test_translate_blocks_are_no_larger_than_the_source_blocks(monkeypatch):
+    import nonassoc.fastrank as fastrank
+
+    sizes = []
+    translate = fastrank._System._translate
+
+    def spy(self, span):
+        block = translate(self, span)
+        sizes.append(len(block))
+        return block
+
+    monkeypatch.setattr(fastrank._System, "_translate", spy)
+    # the dihedral group of the hexagon, from a rotation and a reflection
+    symmetries = [np.array([1, 2, 3, 4, 5, 0]), np.array([5, 4, 3, 2, 1, 0])]
+    blocks = [np.array([[1, -1, 0, 0, 0, 0], [2, -2, 0, 0, 0, 0]], dtype=np.int64),
+              np.array([[0, 1, 0, -1, 0, 0], [1, 0, -1, 0, 0, 0]], dtype=np.int64)]
+    _assert_oracle_answers(blocks, 6, symmetries)
+    assert sizes and max(sizes) <= 2

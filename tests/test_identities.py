@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from nonassoc.algebras import change_of_basis, multiply
 from nonassoc.catalog import catalog, sab_bar
+from nonassoc.claims import load_claims
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
@@ -25,6 +26,7 @@ from nonassoc.identities import (
     _parallel_blocks,
     _shape_key,
     _shape_tables,
+    _sorted_tuples,
     _ValueTables,
     combination_in_span,
     evaluate_combination_table,
@@ -263,17 +265,61 @@ def test_evaluation_blocks_hold_the_monomial_values_at_their_tuples():
     for shape_indices in [(1, 0), (1,)]:
         build, cols = _evaluation_block_builder(a, n, shape_indices)
         assert cols == len(shape_indices) * len(perms)
-        for v0, v1 in [(0, 5), (200, 233), (448, 460)]:
-            block = build((v0, v1)).reshape(a.dim, v1 - v0, cols)
+        for idx in [np.arange(0, 5), np.arange(200, 233), np.arange(448, 460),
+                    _sorted_tuples(a.dim, n), np.array([511, 7, 300, 7, 0])]:
+            block = build(idx).reshape(a.dim, len(idx), cols)
             assert block.any()
-            for v in range(v0, v1):
+            for j, v in enumerate(idx):
                 args = tuple(int(x) + 1 for x in np.unravel_index(v, (a.dim,) * n))
                 for ci, si in enumerate(shape_indices):
                     for r, perm in enumerate(perms):
                         m = MultilinearMonomial(shapes(n)[si], perm)
                         want = evaluate_monomial(a, m, args)
-                        got = block[:, v - v0, ci * len(perms) + r]
+                        got = block[:, j, ci * len(perms) + r]
                         assert [Fraction(int(x), scale) for x in got] == want
+
+
+def _all_tuple_space(a, n, shape_indices):
+    """(dimension, basis) of the identities on the listed shapes from the
+    rows at all d^n tuples, with no symmetries: the oracle for the
+    library's sorted-tuple stream."""
+    build, cols = _evaluation_block_builder(a, n, shape_indices)
+    block = max(16, (1 << 19) // cols)
+    tuples = np.arange(a.dim**n)
+    _rank, null = certified_nullspace(
+        cols, lambda: (build(tuples[i:i + block]) for i in range(0, len(tuples), block)))
+    nf = factorial(n)
+    combos = []
+    for row in null.rows:
+        coeffs = [Fraction(0)] * monomial_count(n)
+        for ci, si in enumerate(shape_indices):
+            for r in range(nf):
+                coeffs[si * nf + r] = row[ci * nf + r]
+        combos.append(IdentityCombination(n, coeffs))
+    return null.rank, combos
+
+
+@pytest.mark.parametrize("shape", range(1, 15))
+def test_sorted_tuples_agree_with_all_tuples_on_the_big_degree_five_shapes(shape):
+    a = catalog("W2(big)")
+    assert shape_identity_space(a, 5, shape) == _all_tuple_space(a, 5, (shape - 1,))
+
+
+REGISTRY_IDENTITY_ALGEBRAS = sorted({
+    rec[k] for rec in load_claims() if rec["scope"] == "identities"
+    for k in ("algebra", "left", "right") if k in rec})
+
+
+@pytest.mark.parametrize("name", REGISTRY_IDENTITY_ALGEBRAS)
+def test_sorted_tuples_agree_with_all_tuples_on_the_registry_algebras(name):
+    a = catalog(name)
+    for n in (3, 4):
+        assert identity_space(a, n) == _all_tuple_space(a, n, range(len(shapes(n))))
+
+
+def test_sorted_tuples_agree_with_all_tuples_at_full_degree_five():
+    a = catalog("E2")
+    assert identity_space(a, 5) == _all_tuple_space(a, 5, range(14))
 
 
 def test_weights_beyond_int64_are_evaluated_exactly():
