@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .algebras import Algebra, BilinearMap
-from .fastrank import _INT64_LIMIT, certified_rowspace
+from .fastrank import _INT64_LIMIT, _abs_max, certified_rowspace
 from .identities import evaluate_combination_table, first_violation, satisfies_identity
 from .monomials import IdentityCombination
 
@@ -189,7 +189,7 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
                 ai, bi = divmod(j, d)
                 w[ai][bi][p] = val * scale
     witness = BilinearMap(d, w)
-    defect = witness_defect(a, witness)
+    defect = _witness_defect(witness, g, den, r_table, rden)
     if defect is not None:
         raise AssertionError("computed witness fails verification at %r" % (defect,))
     return ConservativeWitness(witness, d * d * (d - g_rank))
@@ -204,31 +204,39 @@ def witness_defect(a: Algebra, f: BilinearMap):
 
     Returns None when F works, else the first failing (a, b, x, y, l)
     1-based, l being the coordinate where the two sides differ. The check
-    is exact: both sides are cleared to integers and compared.
+    is exact: both sides are cleared to integers and compared, in int64
+    when max|R| fden den^2 + d max|F| max|G| rden < 2^62 (R the cleared
+    commutator table over rden, G the cleared tensor of _g_tensor over
+    den^2, F the witness cleared by fden), in Python integers otherwise.
     """
     d = a.dim
     if f.dim != d:
         raise ValueError("witness dimension %d != algebra dimension %d" % (f.dim, d))
     if d == 0:
         return None
-    fden = 1
-    for plane in f.c:
-        for row in plane:
-            for x in row:
-                fden = lcm(fden, x.denominator)
-    fint = np.array(
-        [[[int(x * fden) for x in row] for row in plane] for plane in f.c],
-        dtype=object,
-    )
     g, den = _g_tensor(a)
     r_table, rden = evaluate_combination_table(a, commutator_expansion())
-    lhs = np.asarray(r_table, dtype=object).reshape(d, d, d, d, d)
-    fg = np.einsum("abk,kxyl->abxyl", fint, np.asarray(g, dtype=object))
-    diff = lhs * (fden * den * den) - fg * rden
-    hits = np.nonzero(diff)
-    if not len(hits[0]):
+    return _witness_defect(f, g, den, r_table, rden)
+
+
+def _witness_defect(f: BilinearMap, g, den: int, r_table, rden: int):
+    """witness_defect, given the algebra's _g_tensor and commutator table."""
+    d = f.dim
+    fden = lcm(*(x.denominator for plane in f.c for row in plane for x in row))
+    fint = np.array(
+        [[x.numerator * (fden // x.denominator) for x in row] for plane in f.c for row in plane],
+        dtype=object,
+    )  # (a, b) x k
+    g = np.asarray(g).reshape(d, d**3)  # k x (x, y, l)
+    lhs = np.asarray(r_table).reshape(d * d, d**3)
+    bound = _abs_max(lhs) * fden * den * den + d * _abs_max(fint) * _abs_max(g) * rden
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    fg = fint.astype(dtype) @ g.astype(dtype)
+    diff = lhs.astype(dtype) * (fden * den * den) - fg * rden
+    hits = np.flatnonzero(diff)
+    if not hits.size:
         return None
-    return tuple(int(h[0]) + 1 for h in hits)
+    return tuple(int(h) + 1 for h in np.unravel_index(hits[0], (d,) * 5))
 
 
 def verify_witness(a: Algebra, f: BilinearMap) -> bool:

@@ -38,11 +38,15 @@ three stages:
    any exact elimination. Otherwise the next prime joins. RREF entries
    are ratios of minors over one common minor, so once M > 2 H^2, H the
    Hadamard bound of the rows, the lift is right and a failure raises.
-   The pivot P_i of each row R_i is its last nonzero column in the
-   original order, so each free column f gives the null vector e_f -
-   sum_i R[i][f] e_{P_i}: 1 at f and zero at every other free column.
-   These vectors already are the canonical RREF of the candidate
-   nullspace; no second elimination is needed.
+   rref_int hands on the lift as it is, the RREF being num / den with num
+   an int64 (or object) array. The pivot P_i of each row R_i is its last
+   nonzero column in the original order, so each free column f gives the
+   null vector e_f - sum_i R[i][f] e_{P_i}: 1 at f and zero at every
+   other free column. These vectors already are the canonical RREF of the
+   candidate nullspace; no second elimination is needed. nullspace_int
+   builds them as one integer array (den at f, -num at the pivots,
+   divided by the row's gcd) for certification, and makes Fractions only
+   at the boundary: at the nonzero entries of the basis it returns.
 
 3. Certification. Each row is multiplied against the candidate nullspace
    exactly (float64 BLAS when a proven bound keeps every partial sum below
@@ -52,8 +56,12 @@ three stages:
    the loop terminates; at rank cols the stream is closed.
    - In-stream: from the block that accepted nothing on, blocks skip the
      filter and are certified against the candidate as they arrive.
-   - Final pass: only the leading blocks that the filter alone has seen
-     are streamed again, and the stream is closed after them.
+   - In place: if the stream ends while every block has accepted rows,
+     the last block is still held; it is certified against the first
+     candidate where it is, and the translates of its violators follow.
+   - Final pass: only the leading blocks that the filter alone has seen,
+     the held block excepted, are streamed again, and the stream is
+     closed after them.
    Adding rows only shrinks the candidate kernel, so a row that
    annihilates an earlier candidate annihilates every later one: when no
    row violates the final candidate, every row of the system has been
@@ -89,8 +97,8 @@ pivot columns, every accumulated dot product stays below 2^13 * (p-1)^2 < 2^53.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import isqrt, lcm
+from itertools import chain, islice
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -159,8 +167,9 @@ def _lift(res: np.ndarray, mod: int):
 
 
 def rref_int(rows, cols: int):
-    """(pivot_cols, RREF rows as Fraction tuples) of an integer matrix, from
-    its RREF modulo one prime at a time (stage 2 of the module docstring)."""
+    """(pivot_cols, num, den) of an integer matrix, its RREF being num / den
+    with num an int64 or object array, from its RREF modulo one prime at a
+    time (stage 2 of the module docstring)."""
     a = _int_array(rows, cols)
     amax = _abs_max(a)
     bits = len(a) * (cols * amax * amax).bit_length()  # 2^bits >= H^2
@@ -182,7 +191,7 @@ def rref_int(rows, cols: int):
         if den:
             want = a * den if den * amax < _INT64_LIMIT else a.astype(object) * den
             if np.array_equal(_exact_products(a[:, best[1]], num.T), want):
-                return tuple(best[1]), [tuple(Fraction(v, den) for v in r) for r in num.tolist()]
+                return tuple(best[1]), num, den
         if mod.bit_length() > bits + 1:  # M > 2 H^2: a kept prime is lucky
             raise AssertionError("no verified RREF at a %d-bit modulus" % mod.bit_length())
 
@@ -190,33 +199,33 @@ def rref_int(rows, cols: int):
 def nullspace_int(rows, cols: int):
     """(rank, canonical nullspace basis, primitive integer basis rows).
 
-    The third element carries the same basis rows scaled to primitive
-    integer vectors, for exact certification products. Clearing the
-    denominators of an RREF row (leading entry 1) leaves it primitive.
+    The third element is the same basis as one array of primitive integer
+    rows, for exact certification products: den at the free column, -num
+    at the pivots, divided by the row's gcd. Each basis row is that row
+    over its (positive) entry at the free column, so Fractions are made
+    only at its nonzero pivot entries.
     """
-    rev_pivots, rref = rref_int([row[::-1] for row in rows], cols)
+    rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols)
     pivots = [cols - 1 - p for p in rev_pivots]
     pivset = set(pivots)
     free = [f for f in range(cols) if f not in pivset]
+    prim = np.zeros((len(free), cols), dtype=num.dtype)
+    prim[np.arange(len(free)), free] = den
+    prim[:, pivots] = -num[:, [cols - 1 - f for f in free]].T
+    prim //= np.gcd.reduce(prim, axis=1, keepdims=True)
+    if prim.dtype == object:
+        prim = _int_array(prim, cols)
     zero, one = Fraction(0), Fraction(1)
-    null_rows, prim = [], []
-    for f in free:
-        v = [zero] * cols
-        v[f] = one
-        entries = []
-        for pc, row in zip(pivots, rref):
-            x = row[cols - 1 - f]
-            if x:
-                v[pc] = -x
-                entries.append((pc, x))
-        den = lcm(*(x.denominator for _, x in entries))
-        w = [0] * cols
-        w[f] = den
-        for pc, x in entries:
-            w[pc] = -x.numerator * (den // x.denominator)
-        null_rows.append(v)
-        prim.append(w)
-    return len(pivots), RowEchelonBasis(cols, null_rows, free), prim
+    null_rows = [[zero] * cols for _ in free]
+    for row, f in zip(null_rows, free):
+        row[f] = one
+    at_free = prim[np.arange(len(free)), free].tolist()
+    at_pivots = prim[:, pivots]
+    ii, jj = np.nonzero(at_pivots)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), at_pivots[ii, jj].tolist()):
+        null_rows[i][pivots[j]] = Fraction(x, at_free[i])
+    basis = RowEchelonBasis._from_fractions(cols, [tuple(r) for r in null_rows], free)
+    return len(pivots), basis, prim
 
 
 def _residues(rows: np.ndarray, p: int = PRIME) -> np.ndarray:
@@ -343,7 +352,7 @@ def _candidate(accepted: list[list[int]], cols: int, prev_rank: int) -> _Candida
     rank, basis, prim = nullspace_int(accepted, cols)
     if rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
-    return _Candidate(rank, basis, _int_array(prim, cols))
+    return _Candidate(rank, basis, prim)
 
 
 def _violating_rows(block: np.ndarray, cand: _Candidate) -> np.ndarray:
@@ -431,8 +440,10 @@ def _certify(cols: int, block_source, symmetries=()):
     system on return. Blocks go through the filter until one accepts no
     row; from that block on, each block is certified exactly against the
     candidate as it arrives, and a final pass re-streams only the blocks
-    before it. With symmetries, translates of the accepted rows follow
-    the source's blocks through the same loop.
+    before it. If the stream ends in the filter, its last block, still
+    held, is certified in place and only the blocks before it are
+    streamed again. With symmetries, translates of the accepted rows
+    follow the source's blocks through the same loop.
     """
     filt = ModularFilter(cols)
     accepted: list[list[int]] = []
@@ -457,18 +468,26 @@ def _certify(cols: int, block_source, symmetries=()):
                 return cols, cand.basis, accepted
     finally:
         blocks.close()  # a generator source cancels the builds still queued
+    pending = ()  # blocks to certify as they come
     if cand is None:  # every block accepted rows
         cand = _candidate(accepted, cols, -1)
-    while len(cand.prim) and filtered:  # re-stream the blocks only the filter has seen
+        if filtered:  # the last one is still held: certify it in place
+            filtered -= 1
+            pending = chain([block], system.translates())
+    while True:
+        for block in pending:
+            cand = _absorb(block, cand, accepted, cols)
+            if cand.rank == cols:
+                return cols, cand.basis, accepted
+        if not filtered:
+            break
+        # re-stream the blocks only the filter has seen
         violators = _find_violators(system.replay, cand, filtered)
         if not violators:
             break
         accepted.extend(violators)
         cand = _candidate(accepted, cols, cand.rank)
-        for block in system.translates():  # of the violators, certified as they come
-            cand = _absorb(block, cand, accepted, cols)
-            if cand.rank == cols:
-                return cols, cand.basis, accepted
+        pending = system.translates()  # of the violators
     return cand.rank, cand.basis, accepted
 
 
@@ -521,5 +540,7 @@ def certified_rowspace(cols: int, block_source, symmetries=()):
     if rank == cols:
         identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
         return rank, RowEchelonBasis(cols, identity, range(cols))
-    pivots, rref = rref_int(accepted, cols)
-    return rank, RowEchelonBasis(cols, rref, pivots)
+    pivots, num, den = rref_int(accepted, cols)
+    zero = Fraction(0)
+    rows = [tuple(Fraction(v, den) if v else zero for v in r) for r in num.tolist()]
+    return rank, RowEchelonBasis._from_fractions(cols, rows, pivots)

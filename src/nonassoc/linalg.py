@@ -126,6 +126,14 @@ class RowEchelonBasis:
             if len(r) != cols:
                 raise ValueError("row length mismatch")
 
+    @classmethod
+    def _from_fractions(cls, cols: int, rows: list, pivot_cols) -> "RowEchelonBasis":
+        """Unchecked constructor for the package's own results: rows is
+        already a list of tuples of `cols` Fractions, one per pivot."""
+        b = cls.__new__(cls)
+        b.cols, b.rows, b.pivot_cols = cols, rows, tuple(pivot_cols)
+        return b
+
     @property
     def rank(self) -> int:
         return len(self.rows)

@@ -1,15 +1,21 @@
+import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 from nonassoc.algebras import (
     Algebra,
     BilinearMap,
     bracket,
+    change_of_basis,
     left_mul_operator,
 )
 from nonassoc.catalog import catalog, catalog_names, sab_bar
+from nonassoc.claims import load_claims
 from nonassoc.conservative import (
+    _g_tensor,
     commutator_expansion,
     conservative_solve,
     first_terminal_violation,
@@ -20,6 +26,7 @@ from nonassoc.conservative import (
     verify_witness,
     witness_defect,
 )
+from nonassoc.identities import evaluate_combination_table
 
 # e1 e1 = -e2, e1 e2 = e1 - 2 e2, e2 e1 = -2 e1 + 2 e2, e2 e2 = -2 e1;
 # found by random search, kept fixed as a known negative
@@ -163,3 +170,65 @@ def test_degenerate_dimensions():
     # with a zero product every F works
     wit = conservative_solve(null_line)
     assert wit is not None and wit.freedom == 1
+
+
+def _object_defect(a, f):
+    """witness_defect as one object-dtype einsum: the independent check."""
+    d = a.dim
+    g, den = _g_tensor(a)
+    r_table, rden = evaluate_combination_table(a, commutator_expansion())
+    fden = lcm(*(x.denominator for plane in f.c for row in plane for x in row))
+    fint = np.array([[[int(x * fden) for x in row] for row in plane] for plane in f.c],
+                    dtype=object)
+    lhs = np.asarray(r_table, dtype=object).reshape(d, d, d, d, d)
+    fg = np.einsum("abk,kxyl->abxyl", fint, np.asarray(g, dtype=object))
+    hits = np.nonzero(lhs * (fden * den * den) - fg * rden)
+    return tuple(int(h[0]) + 1 for h in hits) if len(hits[0]) else None
+
+
+def _perturbed(f, i, j, k, delta):
+    c = [[list(row) for row in plane] for plane in f.c]
+    c[i][j][k] += delta
+    return BilinearMap(f.dim, c)
+
+
+def _assert_defects_agree(a, rng, failures=2):
+    """Perturb single entries of the solved witness until `failures` of
+    them break it (a change along the solution space does not); both
+    checks must agree on every one."""
+    wit = conservative_solve(a)
+    assert wit is not None
+    assert witness_defect(a, wit.F) is None and _object_defect(a, wit.F) is None
+    d = a.dim
+    failed = 0
+    for _ in range(40):
+        i, j, k = (rng.randrange(d) for _ in range(3))
+        f = _perturbed(wit.F, i, j, k, Fraction(rng.choice([-1, 1]), rng.randint(1, 7)))
+        want = _object_defect(a, f)
+        assert witness_defect(a, f) == want
+        if want is not None:
+            assert want[:2] == (i + 1, j + 1)  # only F(e_i, e_j) changed
+            failed += 1
+            if failed == failures:
+                return
+    raise AssertionError("too few perturbations broke the witness")
+
+
+_CONSERVATIVE_CLAIMS = sorted(r["algebra"] for r in load_claims() if r["kind"] == "conservative")
+
+
+@pytest.mark.parametrize("name", _CONSERVATIVE_CLAIMS)
+def test_perturbed_witness_fails_at_the_object_checks_first_tuple(name):
+    _assert_defects_agree(catalog(name), random.Random(name))
+
+
+def test_witness_check_past_the_int64_bound_agrees():
+    # scaling the basis by s scales every structure constant by s, the
+    # commutator table by s^3 and G by s^2: the table alone passes the
+    # int64 bound, so the check runs on Python integers
+    s = 2**21
+    a = catalog("S2")
+    big = change_of_basis(a, [[s * (i == j) for i in range(a.dim)] for j in range(a.dim)])
+    r_table, _ = evaluate_combination_table(big, commutator_expansion())
+    assert max(abs(int(v)) for v in np.asarray(r_table).ravel()) >= 2**62
+    _assert_defects_agree(big, random.Random(7), failures=4)

@@ -3,6 +3,7 @@ import threading
 import time
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nonassoc.fastrank import (
     certified_nullspace,
     certified_rank,
     certified_rowspace,
+    nullspace_int,
     rref_int,
 )
 from nonassoc.identities import _parallel_blocks
@@ -73,7 +75,9 @@ def test_prime_is_prime_and_small_enough():
 ])
 def test_rref_int_matches_the_fraction_oracle(rows):
     oracle = rref(Matrix.from_rows(rows))
-    assert rref_int(rows, len(rows[0])) == (oracle.pivot_cols, oracle.rows)
+    pivots, num, den = rref_int(rows, len(rows[0]))
+    got = [tuple(Fraction(v, den) for v in row) for row in num.tolist()]
+    assert (pivots, got) == (oracle.pivot_cols, oracle.rows)
 
 
 def test_certified_rank_random_matrices():
@@ -145,8 +149,11 @@ def test_block_partition_irrelevant():
         assert certified_rank(6, _blocks_of(arr, step)) == want
 
 
+SIZES = ("small", "above_2_31", "above_2_63", "object")
+
+
 @st.composite
-def adversarial_systems(draw):
+def adversarial_systems(draw, sizes=SIZES):
     """(integer rows, cols, block size) built to trip the modular filter and
     the int64 product bound: rows that vanish mod PRIME, rows that agree
     with another row mod PRIME, scaled unit rows (full rank over Q, zero
@@ -165,7 +172,7 @@ def adversarial_systems(draw):
     if draw(st.booleans()):
         rows += [[PRIME * (j == i) for j in range(cols)] for i in range(cols)]
     dtype = np.int64
-    size = draw(st.sampled_from(["small", "above_2_31", "above_2_63", "object"]))
+    size = draw(st.sampled_from(sizes))
     if size != "small":
         big = draw(st.integers(0, len(rows) - 1))
         if size == "above_2_63":
@@ -191,6 +198,21 @@ def test_certified_rank_agrees_with_fraction_oracle(system):
     assert certified_rank(cols, source, symmetries) == oracle_rows.rank
     assert certified_nullspace(cols, source, symmetries) == (oracle_rows.rank, oracle_null)
     assert certified_rowspace(cols, source, symmetries) == (oracle_rows.rank, oracle_rows)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nullspace_int_rows_are_the_basis_rows_made_primitive(size, data):
+    arr, cols, _step, _symmetries = data.draw(adversarial_systems([size]))
+    m = Matrix.from_rows(arr.tolist())
+    rank, basis, prim = nullspace_int(arr.tolist(), cols)
+    assert (rank, basis) == (rref(m).rank, nullspace(m))
+    assert prim.shape == (len(basis.rows), cols)
+    for f, row, w in zip(basis.pivot_cols, basis.rows, prim.tolist()):
+        assert gcd(*w) == 1 and w[f] > 0  # f, the pivot, is the free column
+        scale = lcm(*(x.denominator for x in row))
+        assert w == [x * scale for x in row]
 
 
 def test_full_rank_and_one_column_systems():
@@ -447,6 +469,42 @@ def test_full_rank_needs_no_exact_elimination(monkeypatch):
         source = CountingSource(blocks)
         assert certified_rowspace(5, source) == (5, oracle_rows)
         assert len(source.pulls) == 1 and source.closed == [True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_systems())
+def test_a_one_block_system_is_streamed_once(system):
+    arr, cols, _step, _symmetries = system
+    m = Matrix.from_rows(arr.tolist())
+    oracle_rows, oracle_null = rref(m), nullspace(m)
+    sources = [CountingSource([arr]) for _ in range(3)]
+    assert certified_rank(cols, sources[0]) == oracle_rows.rank
+    assert certified_nullspace(cols, sources[1]) == (oracle_rows.rank, oracle_null)
+    assert certified_rowspace(cols, sources[2]) == (oracle_rows.rank, oracle_rows)
+    # the block the stream ends on is certified while it is still held
+    assert all(s.pulls == [1] and s.closed == [True] for s in sources)
+
+
+@pytest.mark.parametrize("rows, pulls", [
+    ([[[1, 0, 0], [0, 0, PRIME]]], [1]),
+    ([[[1, 0, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, PRIME]]], [2, 1]),
+])
+def test_a_row_zero_mod_p_in_the_last_filtered_block_is_caught_in_place(rows, pulls):
+    # every block accepts a row, so the stream ends in the filter; the
+    # PRIME row, independent over Q only, is in the block it ends on, which
+    # the final pass does not stream again
+    blocks = [np.array(block, dtype=np.int64) for block in rows]
+    source = _assert_oracle_answers(blocks, len(rows[0][0]))
+    assert source.pulls == pulls and all(source.closed)
+
+
+def test_a_violator_in_the_last_translate_block_is_caught():
+    # x[g] = (1 + p, 1, 0) is x mod PRIME: the translate block accepts
+    # nothing and is certified as it comes, and its violator reaches full
+    # rank, so it is the last block streamed
+    blocks = [np.array([[1, 1 + PRIME, 0]], dtype=np.int64), np.array([[0, 0, 1]], dtype=np.int64)]
+    source = _assert_oracle_answers(blocks, 3, [np.array([1, 0, 2])])
+    assert source.pulls == [2] and source.closed == [True]
 
 
 CYCLE5 = np.array([1, 2, 3, 4, 0])  # x[CYCLE5] shifts the entries left
