@@ -37,6 +37,16 @@ class BilinearMap:
         self._hash = hash((dim, self.c))
 
     @classmethod
+    def _from_fractions(cls, dim: int, c) -> "BilinearMap":
+        """Unchecked constructor for the package's own results: c is
+        already a dim x dim x dim nesting of sequences of Fractions."""
+        b = cls.__new__(cls)
+        b.dim = dim
+        b.c = tuple(tuple(map(tuple, plane)) for plane in c)
+        b._hash = hash((dim, b.c))
+        return b
+
+    @classmethod
     def zero(cls, dim: int) -> "BilinearMap":
         z = Fraction(0)
         return cls(dim, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
@@ -186,7 +196,7 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
                     for k in range(n):
                         third[k] += cj * row[k]
             out[i][j] = [first[k] - second[k] - third[k] for k in range(n)]
-    return BilinearMap(n, out)
+    return BilinearMap._from_fractions(n, out)
 
 
 class Subspace:
@@ -276,7 +286,7 @@ def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     for i in range(m):
         for j in range(m):
             c[i][j] = _coords_in_rref(s.basis, multiply(a, vecs[i], vecs[j]))
-    return Algebra(name or (a.name + "|sub"), m, c)
+    return Algebra(name or (a.name + "|sub"), m, BilinearMap._from_fractions(m, c))
 
 
 def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> Algebra:
@@ -301,7 +311,7 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
         for j in range(n):
             prod = multiply(a, columns[i], columns[j])
             c[i][j] = inv.mul_vec(prod)
-    return Algebra(name or (a.name + "|chg"), n, c)
+    return Algebra(name or (a.name + "|chg"), n, BilinearMap._from_fractions(n, c))
 
 
 def derivation_algebra(a: Algebra):

@@ -36,6 +36,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -85,8 +86,14 @@ def identity_names() -> tuple:
     return tuple(st + ["terminal"] + tails)
 
 
+@lru_cache(maxsize=None)
 def named_identity(name: str) -> IdentityCombination:
-    """Look up one of the built-in identities by name."""
+    """Look up one of the built-in identities by name.
+
+    Each name is built once per process, so every claim on it shares one
+    combination, and the evaluation plan identities keeps on it. Unknown
+    names raise each time and are not cached.
+    """
     m = _ST_RE.match(name)
     if m:
         return st_identity(int(m.group(1)), int(m.group(2)))
@@ -142,6 +149,17 @@ def _algebra(name: str) -> Algebra:
     return catalog(name)
 
 
+class _Algebras(dict):
+    """Claim algebra name -> algebra, each resolved through _algebra on its
+    first lookup and then kept. run_claims shares one among its claims,
+    run_claim alone uses a fresh one. A name that fails to resolve is not
+    kept, so it fails every claim that names it, and only those."""
+
+    def __missing__(self, name: str) -> Algebra:
+        a = self[name] = _algebra(name)
+        return a
+
+
 def _witness_map(dim: int, products) -> BilinearMap:
     table = {}
     for row in products:
@@ -170,14 +188,14 @@ def claim_scopes() -> tuple:
     return tuple(sorted({r["scope"] for r in load_claims()}))
 
 
-def _run_der_dim(rec):
-    got, _ = derivation_algebra(_algebra(rec["algebra"]))
+def _run_der_dim(rec, algebras):
+    got, _ = derivation_algebra(algebras[rec["algebra"]])
     return str(rec["expected"]), str(got), got == rec["expected"]
 
 
-def _run_contraction(rec):
-    source = _algebra(rec["source"])
-    target = _algebra(rec["target"])
+def _run_contraction(rec, algebras):
+    source = algebras[rec["source"]]
+    target = algebras[rec["target"]]
     got = iw_contract(source, rec["scale"])
     bad = compare_tables(got, target)
     computed = "table matches" if not bad else "%d entries differ, first %s" % (
@@ -185,47 +203,47 @@ def _run_contraction(rec):
     return "limit is %s" % rec["target"], computed, not bad
 
 
-def _run_terminal(rec):
-    got = is_terminal(_algebra(rec["algebra"]))
+def _run_terminal(rec, algebras):
+    got = is_terminal(algebras[rec["algebra"]])
     return str(rec["expected"]), str(got), got == rec["expected"]
 
 
-def _run_conservative(rec):
-    w = conservative_solve(_algebra(rec["algebra"]))
+def _run_conservative(rec, algebras):
+    w = conservative_solve(algebras[rec["algebra"]])
     got = w is not None
     computed = "conservative (freedom %d)" % w.freedom if got else "not conservative"
     return str(rec["expected"]), computed, got == rec["expected"]
 
 
-def _run_witness(rec):
-    a = _algebra(rec["algebra"])
+def _run_witness(rec, algebras):
+    a = algebras[rec["algebra"]]
     f = _witness_map(a.dim, rec["products"])
     ok = verify_witness(a, f)
     return "F solves the system", "verified" if ok else "defect found", ok
 
 
-def _run_ideal(rec):
-    a = _algebra(rec["algebra"])
+def _run_ideal(rec, algebras):
+    a = algebras[rec["algebra"]]
     s = Subspace.span_of_basis_indices(a.dim, rec["span"])
     ok = is_ideal(a, s) and 0 < s.dim < a.dim
     computed = "proper ideal of dim %d" % s.dim if ok else "not a proper ideal"
     return "proper ideal of dim %d" % len(rec["span"]), computed, ok
 
 
-def _run_identity_dim(rec):
-    dim, _ = identity_space(_algebra(rec["algebra"]), rec["degree"])
+def _run_identity_dim(rec, algebras):
+    dim, _ = identity_space(algebras[rec["algebra"]], rec["degree"])
     return str(rec["expected"]), str(dim), dim == rec["expected"]
 
 
-def _run_spaces_equal(rec):
-    _, left = identity_space(_algebra(rec["left"]), rec["degree"])
-    _, right = identity_space(_algebra(rec["right"]), rec["degree"])
+def _run_spaces_equal(rec, algebras):
+    _, left = identity_space(algebras[rec["left"]], rec["degree"])
+    _, right = identity_space(algebras[rec["right"]], rec["degree"])
     ok = spaces_equal(left, right)
     return "equal spaces", "equal" if ok else "different", ok
 
 
-def _run_satisfies(rec):
-    got = satisfies_identity(_algebra(rec["algebra"]), resolve_identity(rec["identity"]))
+def _run_satisfies(rec, algebras):
+    got = satisfies_identity(algebras[rec["algebra"]], resolve_identity(rec["identity"]))
     return str(rec["expected"]), str(got), got == rec["expected"]
 
 
@@ -236,8 +254,8 @@ def _basis_check(given, dim, basis):
     return ("dim %d, spans match" if ok else "dim %d, spans differ") % dim, ok
 
 
-def _run_identity_basis(rec):
-    a = _algebra(rec["algebra"])
+def _run_identity_basis(rec, algebras):
+    a = algebras[rec["algebra"]]
     given = [resolve_identity(s) for s in rec["identities"]]
     dim, basis = identity_space(a, rec["degree"])
     expected = "basis of %d identities" % len(rec["identities"])
@@ -245,13 +263,13 @@ def _run_identity_basis(rec):
     return expected, computed, ok
 
 
-def _run_shape_dim(rec):
-    dim, _ = shape_identity_space(_algebra(rec["algebra"]), rec["degree"], rec["shape"])
+def _run_shape_dim(rec, algebras):
+    dim, _ = shape_identity_space(algebras[rec["algebra"]], rec["degree"], rec["shape"])
     return str(rec["expected"]), str(dim), dim == rec["expected"]
 
 
-def _run_shape_basis(rec):
-    a = _algebra(rec["algebra"])
+def _run_shape_basis(rec, algebras):
+    a = algebras[rec["algebra"]]
     given = [resolve_identity(s) for s in rec["identities"]]
     dim, basis = shape_identity_space(a, rec["degree"], rec["shape"])
     expected = "basis of %d identities" % len(rec["identities"])
@@ -259,7 +277,7 @@ def _run_shape_basis(rec):
     return expected, computed, ok
 
 
-def _run_combo_equals(rec):
+def _run_combo_equals(rec, algebras):
     combo = resolve_identity({"combo": rec["combo"]})
     target = resolve_identity(rec["equals"])
     ok = combo.degree == target.degree and combo.coeffs == target.coeffs
@@ -267,19 +285,19 @@ def _run_combo_equals(rec):
     return expected, "equal" if ok else "different", ok
 
 
-def _run_b2_dim(rec):
-    dim, _ = coborder_space(_algebra(rec["algebra"]))
+def _run_b2_dim(rec, algebras):
+    dim, _ = coborder_space(algebras[rec["algebra"]])
     return str(rec["expected"]), str(dim), dim == rec["expected"]
 
 
-def _run_z2_dim(rec):
-    a = _algebra(rec["algebra"])
+def _run_z2_dim(rec, algebras):
+    a = algebras[rec["algebra"]]
     dim, _ = cocycle_space(a, resolve_identity(rec["identity"]))
     return str(rec["expected"]), str(dim), dim == rec["expected"]
 
 
-def _run_z2_undefined(rec):
-    a = _algebra(rec["algebra"])
+def _run_z2_undefined(rec, algebras):
+    a = algebras[rec["algebra"]]
     try:
         dim, _ = cocycle_space(a, resolve_identity(rec["identity"]))
     except ValueError as exc:
@@ -288,8 +306,8 @@ def _run_z2_undefined(rec):
     return "identity fails on the base", "cocycle space of dim %d" % dim, False
 
 
-def _run_h2_report(rec):
-    a = _algebra(rec["algebra"])
+def _run_h2_report(rec, algebras):
+    a = algebras[rec["algebra"]]
     rep = cohomology(a, resolve_identity(rec["identity"]))
     parts = ["Z2=%d" % rep.z2_dim]
     if rep.coborders_contained:
@@ -329,9 +347,13 @@ _RUNNERS = {
 
 
 def run_claim(rec: dict) -> ClaimResult:
+    return _run_claim(rec, _Algebras())
+
+
+def _run_claim(rec: dict, algebras: _Algebras) -> ClaimResult:
     start = time.monotonic()
     try:
-        expected, computed, ok = _RUNNERS[rec["kind"]](rec)
+        expected, computed, ok = _RUNNERS[rec["kind"]](rec, algebras)
     except Exception as exc:
         expected, computed, ok = "no error", "error: %s" % exc, False
     return ClaimResult(
@@ -350,7 +372,8 @@ def run_claims(scope: Optional[str] = None,
     """Evaluate every claim (or one scope) and return the results.
 
     Results come back sorted by claim id.  ``progress`` is called with each
-    result as soon as it is known, for streaming output.
+    result as soon as it is known, for streaming output.  Each algebra
+    name is resolved once per call, on the first claim that names it.
     """
     records = load_claims()
     if scope is not None:
@@ -358,9 +381,10 @@ def run_claims(scope: Optional[str] = None,
         if not records:
             raise ValueError("unknown claim scope %r (have: %s)"
                              % (scope, ", ".join(claim_scopes())))
+    algebras = _Algebras()
     results = []
     for rec in records:
-        res = run_claim(rec)
+        res = _run_claim(rec, algebras)
         results.append(res)
         if progress is not None:
             progress(res)

@@ -111,7 +111,7 @@ def terminal_witness(a: Algebra) -> BilinearMap:
         ]
         for i in range(d)
     ]
-    return BilinearMap(d, c)
+    return BilinearMap._from_fractions(d, c)
 
 
 def _g_tensor(a: Algebra):
@@ -188,7 +188,7 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
             if val:
                 ai, bi = divmod(j, d)
                 w[ai][bi][p] = val * scale
-    witness = BilinearMap(d, w)
+    witness = BilinearMap._from_fractions(d, w)
     defect = _witness_defect(witness, g, den, r_table, rden)
     if defect is not None:
         raise AssertionError("computed witness fails verification at %r" % (defect,))

@@ -63,7 +63,7 @@ def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
         if e == 0:
             c[i - 1][j - 1][k - 1] = coef
     label = name or "%s~contracted{%s}" % (a.name, ",".join(map(str, scaled)))
-    return Algebra(label, n, BilinearMap(n, c))
+    return Algebra(label, n, BilinearMap._from_fractions(n, c))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,21 @@ is invariant under each g_i.
 This module is the one place that evaluates a combination at basis
 tuples: its values (first_violation, evaluate_combination_table) and the
 cocycle rows of its central extensions (cohomology) come from one term
-walk over the same tables.
+walk over the same tables. What that walk needs from the coefficients
+is compiled once per combination object into a plan (_Plan): whether it
+alternates, the weight denominator, the nonzero terms as (integer
+weight, shape, permutation), and for each evaluator the subtree keys and
+leaf positions of every term's factors. The plan is kept on the
+combination but is no part of its value: equality, hashing and pickling
+ignore it. Later calls only look up tables and sum bounds.
+
+Value tables hold integers, and an int64 table whose proven bound is
+below 2^53 is built with float64 matrix products (BLAS) and cast back.
+The bounds are L1 bounds of table rows, and every term and partial sum
+of both products is at most the table's bound, so each is an integer
+that float64 holds exactly, in whatever order the sums run (the
+argument is in _ValueTables). Larger int64 bounds use int64 products,
+and object tables stay object.
 
 Row blocks stream into the certified rank engine; NONASSOC_THREADS caps
 how many blocks are assembled concurrently.
@@ -142,28 +156,56 @@ def _subtree_keys(tree, out):
     return key
 
 
+# Integers of absolute value at most 2^53 are exact float64 values.
+_FLOAT_EXACT = 1 << 53
+
+
+def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndarray:
+    """(dl, dr, d) array of the products of two subtrees' values, in the
+    dtype of the arguments: entry [a, b] is (row a of tl)(row b of tr)
+    under the structure constants cflat, of shape (d, d * d). A strided
+    view; the table is its C-order reshape to (dl * dr, d)."""
+    d = cflat.shape[0]
+    dl, dr = tl.shape[0], tr.shape[0]
+    w = (tl @ cflat).reshape(dl, d, d)  # [a, q, k]
+    t = tr @ w.transpose(1, 0, 2).reshape(d, dl * d)  # [b, (a k)]
+    return t.reshape(dr, dl, d).transpose(1, 0, 2)
+
+
 class _ValueTables(dict):
     """Subtree key -> value table, each table built on its first lookup and
-    kept. Only the structure constants and each key's two children are
-    held, never a function that refers back to the mapping, so an evicted
-    entry is freed at once. Lookups that build must not run on worker
-    threads: callers resolve their tables before assembling blocks."""
+    kept. Only the structure constants, each key's two children and the
+    bounds are held, never a function that refers back to the mapping, so
+    an evicted entry is freed at once. Lookups that build must not run on
+    worker threads: callers resolve their tables before assembling blocks.
 
-    def __init__(self, cflat: np.ndarray, children: dict):
+    An int64 table whose bound is below 2^53 is computed with float64
+    (BLAS) products and cast back, exactly. bounds[key] bounds the L1 norm
+    of every row of the key's table (see _shape_tables). The first
+    product's entries sum_p tl[a, p] c[p, q, k] have terms and partial
+    sums of absolute sum at most ||tl_a||_1 * cmax; the second product's
+    entries sum_q tr[b, q] w[a, q, k] at most ||tr_b||_1 * ||tl_a||_1 *
+    cmax. Both are at most bounds[key] = d * cmax * bounds[left] *
+    bounds[right], so every product and every partial sum is an integer
+    below 2^53, which float64 holds exactly, whatever order BLAS sums in.
+    Other int64 tables use int64 products; object tables stay object.
+    """
+
+    def __init__(self, cflat: np.ndarray, children: dict, bounds: dict):
         d = cflat.shape[0]
         super().__init__(x=np.eye(d, dtype=cflat.dtype))
         self.cflat = cflat
         self.children = children
+        self.bounds = bounds
 
     def __missing__(self, key):
         lk, rk = self.children[key]
-        tl, tr = self[lk], self[rk]
-        d = self.cflat.shape[0]
-        dl, dr = tl.shape[0], tr.shape[0]
-        w = (tl @ self.cflat).reshape(dl, d, d)  # [a, q, k]
-        t = tr @ w.transpose(1, 0, 2).reshape(d, dl * d)  # [b, (a k)]
-        t = t.reshape(dr, dl, d).transpose(1, 0, 2).reshape(dl * dr, d)
-        t = np.ascontiguousarray(t)
+        factors = (self[lk], self[rk], self.cflat)
+        dtype = self.cflat.dtype
+        if dtype == np.int64 and self.bounds[key] < _FLOAT_EXACT:
+            factors = (m.astype(np.float64) for m in factors)
+        t = np.ascontiguousarray(_product_table(*factors), dtype=dtype)
+        t = t.reshape(-1, t.shape[2])
         t.setflags(write=False)
         self[key] = t
         return t
@@ -176,13 +218,16 @@ def _shape_tables(a: Algebra, n: int):
     Returns (tables, bounds, den): tables maps a subtree key to an array
     of shape (d^leaves, d) whose row at flat leaf tuple w is the product
     vector scaled by den^(leaves-1); bounds maps the key to a proven bound
-    on absolute entries. Bounds and the dtype (int64 unless a bound
-    crosses 2^62) are decided here for every subtree; a table is built
-    the first time a caller looks it up, and stays in this cached entry.
+    on the L1 norm of every row, so also on its absolute entries: a leaf's
+    rows are unit vectors, and ||xy||_1 <= d * cmax * ||x||_1 * ||y||_1
+    for cmax the largest absolute cleared structure constant. Bounds and
+    the dtype (int64 unless a bound crosses 2^62) are decided here for
+    every subtree; a table is built the first time a caller looks it up,
+    and stays in this cached entry.
     """
     d = a.dim
     carr, den = a.int_constants()
-    cmax = max(1, int(max(abs(int(v)) for p in carr for r in p for v in r)) if d else 1)
+    cmax = max(1, int(abs(carr).max())) if d else 1
 
     trees: dict = {}
     for s in shapes(n):
@@ -198,7 +243,7 @@ def _shape_tables(a: Algebra, n: int):
 
     use_object = any(b >= _INT64_LIMIT for b in bounds.values()) or carr.dtype == object
     dtype = object if use_object else np.int64
-    return _ValueTables(carr.astype(dtype).reshape(d, d * d), children), bounds, den
+    return _ValueTables(carr.astype(dtype).reshape(d, d * d), children, bounds), bounds, den
 
 
 def _shape_key(shape: BracketShape) -> str:
@@ -247,11 +292,14 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     return build, cols
 
 
+@lru_cache(maxsize=16)
 def _sorted_tuples(d: int, n: int, strict: bool = False) -> np.ndarray:
     """Flat indices, ascending, of the non-decreasing basis tuples of
     length n (strictly increasing if strict)."""
     steps = np.diff(_digit_table(d, n), axis=1)
-    return np.flatnonzero((steps > 0 if strict else steps >= 0).all(axis=1))
+    out = np.flatnonzero((steps > 0 if strict else steps >= 0).all(axis=1))
+    out.setflags(write=False)
+    return out
 
 
 def _nullspace_combinations(a: Algebra, n: int, shape_indices):
@@ -349,6 +397,55 @@ def _is_alternating(c: IdentityCombination) -> bool:
     return True
 
 
+class _Plan:
+    """What evaluating one combination needs from its coefficients, read
+    from them once (see _plan).
+
+    alternating is _is_alternating(c); wden is the lcm of the coefficient
+    denominators; terms holds (w, shape, permutation) for each nonzero
+    coefficient (shape i // n!, permutation of lexicographic rank i % n!),
+    w = coefficient * wden an integer. For each split function, splits
+    holds (keys, positions): keys[t] lists the factors split(shape,
+    permutation) of term t as (subtree key, index into positions), and
+    positions the distinct leaf position tuples, for _flat_indices.
+    """
+
+    __slots__ = ("alternating", "wden", "terms", "splits")
+
+    def __init__(self, c: IdentityCombination):
+        n = c.degree
+        nf = factorial(n)
+        degree_shapes = shapes(n)
+        perms = list(permutations(range(1, n + 1)))
+        self.alternating = _is_alternating(c)
+        self.wden = lcm(*(x.denominator for x in c.coeffs))
+        self.terms = [(int(x * self.wden), degree_shapes[i // nf], perms[i % nf])
+                      for i, x in enumerate(c.coeffs) if x]
+        self.splits = {}
+
+    def factors(self, split):
+        out = self.splits.get(split)
+        if out is None:
+            positions: dict = {}
+            keys = [[(_shape_key(sub), positions.setdefault(pos, len(positions)))
+                     for sub, pos in split(shape, perm)]
+                    for _w, shape, perm in self.terms]
+            out = self.splits[split] = (keys, list(positions))
+        return out
+
+
+def _plan(c: IdentityCombination) -> _Plan:
+    """c's evaluation plan, compiled on first use and kept on c. A
+    combination's coefficients never change, and scaled, plus and every
+    constructor make a new object, so a plan is never read for other
+    coefficients than its own."""
+    try:
+        return c._plan
+    except AttributeError:
+        c._plan = plan = _Plan(c)
+        return plan
+
+
 def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     """Flat indices, ascending, of the basis tuples to evaluate c on.
 
@@ -358,7 +455,7 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     the strictly increasing tuples decide everything: C(d, n) of them,
     none when d < n.
     """
-    if not _is_alternating(c):
+    if not _plan(c).alternating:
         return np.arange(d**c.degree)
     return _sorted_tuples(d, c.degree, strict=True)
 
@@ -366,37 +463,30 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
 def _term_factors(a: Algebra, c: IdentityCombination, split):
     """(terms, positions, dtype, denom) for evaluating c at basis tuples.
 
-    Each nonzero coefficient (shape i // n!, permutation of lexicographic
-    rank i % n!), scaled to an integer weight w, is a term; split(shape,
-    permutation) lists its factors as (subtree shape, leaf positions).
-    terms holds (w, [(value table, row of positions)]); positions lists the
-    distinct position tuples, for _flat_indices. dtype is int64 unless the
-    tables are object or sum |w| * (product of factor bounds) reaches the
-    int64 limit; denom = weight denominator * den^(n-1). Tables are looked
-    up here, on the calling thread.
+    terms holds (w, [(value table, row of positions)]) for each term of
+    c's plan, with the factors split lists; positions lists the distinct
+    position tuples, for _flat_indices. dtype is int64 unless the tables
+    are object or sum |w| * (product of factor bounds) reaches the int64
+    limit; denom = weight denominator * den^(n-1). Tables are looked up
+    here, on the calling thread.
     """
-    n = c.degree
-    tables, bounds, den = _shape_tables(a, n)
-    nf = factorial(n)
-    degree_shapes = shapes(n)
-    perms = list(permutations(range(1, n + 1)))
-    wden = lcm(*(x.denominator for x in c.coeffs))
-    positions: dict = {}
+    tables, bounds, den = _shape_tables(a, c.degree)
+    plan = _plan(c)
+    keys, positions = plan.factors(split)
     terms = []
     total_bound = 0
-    for i, x in enumerate(c.coeffs):
-        if not x:
-            continue
-        w = int(x * wden)
-        factors, bound = [], abs(w)
-        for sub, pos in split(degree_shapes[i // nf], perms[i % nf]):
-            key = _shape_key(sub)
-            factors.append((tables[key], positions.setdefault(pos, len(positions))))
+    for (w, _shape, _perm), factors in zip(plan.terms, keys):
+        bound = abs(w)
+        for key, _r in factors:
             bound *= bounds[key]
-        terms.append((w, factors))
         total_bound += bound
+        terms.append((w, [(tables[key], r) for key, r in factors]))
     use_object = tables["x"].dtype == object or total_bound >= _INT64_LIMIT
-    return terms, list(positions), object if use_object else np.int64, wden * den ** (n - 1)
+    return terms, positions, object if use_object else np.int64, plan.wden * den ** (c.degree - 1)
+
+
+def _whole(shape: BracketShape, perm: tuple):
+    return [(shape, perm)]
 
 
 def _combination_values(a: Algebra, c: IdentityCombination):
@@ -404,7 +494,7 @@ def _combination_values(a: Algebra, c: IdentityCombination):
     combination at the flat basis tuple idx[j], component k."""
     d = a.dim
     digits = _digit_table(d, c.degree)
-    terms, positions, dtype, denom = _term_factors(a, c, lambda sh, perm: [(sh, perm)])
+    terms, positions, dtype, denom = _term_factors(a, c, _whole)
 
     def values(idx):
         gathers = _flat_indices(d, positions, digits[idx])

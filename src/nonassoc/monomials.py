@@ -284,9 +284,14 @@ def monomial_index(m: MultilinearMonomial) -> int:
 
 
 class IdentityCombination:
-    """Rational coefficient vector over the canonical monomial list."""
+    """Rational coefficient vector over the canonical monomial list.
 
-    __slots__ = ("degree", "coeffs", "name")
+    _plan is a cache that identities fills on first evaluation (how to
+    evaluate these coefficients); it is not part of the value, so it stays
+    out of equality, hashing and the pickled state.
+    """
+
+    __slots__ = ("degree", "coeffs", "name", "_plan")
 
     def __init__(self, degree: int, coeffs: Sequence, name: str = ""):
         expected = monomial_count(degree)
@@ -337,6 +342,9 @@ class IdentityCombination:
 
     def __hash__(self):
         return hash((self.degree, self.coeffs))
+
+    def __getstate__(self):
+        return None, {"degree": self.degree, "coeffs": self.coeffs, "name": self.name}
 
     def __repr__(self):
         label = self.name or "%d terms" % sum(1 for c in self.coeffs if c)

@@ -330,3 +330,30 @@ def test_hashing_an_algebra_does_not_rehash_its_constants(monkeypatch):
     hash(a)
     hash(b.mult)
     assert hashed == []
+
+
+def _assert_canonical(m: BilinearMap):
+    """m holds what the checked constructor would: tuples of Fractions,
+    equal to, and hashed like, a checked rebuild."""
+    assert type(m.c) is tuple
+    assert all(type(p) is tuple and all(type(r) is tuple for r in p) for p in m.c)
+    assert all(type(x) is Fraction for p in m.c for r in p for x in r)
+    checked = BilinearMap(m.dim, m.c)
+    assert m == checked and hash(m) == hash(checked)
+
+
+def test_package_results_match_the_checked_constructor():
+    from nonassoc.claims import _algebra
+    from nonassoc.conservative import conservative_solve, terminal_witness
+    from nonassoc.contraction import iw_contract
+
+    a = catalog("W2bar")
+    cols = [[Fraction(int(i == j) + int(j == i + 1), 1 + (i == 0)) for i in range(8)]
+            for j in range(8)]
+    _assert_canonical(change_of_basis(a, cols).mult)
+    _assert_canonical(change_of_basis(a, [[int(i == j) for i in range(8)] for j in range(8)]).mult)
+    _assert_canonical(restrict(a, Subspace(8, [[0, 0, 0, 0, 0, 1, -1, 0]])).mult)
+    _assert_canonical(bracket(left_mul_operator(a, a.basis_vector(2)), a.mult))
+    _assert_canonical(conservative_solve(_algebra("S1_sub")).F)
+    _assert_canonical(iw_contract(a, [5]).mult)
+    _assert_canonical(terminal_witness(catalog("S2")))

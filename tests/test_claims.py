@@ -148,3 +148,45 @@ def test_run_claims_rejects_unknown_scope():
 
 def test_contraction_scope_runs_clean():
     assert all(r.ok for r in run_claims(scope="contractions"))
+
+
+def test_named_identity_builds_each_name_once():
+    for name in identity_names():
+        assert named_identity(name) is named_identity(name)
+    assert resolve_identity("st5_1") is named_identity("st5_1")
+
+
+def test_run_claims_resolves_each_algebra_name_once(monkeypatch):
+    from nonassoc import claims
+
+    resolve = claims._algebra
+    seen = []
+
+    def counting(name):
+        seen.append(name)
+        return resolve(name)
+
+    st = [r for r in load_claims() if r["scope"] == "st"]
+    records = st[:3] + st[6:9]  # three claims on each of two algebras
+    bad = dict(records[1], id="st/NoSuchAlgebra/x", algebra="NoSuchAlgebra")
+    records = tuple(sorted(records + [bad, dict(bad, id="st/NoSuchAlgebra/y")],
+                           key=lambda r: r["id"]))
+    monkeypatch.setattr(claims, "load_claims", lambda: records)
+    monkeypatch.setattr(claims, "_algebra", counting)
+    results = {r.claim_id: r for r in run_claims()}
+    good = {r["algebra"] for r in records} - {"NoSuchAlgebra"}
+    # resolved through the patched module-level _algebra, each good name once;
+    # an unknown name is tried, and fails, on each claim that names it
+    assert len(good) == 2
+    assert sorted(seen) == sorted([*good, "NoSuchAlgebra", "NoSuchAlgebra"])
+    for rec in records:
+        res = results[rec["id"]]
+        if rec["algebra"] == "NoSuchAlgebra":
+            assert not res.ok and res.computed.startswith("error:")
+        else:
+            assert res.ok, rec["id"]
+    # run_claim alone resolves on every call
+    seen.clear()
+    run_claim(records[0])
+    run_claim(records[0])
+    assert seen == [records[0]["algebra"]] * 2

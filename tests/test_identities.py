@@ -1,5 +1,6 @@
 import gc
 import itertools
+import pickle
 import random
 import threading
 import time
@@ -13,20 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonassoc.algebras import change_of_basis, multiply
+from nonassoc.algebras import Algebra, change_of_basis, multiply
 from nonassoc.catalog import catalog, sab_bar
-from nonassoc.claims import load_claims
+from nonassoc.claims import _algebra, load_claims, named_identity, resolve_identity
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
+    _cocycle_rows,
     _digit_table,
     _evaluation_block_builder,
     _flat_indices,
     _is_alternating,
     _parallel_blocks,
+    _product_table,
     _shape_key,
     _shape_tables,
     _sorted_tuples,
+    _tuple_indices,
     _ValueTables,
     combination_in_span,
     evaluate_combination_table,
@@ -545,3 +549,127 @@ def test_flat_indices_decode_the_basis_tuples(data):
             for p in pos:
                 want = want * d + digits[p - 1]
             assert got[r, j] == want
+
+
+REGISTRY_ALGEBRAS = sorted({rec[k] for rec in load_claims()
+                            for k in ("algebra", "left", "right", "source", "target")
+                            if k in rec})
+
+
+def _reference_tables(tables) -> dict:
+    """Every table of a _ValueTables, rebuilt with products in its own
+    dtype (int64 or object), never float64."""
+    d = tables.cflat.shape[0]
+    ref = {"x": np.eye(d, dtype=tables.cflat.dtype)}
+    for key, (lk, rk) in tables.children.items():
+        ref[key] = _product_table(ref[lk], ref[rk], tables.cflat).reshape(-1, d)
+    return ref
+
+
+def _assert_tables_match_reference(a, n):
+    tables, bounds, _den = _shape_tables.__wrapped__(a, n)  # a fresh, uncached entry
+    for key in tables.children:
+        tables[key]
+    ref = _reference_tables(tables)
+    assert set(tables) == set(ref)
+    for key, table in tables.items():
+        assert table.dtype == ref[key].dtype and table.flags.c_contiguous, key
+        assert np.array_equal(table, ref[key]), key
+    return tables, bounds
+
+
+@pytest.mark.parametrize("name", REGISTRY_ALGEBRAS)
+def test_value_tables_equal_integer_builds_on_the_registry_algebras(name):
+    a = _algebra(name)
+    for n in (3, 4, 5):
+        tables, _bounds = _assert_tables_match_reference(a, n)
+        assert tables["x"].dtype == np.int64
+
+
+def test_value_tables_beyond_the_float64_bound_are_built_in_int64():
+    # dense positive constants: the degree-5 bounds lie in [2^58, 2^59),
+    # under the int64 limit, and the entries really pass 2^53, where
+    # float64 would round
+    rng = random.Random(7)
+    dense = Algebra("dense", 3, [[[rng.randint(4001, 7999) for _ in range(3)]
+                                  for _ in range(3)] for _ in range(3)])
+    tables, bounds = _assert_tables_match_reference(dense, 5)
+    assert tables["x"].dtype == np.int64
+    beyond = [key for key in tables.children if bounds[key] >= 2**53]
+    assert beyond and all(bounds[key] < 2**62 for key in beyond)
+    assert any(int(abs(tables[key]).max()) > 2**53 for key in beyond)
+    assert any(bounds[key] < 2**53 for key in tables.children)  # both paths ran
+    objects = tables.cflat.astype(object)
+    obj = {"x": np.eye(3, dtype=object)}
+    for key, (lk, rk) in tables.children.items():
+        obj[key] = _product_table(obj[lk], obj[rk], objects).reshape(-1, 3)
+        assert (tables[key] == obj[key]).all(), key
+
+
+def _exact_table(a, c):
+    table, denom = evaluate_combination_table(a, c)
+    return table.astype(object) * Fraction(1, denom)
+
+
+def test_combination_plans_stay_out_of_equality_hash_and_pickle():
+    a = catalog("W2")
+    c = tail_fixed_alternating(4, 2)
+    fresh = IdentityCombination(c.degree, c.coeffs, c.name)
+    before = pickle.dumps(c), hash(c)
+    assert first_violation(a, c) is not None
+    _cocycle_rows(a, c)
+    assert hasattr(c, "_plan")  # the plan is in place
+    assert (pickle.dumps(c), hash(c)) == before
+    assert c == fresh and fresh == c
+    assert pickle.loads(pickle.dumps(c)) == c
+    # the canonical degree-5 basis pickles the same before and after use
+    e2 = catalog("E2")
+    _dim, basis = identity_space(e2, 5)
+    before = pickle.dumps(basis)
+    assert all(first_violation(e2, b) is None for b in basis[:40])
+    assert pickle.dumps(basis) == before
+
+
+def test_scaled_plus_and_combinations_get_their_own_plans():
+    a = catalog("W2")
+    s1, s2 = named_identity("st3_1"), named_identity("st3_2")
+    t1, t2 = _exact_table(a, s1), _exact_table(a, s2)  # plans compiled here
+    assert t1.any() and t2.any()
+    half = Fraction(3, 2)
+    assert (_exact_table(a, s1.scaled(half)) == t1 * half).all()
+    assert (_exact_table(a, s1.plus(s2)) == t1 + t2).all()
+    combo = resolve_identity({"combo": [["2", "st3_1"], ["-3", "st3_2"]]})
+    assert (_exact_table(a, combo) == 2 * t1 - 3 * t2).all()
+    # the same coefficients in a new object: the same values
+    assert (_exact_table(a, IdentityCombination(3, s1.coeffs)) == t1).all()
+
+
+def _registry_identities():
+    specs = {}
+    for rec in load_claims():
+        for spec in [rec.get("identity"), *rec.get("identities", ()),
+                     rec.get("equals"), rec.get("combo") and {"combo": rec["combo"]}]:
+            if spec:
+                specs[repr(spec)] = spec
+    return [resolve_identity(spec) for spec in specs.values()]
+
+
+# Resolved once, so each combination's plan is compiled on the first
+# algebra and read warm on every later one.
+REGISTRY_IDENTITIES = _registry_identities()
+
+# the algebras of the scopes the cocycles4 benchmark workload runs
+COCYCLE_ALGEBRAS = sorted({rec[k] for rec in load_claims() if rec["scope"] != "shapes"
+                           for k in ("algebra", "left", "right", "source", "target")
+                           if k in rec})
+
+
+@pytest.mark.parametrize("name", COCYCLE_ALGEBRAS)
+def test_warm_plans_agree_with_fresh_combinations(name):
+    a = _algebra(name)
+    for c in REGISTRY_IDENTITIES:
+        fresh = IdentityCombination(c.degree, c.coeffs)
+        assert first_violation(a, c) == first_violation(a, fresh)
+        idx = _tuple_indices(c, a.dim)[:512]
+        assert np.array_equal(_tuple_indices(fresh, a.dim)[:512], idx)
+        assert np.array_equal(_cocycle_rows(a, c)(idx), _cocycle_rows(a, fresh)(idx))
