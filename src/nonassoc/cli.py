@@ -3,8 +3,7 @@
 Every subcommand resolves its algebra argument against the catalog first
 and falls back to a JSON file path, so saved tables can be fed back in.
 ``reproduce`` runs the claim registry (optionally one scope) and exits
-nonzero if anything disagrees.  Set NONASSOC_THREADS to cap the worker
-pool used by the heavier computations.
+nonzero if anything disagrees.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .formats import (
     load_identity,
     product_rows,
 )
-from .identities import first_violation, identity_space, shape_identity_space, worker_count
+from .identities import first_violation, identity_space, shape_identity_space
 from .linalg import format_rational
 from .monomials import shapes
 
@@ -252,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonassoc",
         description="Exact workbench for algebras given by rational "
-                    "structure constants.",
-        epilog="Set NONASSOC_THREADS to cap the worker pool.")
+                    "structure constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list the built-in algebras")
@@ -323,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        try:
-            worker_count()
-        except ValueError as exc:
-            raise _Usage(str(exc)) from exc
         return args.func(args)
     except _Usage as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,7 +21,7 @@ three stages:
    stream is never read and the answer is rank cols with an empty
    nullspace. The accepted rows are independent mod p, hence over Q, so
    neither the exact stage nor certification runs; the block iterator is
-   closed, and a parallel source cancels its queued builds.
+   closed, so a generator source runs its cleanup at once.
 
 2. Exact stage. The filter runs until a block accepts no row, or the
    stream ends. rref_int then takes the RREF of the accepted rows (at
@@ -336,7 +336,7 @@ def _exact_products(block: np.ndarray, null: np.ndarray) -> np.ndarray:
 def _close(blocks):
     close = getattr(blocks, "close", None)
     if close is not None:
-        close()  # a generator source cancels the builds still queued
+        close()  # a generator source runs its cleanup at once
 
 
 class _Candidate(NamedTuple):
@@ -467,7 +467,7 @@ def _certify(cols: int, block_source, symmetries=()):
             if cand.rank == cols:
                 return cols, cand.basis, accepted
     finally:
-        blocks.close()  # a generator source cancels the builds still queued
+        blocks.close()  # a generator source runs its cleanup at once
     pending = ()  # blocks to certify as they come
     if cand is None:  # every block accepted rows
         cand = _candidate(accepted, cols, -1)

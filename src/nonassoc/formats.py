@@ -40,6 +40,12 @@ def _fail(where: str, problem: str):
     raise FormatError("%s: %s" % (where, problem))
 
 
+def _is_int(value) -> bool:
+    """An integer in the file: JSON true/false load as bool, a subclass of
+    int, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_coef(where: str, value) -> Fraction:
     if not isinstance(value, str):
         _fail(where, "expected a rational string, got %r" % (value,))
@@ -56,7 +62,7 @@ def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(name, str):
         _fail("name", "expected a string")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         _fail("dim", "expected a nonnegative integer, got %r" % (dim,))
     products = data.get("products", [])
     if not isinstance(products, list):
@@ -67,7 +73,7 @@ def algebra_from_dict(data: dict) -> Algebra:
         if not isinstance(row, dict):
             _fail(where, "expected an object")
         i, j = row.get("i"), row.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             _fail(where, "indices i, j must be integers")
         if not (1 <= i <= dim and 1 <= j <= dim):
             _fail(where, "index (%d,%d) out of range for dim %d" % (i, j, dim))
@@ -102,7 +108,7 @@ def identity_from_dict(data: dict) -> IdentityCombination:
     if not isinstance(data, dict):
         _fail("identity", "expected a JSON object, got %s" % type(data).__name__)
     degree = data.get("degree")
-    if not isinstance(degree, int) or not 2 <= degree <= MAX_DEGREE:
+    if not _is_int(degree) or not 2 <= degree <= MAX_DEGREE:
         _fail("degree", "expected an integer in 2..%d, got %r" % (MAX_DEGREE, degree))
     raw = data.get("terms")
     if not isinstance(raw, list):
@@ -121,7 +127,7 @@ def identity_from_dict(data: dict) -> IdentityCombination:
         perm = t.get("perm")
         if (
             not isinstance(perm, list)
-            or any(not isinstance(x, int) for x in perm)
+            or not all(map(_is_int, perm))
             or sorted(perm) != list(range(1, degree + 1))
         ):
             _fail(where + ".perm", "must be a permutation of 1..%d, got %r" % (degree, perm))

@@ -46,17 +46,11 @@ of both products is at most the table's bound, so each is an integer
 that float64 holds exactly, in whatever order the sums run (the
 argument is in _ValueTables). Larger int64 bounds use int64 products,
 and object tables stay object.
-
-Row blocks stream into the certified rank engine; NONASSOC_THREADS caps
-how many blocks are assembled concurrently.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -77,51 +71,16 @@ from .monomials import (
 )
 
 
-def worker_count() -> int:
-    """Worker threads for block assembly: NONASSOC_THREADS, else min(4, cores).
-
-    Raises ValueError when NONASSOC_THREADS is set but not an integer >= 1.
-    """
-    env = os.environ.get("NONASSOC_THREADS", "").strip()
-    if not env:
-        return min(4, os.cpu_count() or 1)
-    try:
-        k = int(env)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise ValueError("NONASSOC_THREADS must be an integer >= 1, got %r" % env)
-    return k
-
-
 def _block_ranges(total: int, block: int):
     return [(v0, min(v0 + block, total)) for v0 in range(0, total, block)]
 
 
 def _parallel_blocks(ranges, build):
-    """Yield build(r) for each range in order, assembling on worker threads.
-
-    At most worker_count() blocks are in flight ahead of the consumer, so
-    memory stays bounded by a few blocks however slowly they are consumed;
-    builds still queued when the consumer abandons the stream are cancelled.
-    """
-    k = worker_count()
-    if k <= 1 or len(ranges) <= 1:
-        for r in ranges:
-            yield build(r)
-        return
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        pending = deque(ex.submit(build, r) for r in ranges[:k])
-        try:
-            for r in ranges[k:]:
-                block = pending.popleft().result()
-                pending.append(ex.submit(build, r))
-                yield block
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
+    """Yield build(r) for each range in order, each built only when the
+    consumer asks for it, so a stream holds one block at a time."""
+    # Name and signature kept: benchmark/tracer.py wraps it here and in cohomology.
+    for r in ranges:
+        yield build(r)
 
 
 @lru_cache(maxsize=8)
@@ -176,8 +135,7 @@ class _ValueTables(dict):
     """Subtree key -> value table, each table built on its first lookup and
     kept. Only the structure constants, each key's two children and the
     bounds are held, never a function that refers back to the mapping, so
-    an evicted entry is freed at once. Lookups that build must not run on
-    worker threads: callers resolve their tables before assembling blocks.
+    an evicted entry is freed at once.
 
     An int64 table whose bound is below 2^53 is computed with float64
     (BLAS) products and cast back, exactly. bounds[key] bounds the L1 norm
@@ -468,7 +426,7 @@ def _term_factors(a: Algebra, c: IdentityCombination, split):
     position tuples, for _flat_indices. dtype is int64 unless the tables
     are object or sum |w| * (product of factor bounds) reaches the int64
     limit; denom = weight denominator * den^(n-1). Tables are looked up
-    here, on the calling thread.
+    here.
     """
     tables, bounds, den = _shape_tables(a, c.degree)
     plan = _plan(c)

@@ -31,7 +31,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def _to_fraction_row(row: Iterable) -> list[Fraction]:
-    return [Fraction(x) for x in row]
+    return [x if type(x) is Fraction else Fraction(x) for x in row]
 
 
 class Matrix:
@@ -46,7 +46,7 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = [Fraction(x) for x in entries]
+        self.entries = [x if type(x) is Fraction else Fraction(x) for x in entries]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":

@@ -279,15 +279,6 @@ def test_malformed_algebra_file(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
-def test_bad_thread_count_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("NONASSOC_THREADS", value)
-    rc, out, err = run(capsys, "identities", "W2", "--degree", "3")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: NONASSOC_THREADS must be an integer >= 1")
-    assert repr(value) in err
-
-
 def test_module_can_be_run_directly():
     proc = subprocess.run(
         [sys.executable, "-m", "nonassoc.cli", "catalog"],

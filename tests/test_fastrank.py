@@ -1,6 +1,4 @@
 import random
-import threading
-import time
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -336,23 +334,34 @@ def test_full_rank_stops_the_stream():
     assert pulled == [0] and closed == [True]
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_full_rank_cancels_queued_builds(monkeypatch, k):
-    monkeypatch.setenv("NONASSOC_THREADS", str(k))
+def test_full_rank_on_the_first_block_builds_no_other():
     built = []
-    lock = threading.Lock()
 
     def build(r):
-        with lock:
-            built.append(r)
-        time.sleep(0.02)
+        built.append(r)
         return np.eye(4, dtype=np.int64) if r == 0 else np.ones((3, 4), dtype=np.int64)
 
     stream = _parallel_blocks(list(range(40)), build)
     rank, null = certified_nullspace(4, lambda: stream)
     assert rank == 4 and null.rows == []
-    with lock:
-        assert built[0] == 0 and len(built) <= 1 + k
+    assert built == [0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_full_rank_cancels_queued_builds(k):
+    # full rank is reached on block k - 1; no later block is ever built
+    built = []
+    unit = np.eye(4, dtype=np.int64)
+    parts = np.array_split(unit, k)
+
+    def build(r):
+        built.append(r)
+        return parts[r] if r < k else np.ones((3, 4), dtype=np.int64)
+
+    stream = _parallel_blocks(list(range(40)), build)
+    rank, null = certified_nullspace(4, lambda: stream)
+    assert rank == 4 and null.rows == []
+    assert built == list(range(k))
 
 
 class CountingSource:

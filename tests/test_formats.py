@@ -100,6 +100,15 @@ def test_algebra_diagnostics_pinpoint_the_field():
             dict(_valid_algebra_dict(), products=[{"i": 1, "j": "x", "v": []}]),
             "products[0]: indices i, j must be integers",
         ),
+        (dict(_valid_algebra_dict(), dim=True), "dim: expected a nonnegative integer, got True"),
+        (
+            dict(_valid_algebra_dict(), products=[{"i": True, "j": 1, "v": ["1", "0"]}]),
+            "products[0]: indices i, j must be integers",
+        ),
+        (
+            dict(_valid_algebra_dict(), products=[{"i": 1, "j": False, "v": ["1", "0"]}]),
+            "products[0]: indices i, j must be integers",
+        ),
         ([], "algebra: expected a JSON object"),
     ]
     for data, fragment in cases:
@@ -143,6 +152,14 @@ def test_identity_diagnostics_pinpoint_the_field():
             dict(_valid_identity_dict(), terms=[{"shape": "((x)", "perm": [1], "coef": "1"}]),
             "terms[0].shape",
         ),
+        (
+            dict(
+                _valid_identity_dict(),
+                terms=[{"shape": "(xx)x", "perm": [True, 2, 3], "coef": "1"}],
+            ),
+            "terms[0].perm: must be a permutation of 1..3, got [True, 2, 3]",
+        ),
+        (dict(_valid_identity_dict(), degree=True), "degree: expected an integer in 2..5"),
         ("nope", "identity: expected a JSON object"),
     ]
     for data, fragment in cases:

@@ -2,8 +2,6 @@ import gc
 import itertools
 import pickle
 import random
-import threading
-import time
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +38,6 @@ from nonassoc.identities import (
     satisfies_identity,
     shape_identity_space,
     spaces_equal,
-    worker_count,
 )
 from nonassoc.monomials import (
     IdentityCombination,
@@ -371,39 +368,26 @@ def test_evicted_value_tables_are_freed_without_the_cycle_collector():
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_parallel_blocks_bounded_read_ahead(monkeypatch, k):
-    monkeypatch.setenv("NONASSOC_THREADS", str(k))
+def test_parallel_blocks_bounded_read_ahead(k):
+    # nothing is read ahead: when block i is taken, exactly blocks 0..i
+    # are built, and abandoning the stream after block k builds no more
     built = []
-    lock = threading.Lock()
 
     def build(r):
-        with lock:
-            built.append(r)
+        built.append(r)
         return r
 
     ranges = list(range(40))
     stream = _parallel_blocks(ranges, build)
     for i, r in enumerate(stream):
         assert r == i
-        time.sleep(0.02)  # a slow consumer
-        with lock:
-            assert len(built) <= i + 1 + k
-        if i == 5:
+        assert built == ranges[:i + 1]
+        if i == k:
             break
     stream.close()
-    with lock:
-        assert len(built) <= 6 + k
+    assert built == ranges[:k + 1]
     # an unabandoned stream still yields every block, in order
     assert list(_parallel_blocks(ranges, build)) == ranges
-
-
-def test_worker_count_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("NONASSOC_THREADS", " 3 ")
-    assert worker_count() == 3
-    for bad in ("abc", "-3", "0", "1.5"):
-        monkeypatch.setenv("NONASSOC_THREADS", bad)
-        with pytest.raises(ValueError, match="NONASSOC_THREADS"):
-            worker_count()
 
 
 def test_identity_dims_invariant_under_change_of_basis():
@@ -501,22 +485,6 @@ def test_first_violation_builds_only_the_tables_it_reads():
     tables, bounds, _den = _shape_tables(a, 5)
     assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)", "((((xx)x)x)x)"}
     assert set(bounds) > set(tables)  # bounds stay eager
-
-
-def test_value_tables_are_built_on_the_calling_thread(monkeypatch):
-    monkeypatch.setenv("NONASSOC_THREADS", "2")
-    threads = set()
-    build = _ValueTables.__missing__
-
-    def traced(tables, key):
-        threads.add(threading.current_thread())
-        return build(tables, key)
-
-    monkeypatch.setattr(_ValueTables, "__missing__", traced)
-    _shape_tables.cache_clear()
-    # 7,776 tuples of W2 (dim 6) make two blocks, assembled on two workers
-    assert shape_identity_space(catalog("W2"), 5, 14)[0] >= 0
-    assert threads == {threading.main_thread()}
 
 
 @st.composite
