@@ -91,9 +91,14 @@ class BilinearMap:
 
 
 class Algebra:
-    """A named algebra given by its structure constants."""
+    """A named algebra given by its structure constants.
 
-    __slots__ = ("name", "dim", "mult", "_int_cache")
+    _identity_spaces is unset until identities certifies a space for this
+    object; it then maps (degree, shape indices) to (dimension, basis
+    tuple), so the answers live exactly as long as the algebra.
+    """
+
+    __slots__ = ("name", "dim", "mult", "_int_cache", "_identity_spaces")
 
     def __init__(self, name: str, dim: int, c):
         self.name = name
@@ -138,7 +143,8 @@ class Algebra:
                     for x in r:
                         den = lcm(den, x.denominator)
             ints = [
-                [[int(x * den) for x in r] for r in p] for p in self.c
+                [[x.numerator * (den // x.denominator) for x in r] for r in p]
+                for p in self.c
             ]
             big = max((abs(v) for p in ints for r in p for v in r), default=0)
             dtype = np.int64 if big < 2**31 else object

@@ -39,6 +39,14 @@ leaf positions of every term's factors. The plan is kept on the
 combination but is no part of its value: equality, hashing and pickling
 ignore it. Later calls only look up tables and sum bounds.
 
+A certified identity space is kept on the Algebra object it was computed
+for, keyed by degree and shapes (Algebra._identity_spaces), so asking
+again, for instance once for a dimension and once for a basis, costs a
+dict lookup. There is no global cache and no bound: the answers live
+exactly as long as their algebra, and each call gets a new list of the
+same combinations. A full degree-5 basis holds about 22 MiB (E2) or
+26 MiB (S2), measured with tracemalloc.
+
 Value tables hold integers, and an int64 table whose proven bound is
 below 2^53 is built with float64 matrix products (BLAS) and cast back.
 The bounds are L1 bounds of table rows, and every term and partial sum
@@ -169,7 +177,7 @@ class _ValueTables(dict):
         return t
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def _shape_tables(a: Algebra, n: int):
     """Value tables for the subtrees of the degree-n shapes.
 
@@ -182,6 +190,12 @@ def _shape_tables(a: Algebra, n: int):
     the dtype (int64 unless a bound crosses 2^62) are decided here for
     every subtree; a table is built the first time a caller looks it up,
     and stays in this cached entry.
+
+    Only the last (algebra, degree) is kept. Callers ask for one key many
+    times in a row, and certified identity spaces are kept on their
+    algebra, so a larger cache mostly holds tables no one reads again:
+    replaying the registry's 355 lookups against an LRU gave the same 164
+    hits at every size from 1 to 6.
     """
     d = a.dim
     carr, den = a.int_constants()
@@ -262,8 +276,25 @@ def _sorted_tuples(d: int, n: int, strict: bool = False) -> np.ndarray:
 
 def _nullspace_combinations(a: Algebra, n: int, shape_indices):
     """(dimension, canonical basis) of the identities supported on the
-    listed shapes, from the rows at the non-decreasing tuples and the
-    symmetries g_i of the module docstring."""
+    listed shapes. Certified on the first call for an algebra object and
+    kept on it (see _identity_spaces); every call returns a new list of
+    the kept combinations."""
+    key = (n, tuple(shape_indices))
+    try:
+        spaces = a._identity_spaces
+    except AttributeError:
+        spaces = a._identity_spaces = {}
+    space = spaces.get(key)
+    if space is None:
+        space = spaces[key] = _certified_combinations(a, n, key[1])
+    rank, basis = space
+    return rank, list(basis)
+
+
+def _certified_combinations(a: Algebra, n: int, shape_indices: tuple):
+    """(dimension, tuple of the canonical basis) of the identities
+    supported on the listed shapes, from the rows at the non-decreasing
+    tuples and the symmetries g_i of the module docstring."""
     build, cols = _evaluation_block_builder(a, n, shape_indices)
     nf = factorial(n)
     tuples = _sorted_tuples(a.dim, n)
@@ -286,7 +317,7 @@ def _nullspace_combinations(a: Algebra, n: int, shape_indices):
             for ci, si in enumerate(shape_indices):
                 full[si * nf:(si + 1) * nf] = row[ci * nf:(ci + 1) * nf]
             coeffs.append(tuple(full))
-    return basis.rank, [IdentityCombination._from_fractions(n, c) for c in coeffs]
+    return basis.rank, tuple(IdentityCombination._from_fractions(n, c) for c in coeffs)
 
 
 def identity_space(a: Algebra, n: int):
@@ -300,6 +331,11 @@ def identity_space(a: Algebra, n: int):
     for S1bar and 6.3-6.5 s for W2bar (dim 8); W2(big) (dim 8, large
     constants) takes over a minute. When one shape at a time is enough,
     shape_identity_space stays fast even at degree 5.
+
+    The answer is kept on a, so a repeat call on the same object returns
+    a new list of the same combinations without certifying again (the
+    degree-5 warning still fires). A full degree-5 basis holds about
+    22 MiB (E2) or 26 MiB (S2) for as long as a lives.
     """
     if not 2 <= n <= 5:
         raise ValueError("degree must be between 2 and 5")

@@ -352,14 +352,17 @@ class IdentityCombination:
 
     def scaled(self, k) -> "IdentityCombination":
         k = Fraction(k)
-        return IdentityCombination(self.degree, [k * c for c in self.coeffs], self.name)
+        out = IdentityCombination._from_fractions(
+            self.degree, tuple(k * c if c else c for c in self.coeffs))
+        out.name = self.name
+        return out
 
     def plus(self, other: "IdentityCombination") -> "IdentityCombination":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return IdentityCombination(
-            self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return IdentityCombination._from_fractions(
+            self.degree, tuple(a + b if a and b else a or b
+                               for a, b in zip(self.coeffs, other.coeffs)))
 
 
 def st_identity(n: int, variant: int) -> IdentityCombination:

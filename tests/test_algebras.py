@@ -17,7 +17,8 @@ from nonassoc.algebras import (
     multiply,
     restrict,
 )
-from nonassoc.catalog import catalog
+from nonassoc.catalog import catalog, catalog_names
+from nonassoc.claims import _algebra, load_claims
 from nonassoc.linalg import Matrix
 
 
@@ -305,6 +306,15 @@ def test_int_constants_clears_denominators():
         for j in range(8):
             for k in range(8):
                 assert Fraction(int(arr[i][j][k]), den) == a.c[i][j][k]
+
+
+@pytest.mark.parametrize("name", sorted({
+    rec[k] for rec in load_claims() for k in ("algebra", "left", "right", "source", "target")
+    if k in rec} | {k for k in catalog_names() if "α" not in k}))
+def test_int_constants_match_fraction_products(name):
+    a = _algebra(name)
+    arr, den = a.int_constants()
+    assert [[[int(x * den) for x in r] for r in p] for p in a.c] == arr.tolist()
 
 
 def test_algebra_equality_ignores_name():

@@ -138,6 +138,51 @@ def test_degree_five_warns_on_large_algebras(monkeypatch):
     assert calls == [5]
 
 
+def test_degree_five_warns_on_a_kept_answer_too():
+    a = catalog("S2")
+    a._identity_spaces = {(5, tuple(range(14))): (0, ())}
+    with pytest.warns(RuntimeWarning):
+        assert identity_space(a, 5) == (0, [])
+
+
+def test_identity_spaces_are_certified_once_per_algebra(monkeypatch):
+    import nonassoc.fastrank as fr
+
+    a = catalog("D2")
+    first = identity_space(a, 3)
+    shape_first = shape_identity_space(a, 4, 2)
+    assert first[0] == 6 and shape_first[0] > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified again")
+
+    monkeypatch.setattr(fr, "certified_nullspace", refuse)
+    again = identity_space(a, 3)
+    assert again == first and again[1] is not first[1]
+    shape_again = shape_identity_space(a, 4, 2)
+    assert shape_again == shape_first and shape_again[1] is not shape_first[1]
+    # the kept answer is not the caller's list: editing it changes nothing
+    again[1].clear()
+    shape_again[1].append(None)
+    assert identity_space(a, 3) == first
+    assert shape_identity_space(a, 4, 2) == shape_first
+    # another key, or a fresh copy of the same algebra, certifies again
+    with pytest.raises(AssertionError, match="certified again"):
+        shape_identity_space(a, 4, 3)
+    with pytest.raises(AssertionError, match="certified again"):
+        identity_space(catalog("D2"), 3)
+
+
+def test_kept_degree_five_basis_pickles_the_same():
+    a = catalog("E2")
+    dim, basis = identity_space(a, 5)
+    before = pickle.dumps(basis)
+    dim_again, basis_again = identity_space(a, 5)
+    assert dim_again == dim == 1674
+    assert basis_again is not basis
+    assert pickle.dumps(basis_again) == before
+
+
 def test_shape_identity_space_is_a_subspace():
     a = catalog("D2")
     total_dim, total_basis = identity_space(a, 3)

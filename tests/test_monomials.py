@@ -133,6 +133,29 @@ def test_combination_arithmetic():
     assert doubled[(1, 2, 3)] == 2
 
 
+def test_scaled_and_plus_match_the_entrywise_reference():
+    a = st_identity(4, 1)
+    b = IdentityCombination(4, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(monomial_count(4))],
+                            name="dense")
+    for c in (a, b):
+        for k in (0, 1, -3, Fraction(2, 3), "5/7"):
+            got = c.scaled(k)
+            assert list(got.coeffs) == [Fraction(k) * x for x in c.coeffs]
+            assert all(type(x) is Fraction for x in got.coeffs)
+            assert got.name == c.name and got.degree == 4
+    assert a.scaled(0).terms() == []
+    for c, d in [(a, b), (b, a), (a, a.scaled(-1)), (b, b.scaled(-1)), (a, a)]:
+        got = c.plus(d)
+        assert list(got.coeffs) == [x + y for x, y in zip(c.coeffs, d.coeffs)]
+        assert all(type(x) is Fraction for x in got.coeffs)
+        assert got.name == ""
+    # cancellation to zero leaves no terms
+    assert b.plus(b.scaled(-1)).terms() == []
+    assert b.plus(b.scaled(-1)) == IdentityCombination(4, [0] * monomial_count(4))
+    with pytest.raises(ValueError):
+        a.plus(st_identity(3, 1))
+
+
 def test_from_terms_round_trip():
     c = IdentityCombination.from_terms(
         3, [(("x(xx)", (1, 2, 3)), 1), (("x(xx)", (2, 1, 3)), -1)], name="swap")
