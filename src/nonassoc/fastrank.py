@@ -11,11 +11,23 @@ three stages:
    rows scales to a primitive integer dependency, which survives reduction
    mod p because not all of its coefficients can be divisible by p. Rows
    that reduce to zero mod p are merely *suspected* dependent and are
-   dropped. Each block is taken in chunks of max(2 * cols, 512) rows: one
-   BLAS product reduces a chunk against the current RREF, and the
-   per-pivot loop then runs over that chunk's surviving rows only, so the
-   accepted rows are the greedy in-order ones whatever the chunking.
-   Residues come from _mod_p, exact below 2^53 and cheaper than np.mod.
+   dropped. Each block is taken in panels of _PANEL = 256 rows:
+   - one BLAS product reduces the panel against the current RREF;
+   - the greedy in-order loop runs over the panel's surviving rows only:
+     it normalises each accepted row and clears its pivot from the later
+     live rows of the panel, leaving the state alone;
+   - the panel's k accepted rows are then unit upper triangular at their
+     pivots, I + N, and (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... mod p,
+     log2 k products, makes them RREF among themselves;
+   - one product, state -= state[:, new pivots] @ new rows, clears the
+     new pivots from the old state, and the new rows are appended.
+   Each row is reduced against exactly the rows before it, whatever the
+   panel and block boundaries, so the accepted rows are the greedy
+   in-order ones; the state is the unique RREF mod p of their span, its
+   rows in insertion order. Every product is exact in float64 (see the
+   end of this docstring); residues come from _mod_p, exact below 2^53
+   and cheaper than np.mod. A pass costs one state update per panel that
+   accepts rows, not one per accepted row.
 
    Full-rank shortcut: once the filter rank reaches cols, the rest of the
    stream is never read and the answer is rank cols with an empty
@@ -90,8 +102,11 @@ three stages:
    row of the system: rank <= r.
 
 Every filter prime (PRIME and all that _primes yields) must be small enough
-that a full reduction fits float64 exactly: with p < 2^20 and at most 2^13
-pivot columns, every accumulated dot product stays below 2^13 * (p-1)^2 < 2^53.
+that every filter product fits float64 exactly: the panel reduction, the
+panel inverse and the state update multiply residues in [0, p) over an inner
+dimension of at most 2^13 (cols, or the k <= 256 rows of a panel), so with
+p < 2^20 every accumulated sum, and its difference with a residue, stays
+below 2^13 * (p-1)^2 + p < 2^53.
 """
 
 from __future__ import annotations
@@ -109,7 +124,7 @@ PRIME = 1_048_573  # largest prime below 2^20
 _MAX_FILTER_COLS = 8192  # 2^13; keeps float64 dot products exact
 _INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
 _FLOAT64_LIMIT = 2**53  # a proven |entry| bound below this keeps float64 exact
-_MIN_CHUNK = 512  # filter rows per BLAS reduction, whatever the width
+_PANEL = 256  # filter rows per panel: one reduction and one state update each
 _PRODUCT_ROWS = 1024  # block rows per float64 certification product
 
 
@@ -244,7 +259,7 @@ class ModularFilter:
 
     The RREF state is kept in insertion order (not pivot order); bulk
     reduction only needs each state row to be 1 at its own pivot and 0 at
-    every other pivot, which back-substitution maintains.
+    every other pivot, which one back-substitution per panel maintains.
     """
 
     def __init__(self, cols: int, p: int = PRIME):
@@ -254,58 +269,75 @@ class ModularFilter:
         self.p = p
         self._buf = np.zeros((min(cols, 64), cols), dtype=np.float64)
         self.pivcols: list[int] = []
-        self._chunk = max(2 * cols, _MIN_CHUNK)
 
     @property
     def state(self) -> np.ndarray:
         return self._buf[: len(self.pivcols)]
 
-    def _insert(self, res: np.ndarray):
-        """Normalize res, back-substitute the state, append. Returns (pivot, row)."""
-        pc = int(np.nonzero(res)[0][0])
-        inv = pow(int(res[pc]), -1, self.p)
-        newrow = _mod_p(res * float(inv), self.p)
-        newrow[pc] = 1.0
-        r = len(self.pivcols)
-        if r:
-            col = self._buf[:r, pc].copy()
-            if col.any():
-                self._buf[:r] = _mod_p(self._buf[:r] - np.outer(col, newrow), self.p)
-        if r == self._buf.shape[0]:
-            grown = np.zeros((min(self.cols, 2 * r), self.cols), dtype=np.float64)
-            grown[:r] = self._buf
-            self._buf = grown
-        self._buf[r] = newrow
-        self.pivcols.append(pc)
-        return pc, newrow
-
     def filter_block(self, block: np.ndarray) -> list[int]:
         """Indices of rows provably independent of everything seen before.
 
-        Rows are taken in order, one chunk at a time; the block's remaining
-        rows are not looked at once the rank reaches cols.
+        Rows are taken in order, one panel of _PANEL rows at a time; the
+        block's remaining rows are not looked at once the rank reaches cols.
         """
+        p = self.p
         accepted: list[int] = []
-        for start in range(0, block.shape[0], self._chunk):
+        for start in range(0, block.shape[0], _PANEL):
             if len(self.pivcols) == self.cols:
                 break
-            bm = _residues(block[start:start + self._chunk], self.p)
+            bm = _residues(block[start:start + _PANEL], p)
             if self.pivcols:
                 bm = bm - bm[:, self.pivcols] @ self.state
-            bm = _mod_p(bm, self.p)
+            bm = _mod_p(bm, p)
+            new, pivots = [], []  # the panel's accepted rows, normalised
             live = np.nonzero(bm.any(axis=1))[0]
             while live.size:
                 r = int(live[0])
+                pc = int(np.flatnonzero(bm[r])[0])
+                newrow = _mod_p(bm[r] * float(pow(int(bm[r, pc]), -1, p)), p)
+                newrow[pc] = 1.0
                 accepted.append(start + r)
-                pc, newrow = self._insert(bm[r])
+                new.append(newrow)
+                pivots.append(pc)
                 live = live[1:]
                 coef = bm[live, pc]
                 hit = np.nonzero(coef)[0]
                 if hit.size:
                     rows = live[hit]
-                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow), self.p)
+                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow), p)
                     live = live[bm[live].any(axis=1)]
+            if new:
+                self._extend(np.array(new), pivots)
         return accepted
+
+    def _extend(self, new: np.ndarray, pivots: list[int]):
+        """Append a panel's accepted rows to the state, keeping it in RREF.
+
+        Row i of new is 1 at pivots[i], 0 at the earlier rows' pivots and at
+        every state pivot: new[:, pivots] = I + N with N strictly upper
+        triangular, so (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... (N^k = 0)
+        turns the rows into RREF among themselves, and one product then
+        clears their pivots from the state.
+        """
+        p, k, r = self.p, len(pivots), len(self.pivcols)
+        neg = _mod_p(-new[:, pivots], p)
+        np.fill_diagonal(neg, 0.0)  # -N
+        if neg.any():
+            inv = neg + np.eye(k)
+            power = neg
+            for _ in range((k - 1).bit_length() - 1):  # until the terms reach N^(k-1)
+                power = _mod_p(power @ power, p)
+                inv = _mod_p(inv + inv @ power, p)
+            new = _mod_p(inv @ new, p)
+        col = self._buf[:r, pivots]
+        if col.any():
+            self._buf[:r] = _mod_p(self._buf[:r] - col @ new, p)
+        if r + k > self._buf.shape[0]:
+            grown = np.zeros((min(self.cols, max(2 * r, r + k)), self.cols), dtype=np.float64)
+            grown[:r] = self._buf[:r]
+            self._buf = grown
+        self._buf[r:r + k] = new
+        self.pivcols += pivots
 
     @property
     def rank_lower_bound(self) -> int:
@@ -348,7 +380,7 @@ class _Candidate(NamedTuple):
     prim: np.ndarray
 
 
-def _candidate(accepted: list[list[int]], cols: int, prev_rank: int) -> _Candidate:
+def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int) -> _Candidate:
     rank, basis, prim = nullspace_int(accepted, cols)
     if rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
@@ -374,7 +406,7 @@ def _absorb(block: np.ndarray, cand: _Candidate, accepted: list, cols: int) -> _
         if not bad.size:
             return cand
         k = cols - cand.rank  # no more of them can be independent
-        accepted.extend([int(v) for v in block[r]] for r in bad[:k])
+        accepted.extend(block[bad[:k]])
         cand = _candidate(accepted, cols, cand.rank)
         if cand.rank == cols:
             return cand
@@ -446,7 +478,7 @@ def _certify(cols: int, block_source, symmetries=()):
     follow the source's blocks through the same loop.
     """
     filt = ModularFilter(cols)
-    accepted: list[list[int]] = []
+    accepted: list[np.ndarray] = []  # rows of integer arrays
     system = _System(cols, block_source, symmetries, accepted)
     filtered = 0  # leading blocks that only the filter has seen
     cand = None  # the exact candidate, once a block accepts no row
@@ -455,7 +487,7 @@ def _certify(cols: int, block_source, symmetries=()):
         for block in blocks:
             if cand is None:
                 rows = filt.filter_block(block)
-                accepted.extend([int(v) for v in block[r]] for r in rows)
+                accepted.extend(block[rows])
                 if filt.rank_lower_bound == cols:
                     # the accepted rows are independent outright
                     return cols, RowEchelonBasis(cols, [], []), accepted
@@ -491,17 +523,16 @@ def _certify(cols: int, block_source, symmetries=()):
     return cand.rank, cand.basis, accepted
 
 
-def _find_violators(block_source, cand: _Candidate, nblocks: int) -> list[list[int]]:
+def _find_violators(block_source, cand: _Candidate, nblocks: int) -> list[np.ndarray]:
     """Up to cols - rank rows among the first nblocks streamed blocks that
     the candidate basis does not annihilate; the stream is closed after them."""
-    violators: list[list[int]] = []
+    violators: list[np.ndarray] = []
     blocks = iter(block_source())
     try:
         for block in islice(blocks, nblocks):
-            for r in _violating_rows(block, cand):
-                violators.append([int(v) for v in block[r]])
-                if len(violators) == len(cand.prim):
-                    return violators
+            violators.extend(block[_violating_rows(block, cand)])
+            if len(violators) >= len(cand.prim):
+                return violators[:len(cand.prim)]
     finally:
         _close(blocks)
     return violators

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonassoc import fastrank
 from nonassoc.fastrank import (
     PRIME,
     ModularFilter,
@@ -250,8 +252,9 @@ def test_mod_p_matches_np_mod():
 
 
 def _greedy_mod_p(rows):
-    """Indices of rows outside the mod-PRIME span of the rows before them,
-    one row at a time with Python integers."""
+    """(indices, RREF) of the rows outside the mod-PRIME span of the rows
+    before them, one row at a time with Python integers; the RREF maps each
+    pivot column, in insertion order, to its row."""
     pivots = {}  # pivot column -> row with a 1 there
     accepted = []
     for i, raw in enumerate(rows):
@@ -271,17 +274,16 @@ def _greedy_mod_p(rows):
                 pivots[q] = [(a - c * b) % PRIME for a, b in zip(qrow, row)]
         pivots[pc] = row
         accepted.append(i)
-    return accepted
+    return accepted, pivots
 
 
 @st.composite
-def filter_streams(draw):
+def filter_streams(draw, panel):
     """(rows, cols, block lengths): mostly dependent rows, a few fresh ones
     at drawn positions, rows congruent to 0 or to earlier rows mod PRIME,
-    cut into blocks shorter than, equal to or longer than one chunk."""
+    cut into blocks shorter than, equal to or longer than one panel."""
     cols = draw(st.integers(1, 6))
-    chunk = ModularFilter(cols)._chunk
-    total = draw(st.sampled_from([3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5]))
+    total = draw(st.sampled_from([3, panel - 1, panel, panel + 1, 2 * panel + 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.zeros((total, cols), dtype=np.int64)
     fresh = sorted(draw(st.lists(st.integers(0, total - 1), max_size=cols + 2)))
@@ -304,17 +306,34 @@ def filter_streams(draw):
     return rows, cols, cuts
 
 
-@settings(max_examples=60, deadline=None)
-@given(filter_streams())
-def test_filter_block_accepts_the_greedy_rows(stream):
+def _assert_greedy(stream):
     rows, cols, cuts = stream
     filt = ModularFilter(cols)
     got = []
     edges = [0] + cuts + [len(rows)]
     for lo, hi in zip(edges, edges[1:]):
         got += [lo + r for r in filt.filter_block(rows[lo:hi])]
-    assert got == _greedy_mod_p(rows)
+    accepted, rref = _greedy_mod_p(rows)
+    assert got == accepted
     assert filt.rank_lower_bound == len(got)
+    assert filt.pivcols == list(rref)
+    by_pivot = filt.state[np.argsort(filt.pivcols)]
+    assert by_pivot.tolist() == [rref[pc] for pc in sorted(rref)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_streams(fastrank._PANEL))
+def test_filter_block_accepts_the_greedy_rows(stream):
+    _assert_greedy(stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_streams(3))
+def test_filter_block_accepts_the_greedy_rows_across_small_panels(stream):
+    """Three-row panels: ranks spanning several panels, and full rank
+    reached in the middle of a panel."""
+    with mock.patch.object(fastrank, "_PANEL", 3):
+        _assert_greedy(stream)
 
 
 def test_full_rank_stops_the_stream():
