@@ -268,8 +268,8 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
     return True
 
 
-def _coords_in_rref(basis: RowEchelonBasis, v: Sequence) -> list[Fraction]:
-    """Coordinates of v in an RREF basis; raises if v is outside the span."""
+def _coords_in_rref(basis: RowEchelonBasis, v: Sequence) -> list[Fraction] | None:
+    """Coordinates of v in an RREF basis, or None if v is outside the span."""
     v = [Fraction(x) for x in v]
     coords = [v[p] for p in basis.pivot_cols]
     res = list(v)
@@ -277,21 +277,25 @@ def _coords_in_rref(basis: RowEchelonBasis, v: Sequence) -> list[Fraction]:
         if c:
             for j in range(len(res)):
                 res[j] -= c * row[j]
-    if any(res):
-        raise ValueError("vector is not in the subspace")
-    return coords
+    return None if any(res) else coords
 
 
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
-    """The algebra induced on a subalgebra, in the canonical basis of s."""
-    if not is_subalgebra(a, s):
-        raise ValueError("not a subalgebra")
+    """The algebra induced on a subalgebra, in the canonical basis of s.
+
+    Each product of two basis vectors of s is computed once; one outside s
+    raises ValueError.
+    """
+    if s.ambient != a.dim:
+        raise ValueError("ambient dimension mismatch")
     m = s.dim
     vecs = [list(r) for r in s.basis.rows]
     c = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             c[i][j] = _coords_in_rref(s.basis, multiply(a, vecs[i], vecs[j]))
+            if c[i][j] is None:
+                raise ValueError("not a subalgebra")
     return Algebra(name or (a.name + "|sub"), m, BilinearMap._from_fractions(m, c))
 
 
@@ -303,15 +307,19 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     n = a.dim
     if len(columns) != n:
         raise ValueError("need %d basis vectors" % n)
-    t = Matrix.from_rows([[Fraction(columns[j][i]) for j in range(n)] for i in range(n)])
-    # solve t * coords = v for each product vector; t must be invertible
+    for j, col in enumerate(columns, start=1):
+        if len(col) != n:
+            raise ValueError("basis vector f_%d has %d coordinates, need %d" % (j, len(col), n))
+    # solve t * coords = v for each product vector, t[i][j] = columns[j][i];
+    # t must be invertible
+    ident = Matrix.identity(n)
     aug = RankSink(2 * n)
     for i in range(n):
-        aug.feed(list(t.row(i)) + list(Matrix.identity(n).row(i)))
-    if aug.rank() != n or aug.basis().pivot_cols[:n] != tuple(range(n)):
+        aug.feed([Fraction(col[i]) for col in columns] + ident.row(i))
+    basis = aug.basis()
+    if aug.rank() != n or basis.pivot_cols[:n] != tuple(range(n)):
         raise ValueError("basis vectors are linearly dependent")
-    inv_rows = [row[n:] for row in aug.basis().rows]
-    inv = Matrix.from_rows(inv_rows)
+    inv = Matrix.from_rows([row[n:] for row in basis.rows])
     c = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -182,8 +182,7 @@ def sab_bar(alpha, beta) -> Algebra:
 
 def sab_sub(alpha, beta) -> Algebra:
     a, b = Fraction(alpha), Fraction(beta)
-    sub = restrict(sab_adapted(a, b), Subspace.span_of_basis_indices(8, range(1, 8)))
-    return sub.renamed("Sab_sub" + _fmt_pair(a, b))
+    return _restricted(sab_adapted(a, b), range(1, 8), "Sab_sub" + _fmt_pair(a, b))
 
 
 def _restricted(parent: Algebra, indices, name: str) -> Algebra:

@@ -121,8 +121,7 @@ def resolve_identity(spec) -> IdentityCombination:
         for coef, name in spec["combo"]:
             part = named_identity(name).scaled(parse_rational(coef))
             total = part if total is None else total.plus(part)
-        label = " + ".join("%s*%s" % (c, n) for c, n in spec["combo"])
-        return IdentityCombination(total.degree, total.coeffs, label)
+        return IdentityCombination(total.degree, total.coeffs, describe_identity(spec))
     if isinstance(spec, dict):
         return identity_from_dict(spec)
     raise TypeError("bad identity spec %r" % (spec,))

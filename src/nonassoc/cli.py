@@ -97,6 +97,11 @@ def cmd_show(args):
     return 0
 
 
+def _print_matrix(mat):
+    for i in range(mat.rows):
+        print("  [%s]" % ", ".join(format_rational(mat[i, j]) for j in range(mat.cols)))
+
+
 def cmd_derivations(args):
     a = _resolve_algebra(args.algebra)
     dim, basis = derivation_algebra(a)
@@ -104,9 +109,7 @@ def cmd_derivations(args):
     if args.basis:
         for idx, mat in enumerate(basis, start=1):
             print("D%d:" % idx)
-            for i in range(mat.rows):
-                print("  [%s]" % ", ".join(
-                    format_rational(mat[i, j]) for j in range(mat.cols)))
+            _print_matrix(mat)
     return 0
 
 
@@ -200,10 +203,7 @@ def cmd_cohomology(args):
     else:
         print("dim H2 undefined: coborders are not all cocycles")
         print("witness coborder:")
-        mat = rep.stray_coborder
-        for i in range(mat.rows):
-            print("  [%s]" % ", ".join(
-                format_rational(mat[i, j]) for j in range(mat.cols)))
+        _print_matrix(rep.stray_coborder)
     return 0
 
 

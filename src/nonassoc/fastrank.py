@@ -13,21 +13,20 @@ three stages:
    that reduce to zero mod p are merely *suspected* dependent and are
    dropped. Each block is taken in panels of _PANEL = 256 rows:
    - one BLAS product reduces the panel against the current RREF;
-   - the greedy in-order loop runs over the panel's surviving rows only:
-     it normalises each accepted row and clears its pivot from the later
-     live rows of the panel, leaving the state alone;
-   - the panel's k accepted rows are then unit upper triangular at their
-     pivots, I + N, and (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... mod p,
-     log2 k products, makes them RREF among themselves;
+   - _echelon eliminates the panel's nonzero rows by recursive halving
+     (the row rank profile mod p; Jeannerod, Pernet and Storjohann, J.
+     Symbolic Comput. 56, 2013): a single row is normalised; otherwise
+     the first half is eliminated, one product reduces the second half
+     against it, the rows left nonzero are eliminated in turn, and one
+     product clears their pivots from the first half's rows;
    - one product, state -= state[:, new pivots] @ new rows, clears the
      new pivots from the old state, and the new rows are appended.
    Each row is reduced against exactly the rows before it, whatever the
-   panel and block boundaries, so the accepted rows are the greedy
+   panel, half and block boundaries, so the accepted rows are the greedy
    in-order ones; the state is the unique RREF mod p of their span, its
    rows in insertion order. Every product is exact in float64 (see the
-   end of this docstring); residues come from _mod_p, exact below 2^53
-   and cheaper than np.mod. A pass costs one state update per panel that
-   accepts rows, not one per accepted row.
+   end of this docstring), and one with a zero left factor is skipped;
+   residues come from _mod_p, exact below 2^53 and cheaper than np.mod.
 
    Full-rank shortcut: once the filter rank reaches cols, the rest of the
    stream is never read and the answer is rank cols with an empty
@@ -103,10 +102,10 @@ three stages:
 
 Every filter prime (PRIME and all that _primes yields) must be small enough
 that every filter product fits float64 exactly: the panel reduction, the
-panel inverse and the state update multiply residues in [0, p) over an inner
-dimension of at most 2^13 (cols, or the k <= 256 rows of a panel), so with
-p < 2^20 every accumulated sum, and its difference with a residue, stays
-below 2^13 * (p-1)^2 + p < 2^53.
+products of _echelon and the state update multiply residues in [0, p) over
+an inner dimension of at most 2^13 (cols, or at most 256 rows of a panel),
+so with p < 2^20 every accumulated sum, and its difference with a residue,
+stays below 2^13 * (p-1)^2 + p < 2^53.
 """
 
 from __future__ import annotations
@@ -254,6 +253,32 @@ def _residues(rows: np.ndarray, p: int = PRIME) -> np.ndarray:
     return np.mod(rows, p).astype(np.float64)
 
 
+def _echelon(bm: np.ndarray, p: int):
+    """(rows, pivots, reduced) of residue rows bm mod p, each row nonzero.
+
+    rows: the ascending indices of the rows outside the span of the rows
+    before them; pivots[i]: the first nonzero column of row rows[i]'s
+    residue against them; reduced[i]: 1 at pivots[i], 0 at the other pivots.
+    """
+    if len(bm) == 1:
+        pc = int(bm[0].nonzero()[0][0])
+        return [0], [pc], _mod_p(bm * float(pow(int(bm[0, pc]), -1, p)), p)
+    h = len(bm) // 2
+    rows, pivots, top = _echelon(bm[:h], p)
+    rest, col = bm[h:], bm[h:, pivots]
+    if col.any():
+        rest = _mod_p(rest - col @ top, p)
+    live = rest.any(axis=1).nonzero()[0]
+    if not live.size:
+        return rows, pivots, top
+    rows2, pivots2, bottom = _echelon(rest[live], p)
+    col = top[:, pivots2]  # bottom is 0 at pivots, so top stays 1/0 there
+    if col.any():
+        top = _mod_p(top - col @ bottom, p)
+    live = live.tolist()
+    return rows + [h + live[i] for i in rows2], pivots + pivots2, np.concatenate((top, bottom))
+
+
 class ModularFilter:
     """Streaming independence filter modulo p (PRIME by default), in float64.
 
@@ -289,46 +314,19 @@ class ModularFilter:
             if self.pivcols:
                 bm = bm - bm[:, self.pivcols] @ self.state
             bm = _mod_p(bm, p)
-            new, pivots = [], []  # the panel's accepted rows, normalised
-            live = np.nonzero(bm.any(axis=1))[0]
-            while live.size:
-                r = int(live[0])
-                pc = int(np.flatnonzero(bm[r])[0])
-                newrow = _mod_p(bm[r] * float(pow(int(bm[r, pc]), -1, p)), p)
-                newrow[pc] = 1.0
-                accepted.append(start + r)
-                new.append(newrow)
-                pivots.append(pc)
-                live = live[1:]
-                coef = bm[live, pc]
-                hit = np.nonzero(coef)[0]
-                if hit.size:
-                    rows = live[hit]
-                    bm[rows] = _mod_p(bm[rows] - np.outer(coef[hit], newrow), p)
-                    live = live[bm[live].any(axis=1)]
-            if new:
-                self._extend(np.array(new), pivots)
+            live = bm.any(axis=1).nonzero()[0]
+            if live.size:
+                rows, pivots, new = _echelon(bm[live], p)
+                live = live.tolist()
+                accepted += [start + live[i] for i in rows]
+                self._extend(new, pivots)
         return accepted
 
     def _extend(self, new: np.ndarray, pivots: list[int]):
-        """Append a panel's accepted rows to the state, keeping it in RREF.
-
-        Row i of new is 1 at pivots[i], 0 at the earlier rows' pivots and at
-        every state pivot: new[:, pivots] = I + N with N strictly upper
-        triangular, so (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... (N^k = 0)
-        turns the rows into RREF among themselves, and one product then
-        clears their pivots from the state.
-        """
+        """Append a panel's accepted rows, 1 at their own pivot and 0 at every
+        other pivot, old or new; one product clears the new pivots from the
+        state."""
         p, k, r = self.p, len(pivots), len(self.pivcols)
-        neg = _mod_p(-new[:, pivots], p)
-        np.fill_diagonal(neg, 0.0)  # -N
-        if neg.any():
-            inv = neg + np.eye(k)
-            power = neg
-            for _ in range((k - 1).bit_length() - 1):  # until the terms reach N^(k-1)
-                power = _mod_p(power @ power, p)
-                inv = _mod_p(inv + inv @ power, p)
-            new = _mod_p(inv @ new, p)
         col = self._buf[:r, pivots]
         if col.any():
             self._buf[:r] = _mod_p(self._buf[:r] - col @ new, p)

@@ -327,8 +327,8 @@ def identity_space(a: Algebra, n: int):
     rows and a very wide nullspace, built only at the non-decreasing
     tuples (C(dim + 4, 5) of them) and certified invariant under the
     symmetries of the module docstring. Warm, on a 2-core machine, it
-    took 0.22-0.23 s for E2 (dim 2), 0.64-0.68 s for S2 (dim 4), and at
-    dim 8 1.3-1.4 s for S1bar, 2.0-2.2 s for W2bar and 5.5 s for W2(big)
+    took 0.16-0.22 s for E2 (dim 2), 0.51-0.53 s for S2 (dim 4), and at
+    dim 8 1.2-1.3 s for S1bar, 1.4-1.7 s for W2bar and 2.8-3.2 s for W2(big)
     (large constants, rank 1,655 of 1,680). When one shape at a time is
     enough, shape_identity_space stays fast even at degree 5.
 
@@ -342,7 +342,7 @@ def identity_space(a: Algebra, n: int):
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 1 s at dim 4 and 1.5-6 s at dim 8 on a "
+            "system exactly (about 0.5 s at dim 4 and 1-3 s at dim 8 on a "
             "2-core machine, W2(big) the slowest); shape_identity_space "
             "handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),

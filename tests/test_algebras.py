@@ -271,6 +271,12 @@ def test_change_of_basis_rejects_dependent_columns():
         change_of_basis(a, [[1, 1], [2, 2]])
 
 
+@pytest.mark.parametrize("columns", [[[1, 0], [1]], [[1, 0], [0, 1, 0]]])
+def test_change_of_basis_rejects_vectors_of_the_wrong_length(columns):
+    with pytest.raises(ValueError, match="basis vector f_2 has"):
+        change_of_basis(catalog("E2"), columns)
+
+
 def test_from_products_validation():
     with pytest.raises(ValueError):
         BilinearMap.from_products(2, {(3, 1): [1, 0]})

@@ -279,14 +279,16 @@ def _greedy_mod_p(rows):
 
 @st.composite
 def filter_streams(draw, panel):
-    """(rows, cols, block lengths): mostly dependent rows, a few fresh ones
-    at drawn positions, rows congruent to 0 or to earlier rows mod PRIME,
-    cut into blocks shorter than, equal to or longer than one panel."""
-    cols = draw(st.integers(1, 6))
+    """(rows, cols, block lengths): mostly dependent rows, up to cols + 2
+    fresh ones at drawn positions (dozens in one panel when cols is wide),
+    rows congruent to 0 or to earlier rows mod PRIME, cut into blocks
+    shorter than, equal to or longer than one panel."""
+    cols = draw(st.integers(1, 64))
     total = draw(st.sampled_from([3, panel - 1, panel, panel + 1, 2 * panel + 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.zeros((total, cols), dtype=np.int64)
-    fresh = sorted(draw(st.lists(st.integers(0, total - 1), max_size=cols + 2)))
+    nfresh = min(total, draw(st.integers(0, cols + 2)))
+    fresh = set(rng.choice(total, size=nfresh, replace=False).tolist())
     basis = []
     for i in range(total):
         if i in fresh or not basis:
