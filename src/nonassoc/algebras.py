@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fastrank
-from .linalg import Matrix, RankSink, RowEchelonBasis
+from .linalg import Matrix, RankSink
 
 
 class BilinearMap:
@@ -268,18 +268,6 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
     return True
 
 
-def _coords_in_rref(basis: RowEchelonBasis, v: Sequence) -> list[Fraction] | None:
-    """Coordinates of v in an RREF basis, or None if v is outside the span."""
-    v = [Fraction(x) for x in v]
-    coords = [v[p] for p in basis.pivot_cols]
-    res = list(v)
-    for row, c in zip(basis.rows, coords):
-        if c:
-            for j in range(len(res)):
-                res[j] -= c * row[j]
-    return None if any(res) else coords
-
-
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     """The algebra induced on a subalgebra, in the canonical basis of s.
 
@@ -290,12 +278,15 @@ def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
         raise ValueError("ambient dimension mismatch")
     m = s.dim
     vecs = [list(r) for r in s.basis.rows]
+    pivots = s.basis.pivot_cols
     c = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            c[i][j] = _coords_in_rref(s.basis, multiply(a, vecs[i], vecs[j]))
-            if c[i][j] is None:
+            prod = multiply(a, vecs[i], vecs[j])
+            if not s.contains(prod):
                 raise ValueError("not a subalgebra")
+            # in the span of an RREF basis, the entries at the pivots are the coordinates
+            c[i][j] = [prod[p] for p in pivots]
     return Algebra(name or (a.name + "|sub"), m, BilinearMap._from_fractions(m, c))
 
 

@@ -45,6 +45,8 @@ class _Usage(Exception):
 def _resolve_algebra(name: str):
     try:
         return catalog(name)
+    except ValueError as exc:  # a catalog key with bad parameters
+        raise _Usage(str(exc)) from exc
     except UnknownAlgebraError as exc:
         if os.path.exists(name):
             try:

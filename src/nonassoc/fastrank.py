@@ -64,41 +64,38 @@ three stages:
    2^53). A nonzero product exposes a row the filter dropped wrongly or
    never saw; at most cols - rank such rows join the accepted set, and the
    exact stage reruns. Each rerun strictly increases the exact rank, so
-   the loop terminates; at rank cols the stream is closed.
-   - In-stream: from the block that accepted nothing on, blocks skip the
-     filter and are certified against the candidate as they arrive.
-   - In place: if the stream ends while every block has accepted rows,
-     the last block is still held; it is certified against the first
-     candidate where it is, and the translates of its violators follow.
-   - Final pass: only the leading blocks that the filter alone has seen,
-     the held block excepted, are streamed again, and the stream is
-     closed after them.
-   Adding rows only shrinks the candidate kernel, so a row that
-   annihilates an earlier candidate annihilates every later one: when no
-   row violates the final candidate, every row of the system has been
-   certified against it, the accepted rows prove rank >= r, and the
-   certification proves rank <= r.
+   the loop terminates; at rank cols the streams are closed. One pass
+   checks each block once, against the candidate of the moment, in this
+   order: the block the filter stopped on (the one that accepted nothing,
+   or the last block if the stream ended in the filter), still held; the
+   rest of the stream; the blocks before it, streamed again; then the
+   translates of rows that certification added (stage 4). Adding rows
+   only shrinks the candidate kernel, so a row that annihilates an
+   earlier candidate annihilates every later one: when the pass ends,
+   every row of the system has been certified against the final
+   candidate, the accepted rows prove rank >= r, and the certification
+   proves rank <= r.
 
 4. Symmetries. A caller may name column permutations g under which the
    system's row set is closed: if x is a row, so is x[g]. The source's
-   blocks are then read as generators: the system is the set of images
-   of their rows under the group G the g generate. After the source's
-   own blocks, the translates x[g] of the accepted rows not yet
-   translated run through the same loop as further blocks, each no
-   larger than the largest source block. They are filtered mod p while
-   blocks accept rows (the closure mod p: translates of rows a translate
-   block accepted follow in later blocks), then certified exactly; rows
-   that certification adds are translated in turn, and the final pass
-   rebuilds the translate blocks the filter alone has seen from the
-   accepted rows. On return the final candidate annihilates every source
-   row and every translate of every accepted row. That is a complete
-   proof. The accepted rows are genuine rows, since translates of rows
-   are rows; they are independent mod p or raised the exact rank, so
-   rank >= r. A row the candidate annihilates lies in the span A of the
-   accepted rows, since the candidate is their exact nullspace. So A
+   blocks are then read as generators: the system is the set of images of
+   their rows under the group G the g generate. After the source's own
+   blocks, the translates x[g] of the accepted rows not yet translated
+   run through the same loop as further blocks, each no larger than the
+   largest source block. They are filtered mod p while blocks accept rows
+   (the closure mod p: translates of rows a translate block accepted
+   follow in later blocks), then certified exactly; rows that
+   certification adds are translated in turn, and the translate blocks
+   the filter alone has seen are rebuilt from the accepted rows when they
+   are streamed again. On return the final candidate annihilates every
+   source row and every translate of every accepted row. That is a
+   complete proof. The accepted rows are genuine rows, since translates
+   of rows are rows; they are independent mod p or raised the exact rank,
+   so rank >= r. A row the candidate annihilates lies in the span A of
+   the accepted rows, since the candidate is their exact nullspace. So A
    contains the source rows and A[g] is in A for each g; with equal
-   dimensions A[g] = A, so A is invariant under G and contains every
-   row of the system: rank <= r.
+   dimensions A[g] = A, so A is invariant under G and contains every row
+   of the system: rank <= r.
 
 Every filter prime (PRIME and all that _primes yields) must be small enough
 that every filter product fits float64 exactly: the panel reduction, the
@@ -385,8 +382,9 @@ def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int) -> _Candid
     return _Candidate(rank, basis, prim)
 
 
-def _violating_rows(block: np.ndarray, cand: _Candidate) -> np.ndarray:
-    """Indices of the block's rows not annihilated by the candidate basis."""
+def _find_violators(block: np.ndarray, cand: _Candidate) -> np.ndarray:
+    """Indices of the block's rows not annihilated by the candidate basis:
+    the one exact check of a block."""
     prod = _exact_products(block, cand.prim)
     nz = prod.astype(bool) if prod.dtype == object else prod != 0
     return np.nonzero(nz.any(axis=1))[0]
@@ -400,7 +398,7 @@ def _absorb(block: np.ndarray, cand: _Candidate, accepted: list, cols: int) -> _
     one, unless they violate it; only violators are rechecked.
     """
     while True:
-        bad = _violating_rows(block, cand)
+        bad = _find_violators(block, cand)
         if not bad.size:
             return cand
         k = cols - cand.rank  # no more of them can be independent
@@ -468,72 +466,36 @@ def _certify(cols: int, block_source, symmetries=()):
     The filter-certify loop behind every certified_* entry point; unless
     the rank is cols, the accepted rows span the row space of the whole
     system on return. Blocks go through the filter until one accepts no
-    row; from that block on, each block is certified exactly against the
-    candidate as it arrives, and a final pass re-streams only the blocks
-    before it. If the stream ends in the filter, its last block, still
-    held, is certified in place and only the blocks before it are
-    streamed again. With symmetries, translates of the accepted rows
-    follow the source's blocks through the same loop.
+    row or the stream ends; the block it stopped on is still held. One
+    loop then checks each of these blocks once, exactly, against the
+    candidate of the moment: that block, the rest of the stream, the
+    blocks before it streamed again, and the translates of the rows
+    certification added. It stops early at rank cols.
     """
     filt = ModularFilter(cols)
     accepted: list[np.ndarray] = []  # rows of integer arrays
     system = _System(cols, block_source, symmetries, accepted)
-    filtered = 0  # leading blocks that only the filter has seen
-    cand = None  # the exact candidate, once a block accepts no row
-    blocks = system.stream()
+    blocks, replay = system.stream(), system.replay()
+    held, filtered = (), 0  # the block the filter stopped on; the blocks before it
     try:
-        for block in blocks:
-            if cand is None:
-                rows = filt.filter_block(block)
-                accepted.extend(block[rows])
-                if filt.rank_lower_bound == cols:
-                    # the accepted rows are independent outright
-                    return cols, RowEchelonBasis(cols, [], []), accepted
-                if rows:
-                    filtered += 1
-                    continue
-                cand = _candidate(accepted, cols, -1)
+        for filtered, block in enumerate(blocks):
+            rows = filt.filter_block(block)
+            accepted.extend(block[rows])
+            if filt.rank_lower_bound == cols:
+                # the accepted rows are independent outright
+                return cols, RowEchelonBasis(cols, [], []), accepted
+            held = (block,)
+            if not rows:
+                break
+        cand = _candidate(accepted, cols, -1)
+        for block in chain(held, blocks, islice(replay, filtered), system.translates()):
             cand = _absorb(block, cand, accepted, cols)
             if cand.rank == cols:
-                return cols, cand.basis, accepted
+                break
+        return cand.rank, cand.basis, accepted
     finally:
         blocks.close()  # a generator source runs its cleanup at once
-    pending = ()  # blocks to certify as they come
-    if cand is None:  # every block accepted rows
-        cand = _candidate(accepted, cols, -1)
-        if filtered:  # the last one is still held: certify it in place
-            filtered -= 1
-            pending = chain([block], system.translates())
-    while True:
-        for block in pending:
-            cand = _absorb(block, cand, accepted, cols)
-            if cand.rank == cols:
-                return cols, cand.basis, accepted
-        if not filtered:
-            break
-        # re-stream the blocks only the filter has seen
-        violators = _find_violators(system.replay, cand, filtered)
-        if not violators:
-            break
-        accepted.extend(violators)
-        cand = _candidate(accepted, cols, cand.rank)
-        pending = system.translates()  # of the violators
-    return cand.rank, cand.basis, accepted
-
-
-def _find_violators(block_source, cand: _Candidate, nblocks: int) -> list[np.ndarray]:
-    """Up to cols - rank rows among the first nblocks streamed blocks that
-    the candidate basis does not annihilate; the stream is closed after them."""
-    violators: list[np.ndarray] = []
-    blocks = iter(block_source())
-    try:
-        for block in islice(blocks, nblocks):
-            violators.extend(block[_violating_rows(block, cand)])
-            if len(violators) >= len(cand.prim):
-                return violators[:len(cand.prim)]
-    finally:
-        _close(blocks)
-    return violators
+        replay.close()
 
 
 def certified_nullspace(cols: int, block_source, symmetries=()):
@@ -541,10 +503,10 @@ def certified_nullspace(cols: int, block_source, symmetries=()):
 
     block_source is a zero-argument callable returning a fresh iterable of
     2-d integer numpy arrays, the system's rows. Every call must yield the
-    same blocks in the same order: it is called once for the filter pass
-    and once per final certification pass, and a pass may stop early (the
-    iterator is then closed) because a final pass reads only the leading
-    blocks that accepted rows.
+    same blocks in the same order: it is called at most twice, once for
+    the filter and once to replay the blocks the filter alone has seen,
+    and either pass may stop early (the iterator is then closed): the
+    replay reads only the blocks before the one the filter stopped on.
 
     symmetries lists column permutations g (index arrays of length cols)
     under which the system's row set is closed: if x is a row, so is x[g].

@@ -107,6 +107,9 @@ def algebra_to_dict(a: Algebra) -> dict:
 def identity_from_dict(data: dict) -> IdentityCombination:
     if not isinstance(data, dict):
         _fail("identity", "expected a JSON object, got %s" % type(data).__name__)
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        _fail("name", "expected a string")
     degree = data.get("degree")
     if not _is_int(degree) or not 2 <= degree <= MAX_DEGREE:
         _fail("degree", "expected an integer in 2..%d, got %r" % (MAX_DEGREE, degree))
@@ -118,8 +121,11 @@ def identity_from_dict(data: dict) -> IdentityCombination:
         where = "terms[%d]" % pos
         if not isinstance(t, dict):
             _fail(where, "expected an object")
+        shape = t.get("shape", "")
+        if not isinstance(shape, str):
+            _fail(where + ".shape", "expected a string")
         try:
-            shape = BracketShape.parse(t.get("shape", ""))
+            shape = BracketShape.parse(shape)
         except ValueError as e:
             _fail(where + ".shape", str(e))
         if shape.leaves != degree:
@@ -133,7 +139,7 @@ def identity_from_dict(data: dict) -> IdentityCombination:
             _fail(where + ".perm", "must be a permutation of 1..%d, got %r" % (degree, perm))
         coef = _parse_coef(where + ".coef", t.get("coef"))
         terms.append((MultilinearMonomial(shape, perm), coef))
-    return IdentityCombination.from_terms(degree, terms, name=str(data.get("name", "")))
+    return IdentityCombination.from_terms(degree, terms, name=name)
 
 
 def identity_to_dict(c: IdentityCombination) -> dict:

@@ -264,6 +264,12 @@ def test_unknown_algebra_suggests_catalog_keys(capsys):
     assert "did you mean" in err and "W2(big)" in err
 
 
+def test_bad_catalog_parameters_are_a_usage_error(capsys):
+    rc, _, err = run(capsys, "show", "Sab_bar(1/0,2)")
+    assert rc == 2
+    assert err.startswith("error: zero denominator")
+
+
 def test_unknown_identity_lists_the_builtins(capsys):
     rc, _, err = run(capsys, "check", "D2", "--identity", "nope")
     assert rc == 2

@@ -192,12 +192,7 @@ def adversarial_systems(draw, sizes=SIZES):
 @given(adversarial_systems())
 def test_certified_rank_agrees_with_fraction_oracle(system):
     arr, cols, step, symmetries = system
-    m = Matrix.from_rows(_orbit(arr, symmetries))
-    oracle_rows, oracle_null = rref(m), nullspace(m)
-    source = _blocks_of(arr, step)
-    assert certified_rank(cols, source, symmetries) == oracle_rows.rank
-    assert certified_nullspace(cols, source, symmetries) == (oracle_rows.rank, oracle_null)
-    assert certified_rowspace(cols, source, symmetries) == (oracle_rows.rank, oracle_rows)
+    _assert_oracle_answers(_blocks_of(arr, step)(), cols, symmetries)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -412,8 +407,9 @@ class CountingSource:
 
 def _assert_oracle_answers(blocks, cols, symmetries=()):
     """Rank, nullspace and row space of the system the blocks generate
-    agree with the Fraction oracle on its expanded orbit; returns the
-    counting source of the certified_nullspace call."""
+    agree with the Fraction oracle on its expanded orbit, and the source is
+    streamed at most twice; returns the counting source of the
+    certified_nullspace call."""
     m = Matrix.from_rows(_orbit([row for block in blocks for row in block], symmetries))
     oracle_rows, oracle_null = rref(m), nullspace(m)
     assert certified_rank(cols, CountingSource(blocks), symmetries) == oracle_rows.rank
@@ -421,6 +417,8 @@ def _assert_oracle_answers(blocks, cols, symmetries=()):
     assert certified_nullspace(cols, source, symmetries) == (oracle_rows.rank, oracle_null)
     rowspace = certified_rowspace(cols, CountingSource(blocks), symmetries)
     assert rowspace == (oracle_rows.rank, oracle_rows)
+    # once for the filter, once to replay the blocks only the filter saw
+    assert len(source.pulls) <= 2 and all(source.closed)
     return source
 
 
@@ -450,8 +448,9 @@ def saturating_streams(draw):
 def test_zero_mod_p_row_after_saturation_is_caught_in_stream(system):
     blocks, cols = system
     source = _assert_oracle_answers(blocks, cols)
-    # Only the leading blocks that the filter alone has seen are re-streamed
-    # (the first, unless it is zero); later blocks were certified as they came.
+    # Only the blocks before the one the filter stopped on are streamed
+    # again (the first, unless it is zero); later blocks were certified as
+    # they came.
     pre_switch = 1 if blocks[0].any() else 0
     assert all(pulled == pre_switch for pulled in source.pulls[1:])
     assert all(source.closed)
@@ -466,6 +465,16 @@ def test_a_block_after_one_that_accepted_nothing_raises_the_rank():
     ]
     source = _assert_oracle_answers(blocks, 4)
     assert source.pulls == [4, 1] and all(source.closed)
+
+
+def test_a_violator_found_on_replay_is_not_streamed_again():
+    # (1, p, 0) is (1, 0, 0) mod PRIME, so the filter drops it and stops on
+    # the second block; replaying the first block finds it, and no third
+    # pass follows
+    blocks = [np.array([[1, 0, 0], [1, PRIME, 0]], dtype=np.int64),
+              np.array([[2, 0, 0]], dtype=np.int64)]
+    source = _assert_oracle_answers(blocks, 3)
+    assert source.pulls == [2, 1] and source.closed == [True, True]
 
 
 def test_a_violator_block_that_reaches_full_rank_ends_the_stream():
@@ -522,7 +531,7 @@ def test_a_one_block_system_is_streamed_once(system):
 def test_a_row_zero_mod_p_in_the_last_filtered_block_is_caught_in_place(rows, pulls):
     # every block accepts a row, so the stream ends in the filter; the
     # PRIME row, independent over Q only, is in the block it ends on, which
-    # the final pass does not stream again
+    # is certified where it is and not streamed again
     blocks = [np.array(block, dtype=np.int64) for block in rows]
     source = _assert_oracle_answers(blocks, len(rows[0][0]))
     assert source.pulls == pulls and all(source.closed)
@@ -553,10 +562,13 @@ def test_translates_of_translates_carry_the_rank():
     # x[g] = (1 + p, 1) is x mod PRIME, and independent of x over Q
     ([[[1, 1 + PRIME]]], [1, 0]),
     # b[g] = (0, 0, 1 + p, 1) is b mod PRIME and arrives in a block that
-    # also accepts a[g]; only the final pass over that block finds it
+    # also accepts a[g]; that block ends the stream and is certified in place
     ([[[1, 0, 0, 0], [0, 0, 1, 1 + PRIME]]], [1, 0, 3, 2]),
     # PRIME * e_0 is found exactly; its translate is zero mod PRIME
     ([[[1, 1, 1, 1]], [[PRIME, 0, 0, 0]]], [1, 2, 3, 0]),
+    # v = (1, 0, p, 0) is e_0 mod PRIME and found only when the first block
+    # is streamed again; its translate (0, 1, 0, p) alone reaches rank 4
+    ([[[1, 0, 0, 0], [1, 0, PRIME, 0]], [[2, 0, 0, 0]]], [1, 0, 3, 2]),
 ])
 def test_a_translate_independent_only_over_q_is_caught(rows, g):
     blocks = [np.array(block, dtype=np.int64) for block in rows]

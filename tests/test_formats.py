@@ -160,6 +160,11 @@ def test_identity_diagnostics_pinpoint_the_field():
             "terms[0].perm: must be a permutation of 1..3, got [True, 2, 3]",
         ),
         (dict(_valid_identity_dict(), degree=True), "degree: expected an integer in 2..5"),
+        (
+            dict(_valid_identity_dict(), terms=[{"shape": 3, "perm": [1, 2, 3], "coef": "1"}]),
+            "terms[0].shape: expected a string",
+        ),
+        (dict(_valid_identity_dict(), name=7), "name: expected a string"),
         ("nope", "identity: expected a JSON object"),
     ]
     for data, fragment in cases:
