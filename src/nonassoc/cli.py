@@ -23,7 +23,7 @@ from .claims import (
     run_claims,
 )
 from .cohomology import cohomology
-from .conservative import conservative_solve, first_terminal_violation, is_terminal
+from .conservative import conservative_solve, first_terminal_violation
 from .contraction import iw_contract
 from .formats import (
     FormatError,
@@ -180,11 +180,12 @@ def cmd_conservative(args):
 
 def cmd_terminal(args):
     a = _resolve_algebra(args.algebra)
-    if is_terminal(a):
+    where = first_terminal_violation(a)
+    if where is None:
         print("terminal: yes")
     else:
         print("terminal: no")
-        print("first violating tuple: %s" % (first_terminal_violation(a),))
+        print("first violating tuple: %s" % (where,))
     return 0
 
 
@@ -200,12 +201,7 @@ def cmd_cohomology(args):
     print("identity: %s" % (p.name or args.identity))
     print("dim B2 = %d" % rep.b2_dim)
     print("dim Z2 = %d" % rep.z2_dim)
-    if rep.coborders_contained:
-        print("dim H2 = %d" % rep.h2_dim)
-    else:
-        print("dim H2 undefined: coborders are not all cocycles")
-        print("witness coborder:")
-        _print_matrix(rep.stray_coborder)
+    print("dim H2 = %d" % rep.h2_dim)
     return 0
 
 

@@ -14,9 +14,11 @@ P-weighted sum of these root pairs on every basis tuple. That linear
 condition on the d^2 entries of theta cuts out the cocycles Z2_P; the
 coborders B2 (deformations absorbed by moving the complement of the
 annihilator line) are spanned by the component forms (x, y) -> (xy)_k.
-When B2 sits inside Z2_P, dim H2_P = dim Z2_P - dim B2 counts genuinely
-new extensions; H2_P = 0 means every extension in the variety of P is
-split or a trivial deformation.
+B2 always sits inside Z2_P: the cocycle condition on (x, y) -> (xy)_k at
+a basis tuple is the k-th component of P's value there, which is zero
+because P holds in A (checked before any row is built). So dim H2_P =
+dim Z2_P - dim B2 counts genuinely new extensions; H2_P = 0 means every
+extension in the variety of P is split or a trivial deformation.
 
 There is one row of that condition per basis tuple v. When P is
 alternating in all its variables, the row at v o tau is sgn(tau) times
@@ -39,10 +41,9 @@ extension_algebra for tests to cross-validate the root-pair rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebras import Algebra
-from .conservative import is_terminal, terminal_identity
+from .conservative import terminal_identity
 from .fastrank import certified_nullspace
 from .identities import (
     _block_ranges,
@@ -112,37 +113,32 @@ def cocycle_space(a: Algebra, p: IdentityCombination):
 class CohomologyReport:
     """Dimensions around one algebra/identity pair.
 
-    h2_dim is only meaningful when coborders_contained holds (it is
-    z2_dim - b2_dim then, and None otherwise); stray_coborder carries a
-    witness form outside the cocycle space in the degenerate case.
+    h2_dim = z2_dim - b2_dim always: the coborder (x, y) -> (xy)_k meets
+    the cocycle condition at a basis tuple in the k-th component of P's
+    value there, and P holds in the base, so B2 lies inside Z2_P.
     """
 
     b2_dim: int
     z2_dim: int
-    h2_dim: Optional[int]
-    coborders_contained: bool
-    stray_coborder: Optional[Matrix] = None
+    h2_dim: int
 
 
 def cohomology(a: Algebra, p: IdentityCombination) -> CohomologyReport:
-    znull = _cocycle_rref(a, p)
-    bdim, bmats = coborder_space(a)
-    stray = next((m for m in bmats if not znull.contains(m.entries)), None)
-    if stray is not None:
-        return CohomologyReport(bdim, znull.rank, None, False, stray)
-    return CohomologyReport(bdim, znull.rank, znull.rank - bdim, True)
+    z2_dim = _cocycle_rref(a, p).rank
+    b2_dim, _ = coborder_space(a)
+    return CohomologyReport(b2_dim, z2_dim, z2_dim - b2_dim)
 
 
 def terminal_cocycle_space(a: Algebra):
-    """Z2 with respect to the terminal identity; requires a terminal base."""
-    if not is_terminal(a):
-        raise ValueError("not terminal: %s" % (a.name or "algebra"))
+    """Z2 with respect to the terminal identity.
+
+    A non-terminal base raises the ValueError of cocycle_space ("base
+    does not satisfy P: ... fails terminal at basis tuple ...").
+    """
     return cocycle_space(a, terminal_identity())
 
 
 def terminal_cohomology(a: Algebra) -> CohomologyReport:
-    if not is_terminal(a):
-        raise ValueError("not terminal: %s" % (a.name or "algebra"))
     return cohomology(a, terminal_identity())
 
 

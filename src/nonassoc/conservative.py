@@ -53,6 +53,14 @@ _COMMUTATOR_TERMS = (
     (1, "x(x(xx))", (3, 1, 2, 4)),
 )
 
+# The side of the expanded condition that is linear in the witness value
+# w = F(a, b), with w = x1, x = x2, y = x3: -w(xy) + (wx)y + x(wy).
+_WITNESS_SIDE = IdentityCombination.from_terms(
+    3,
+    [(("x(xx)", (1, 2, 3)), -1), (("(xx)x", (1, 2, 3)), 1), (("x(xx)", (2, 1, 3)), 1)],
+    name="witness-side",
+)
+
 # Sites where the witness value w = F(a, b) appears in the expanded
 # condition: +w(xy), -(wx)y, -x(wy). Each template says which degree-4
 # shape hosts the doubled pair and where the leaves of w's two factors go.
@@ -89,15 +97,11 @@ def terminal_identity() -> IdentityCombination:
 
 
 def is_terminal(a: Algebra) -> bool:
-    if a.dim == 0:
-        return True
     return satisfies_identity(a, terminal_identity())
 
 
 def first_terminal_violation(a: Algebra):
     """First basis tuple (1-based) where the terminal identity fails, or None."""
-    if a.dim == 0:
-        return None
     return first_violation(a, terminal_identity())
 
 
@@ -117,20 +121,12 @@ def terminal_witness(a: Algebra) -> BilinearMap:
 def _g_tensor(a: Algebra):
     """Coefficient tensor of the witness side of the expanded condition.
 
-    Returns (G, den) with G[k, x, y, l] integral, scaled by den^2, such that
-    sum_k w_k G[k,x,y,l] / den^2 is the l-component of
+    Returns (G, gden) with G[k, x, y, l] integral such that
+    sum_k w_k G[k,x,y,l] / gden is the l-component of
     -w(e_x e_y) + (w e_x) e_y + e_x (w e_y) for w = sum_k w_k e_k.
     """
-    carr, den = a.int_constants()
-    d = a.dim
-    arr = np.asarray(carr)
-    big = int(abs(np.asarray(arr, dtype=object)).max()) if d else 0
-    if arr.dtype != object and 3 * d * big * big >= _INT64_LIMIT:
-        arr = arr.astype(object)
-    a1 = np.einsum("xym,kml->kxyl", arr, arr)  # e_k (e_x e_y)
-    a2 = np.einsum("kxm,myl->kxyl", arr, arr)  # (e_k e_x) e_y
-    a3 = np.einsum("kym,xml->kxyl", arr, arr)  # e_x (e_k e_y)
-    return -a1 + a2 + a3, den
+    g, gden = evaluate_combination_table(a, _WITNESS_SIDE)
+    return np.asarray(g).reshape((a.dim,) * 4), gden
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,11 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
     d = a.dim
     if d == 0:
         return ConservativeWitness(BilinearMap.zero(0), 0)
-    g, den = _g_tensor(a)
+    g, gden = _g_tensor(a)
     g2 = g.transpose(1, 2, 3, 0).reshape(d**3, d)
     r_table, rden = evaluate_combination_table(a, commutator_expansion())
     h = np.asarray(r_table).reshape(d, d, d, d, d).transpose(2, 3, 4, 0, 1)
     h = h.reshape(d**3, d * d)
-    if g2.dtype == object or h.dtype == object:
-        g2 = np.asarray(g2, dtype=object)
-        h = np.asarray(h, dtype=object)
     combined = np.concatenate([g2, h], axis=1)
     cols = d + d * d
 
@@ -180,7 +173,7 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
     # Every pivot sits in the coefficient block, so reading each right
     # hand side column off the pivot rows (free coordinates zero) solves
     # that pair's system.
-    scale = Fraction(den * den, rden)
+    scale = Fraction(gden, rden)
     w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for row, p in zip(basis.rows, basis.pivot_cols):
         for j in range(d * d):
@@ -189,7 +182,7 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
                 ai, bi = divmod(j, d)
                 w[ai][bi][p] = val * scale
     witness = BilinearMap._from_fractions(d, w)
-    defect = _witness_defect(witness, g, den, r_table, rden)
+    defect = _witness_defect(witness, g, gden, r_table, rden)
     if defect is not None:
         raise AssertionError("computed witness fails verification at %r" % (defect,))
     return ConservativeWitness(witness, d * d * (d - g_rank))
@@ -205,21 +198,21 @@ def witness_defect(a: Algebra, f: BilinearMap):
     Returns None when F works, else the first failing (a, b, x, y, l)
     1-based, l being the coordinate where the two sides differ. The check
     is exact: both sides are cleared to integers and compared, in int64
-    when max|R| fden den^2 + d max|F| max|G| rden < 2^62 (R the cleared
+    when max|R| fden gden + d max|F| max|G| rden < 2^62 (R the cleared
     commutator table over rden, G the cleared tensor of _g_tensor over
-    den^2, F the witness cleared by fden), in Python integers otherwise.
+    gden, F the witness cleared by fden), in Python integers otherwise.
     """
     d = a.dim
     if f.dim != d:
         raise ValueError("witness dimension %d != algebra dimension %d" % (f.dim, d))
     if d == 0:
         return None
-    g, den = _g_tensor(a)
+    g, gden = _g_tensor(a)
     r_table, rden = evaluate_combination_table(a, commutator_expansion())
-    return _witness_defect(f, g, den, r_table, rden)
+    return _witness_defect(f, g, gden, r_table, rden)
 
 
-def _witness_defect(f: BilinearMap, g, den: int, r_table, rden: int):
+def _witness_defect(f: BilinearMap, g, gden: int, r_table, rden: int):
     """witness_defect, given the algebra's _g_tensor and commutator table."""
     d = f.dim
     fden = lcm(*(x.denominator for plane in f.c for row in plane for x in row))
@@ -229,10 +222,10 @@ def _witness_defect(f: BilinearMap, g, den: int, r_table, rden: int):
     )  # (a, b) x k
     g = np.asarray(g).reshape(d, d**3)  # k x (x, y, l)
     lhs = np.asarray(r_table).reshape(d * d, d**3)
-    bound = _abs_max(lhs) * fden * den * den + d * _abs_max(fint) * _abs_max(g) * rden
+    bound = _abs_max(lhs) * fden * gden + d * _abs_max(fint) * _abs_max(g) * rden
     dtype = np.int64 if bound < _INT64_LIMIT else object
     fg = fint.astype(dtype) @ g.astype(dtype)
-    diff = lhs.astype(dtype) * (fden * den * den) - fg * rden
+    diff = lhs.astype(dtype) * (fden * gden) - fg * rden
     hits = np.flatnonzero(diff)
     if not hits.size:
         return None

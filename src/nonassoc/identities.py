@@ -68,7 +68,7 @@ import numpy as np
 
 from . import fastrank
 from .algebras import Algebra, multiply
-from .fastrank import _INT64_LIMIT
+from .fastrank import _FLOAT64_LIMIT, _INT64_LIMIT
 from .linalg import RankSink
 from .monomials import (
     BracketShape,
@@ -123,10 +123,6 @@ def _subtree_keys(tree, out):
     return key
 
 
-# Integers of absolute value at most 2^53 are exact float64 values.
-_FLOAT_EXACT = 1 << 53
-
-
 def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndarray:
     """(dl, dr, d) array of the products of two subtrees' values, in the
     dtype of the arguments: entry [a, b] is (row a of tl)(row b of tr)
@@ -168,10 +164,10 @@ class _ValueTables(dict):
         lk, rk = self.children[key]
         factors = (self[lk], self[rk], self.cflat)
         dtype = self.cflat.dtype
-        if dtype == np.int64 and self.bounds[key] < _FLOAT_EXACT:
+        if dtype == np.int64 and self.bounds[key] < _FLOAT64_LIMIT:
             factors = (m.astype(np.float64) for m in factors)
         t = np.ascontiguousarray(_product_table(*factors), dtype=dtype)
-        t = t.reshape(-1, t.shape[2])
+        t = t.reshape(t.shape[0] * t.shape[1], t.shape[2])
         t.setflags(write=False)
         self[key] = t
         return t

@@ -75,9 +75,6 @@ class Matrix:
     def row(self, i: int) -> list[Fraction]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i * self.cols + j]

@@ -172,18 +172,49 @@ def test_degenerate_dimensions():
     assert wit is not None and wit.freedom == 1
 
 
+def _einsum_g(a):
+    """The witness-side tensor G[k, x, y, l] and its denominator, as object
+    einsums over the cleared structure constants."""
+    carr, den = a.int_constants()
+    c = np.asarray(carr, dtype=object)
+    g = (
+        -np.einsum("xym,kml->kxyl", c, c)  # e_k (e_x e_y)
+        + np.einsum("kxm,myl->kxyl", c, c)  # (e_k e_x) e_y
+        + np.einsum("kym,xml->kxyl", c, c)  # e_x (e_k e_y)
+    )
+    return g, den * den
+
+
 def _object_defect(a, f):
     """witness_defect as one object-dtype einsum: the independent check."""
     d = a.dim
-    g, den = _g_tensor(a)
+    g, gden = _einsum_g(a)
     r_table, rden = evaluate_combination_table(a, commutator_expansion())
     fden = lcm(*(x.denominator for plane in f.c for row in plane for x in row))
     fint = np.array([[[int(x * fden) for x in row] for row in plane] for plane in f.c],
                     dtype=object)
     lhs = np.asarray(r_table, dtype=object).reshape(d, d, d, d, d)
-    fg = np.einsum("abk,kxyl->abxyl", fint, np.asarray(g, dtype=object))
-    hits = np.nonzero(lhs * (fden * den * den) - fg * rden)
+    fg = np.einsum("abk,kxyl->abxyl", fint, g)
+    hits = np.nonzero(lhs * (fden * gden) - fg * rden)
     return tuple(int(h[0]) + 1 for h in hits) if len(hits[0]) else None
+
+
+def _scaled_s2():
+    # scaling the basis by s scales every structure constant by s, the
+    # commutator table by s^3 and G by s^2
+    s = 2**21
+    a = catalog("S2")
+    return change_of_basis(a, [[s * (i == j) for i in range(a.dim)] for j in range(a.dim)])
+
+
+@pytest.mark.parametrize("name", ["E2", "D2", "S2", "W2", "W2bar", "Sab_bar(1/2,-2/3)", "S2*2^21"])
+def test_g_tensor_equals_the_object_einsum(name):
+    a = _scaled_s2() if name == "S2*2^21" else catalog(name)
+    g, gden = _g_tensor(a)
+    want, want_den = _einsum_g(a)
+    assert gden == want_den
+    assert g.shape == want.shape
+    assert np.array_equal(np.asarray(g, dtype=object), want)
 
 
 def _perturbed(f, i, j, k, delta):
@@ -223,12 +254,9 @@ def test_perturbed_witness_fails_at_the_object_checks_first_tuple(name):
 
 
 def test_witness_check_past_the_int64_bound_agrees():
-    # scaling the basis by s scales every structure constant by s, the
-    # commutator table by s^3 and G by s^2: the table alone passes the
-    # int64 bound, so the check runs on Python integers
-    s = 2**21
-    a = catalog("S2")
-    big = change_of_basis(a, [[s * (i == j) for i in range(a.dim)] for j in range(a.dim)])
+    # the commutator table alone passes the int64 bound, so the check runs
+    # on Python integers
+    big = _scaled_s2()
     r_table, _ = evaluate_combination_table(big, commutator_expansion())
     assert max(abs(int(v)) for v in np.asarray(r_table).ravel()) >= 2**62
     _assert_defects_agree(big, random.Random(7), failures=4)

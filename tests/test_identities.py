@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -176,11 +177,28 @@ def test_identity_spaces_are_certified_once_per_algebra(monkeypatch):
 def test_kept_degree_five_basis_pickles_the_same():
     a = catalog("E2")
     dim, basis = identity_space(a, 5)
+    # the canonical basis is pinned byte for byte: each combination's
+    # nonzero (index, numerator, denominator) triples, hashed in order
+    h = hashlib.sha256()
+    for c in basis:
+        nz = [(i, x.numerator, x.denominator) for i, x in enumerate(c.coeffs) if x]
+        h.update(repr(nz).encode() + b"\n")
+    assert (dim, h.hexdigest()) == (
+        1674,
+        "f0a7ba694da7d507d0c2cecd1515a3c55aa3717df4f9130115a906d68b4921ef",
+    )
     before = pickle.dumps(basis)
     dim_again, basis_again = identity_space(a, 5)
     assert dim_again == dim == 1674
     assert basis_again is not basis
     assert pickle.dumps(basis_again) == before
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_zero_algebra_satisfies_every_identity(n):
+    zero = Algebra("zero", 0, [])
+    assert identity_space(zero, n)[0] == monomial_count(n)
+    assert shape_identity_space(zero, n, 1)[0] == factorial(n)
 
 
 def test_shape_identity_space_is_a_subspace():
