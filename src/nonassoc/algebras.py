@@ -61,7 +61,7 @@ class BilinearMap:
             if len(vec) != dim:
                 raise ValueError("product vector for (%d,%d) has length %d" % (i, j, len(vec)))
             c[i - 1][j - 1] = [Fraction(x) for x in vec]
-        return cls(dim, c)
+        return cls._from_fractions(dim, c)
 
     def apply(self, x: Sequence, y: Sequence) -> list[Fraction]:
         if len(x) != self.dim or len(y) != self.dim:

@@ -194,9 +194,8 @@ def cmd_cohomology(args):
     p = _resolve_identity(args.identity)
     try:
         rep = cohomology(a, p)
-    except ValueError as exc:
-        print(str(exc))
-        return 1
+    except ValueError as exc:  # the base does not satisfy P
+        raise _Usage(str(exc)) from exc
     print("algebra: %s" % a.name)
     print("identity: %s" % (p.name or args.identity))
     print("dim B2 = %d" % rep.b2_dim)

@@ -47,13 +47,15 @@ exactly as long as their algebra, and each call gets a new list of the
 same combinations. A full degree-5 basis holds about 22 MiB (E2) or
 26 MiB (S2), measured with tracemalloc.
 
-Value tables hold integers, and an int64 table whose proven bound is
-below 2^53 is built with float64 matrix products (BLAS) and cast back.
-The bounds are L1 bounds of table rows, and every term and partial sum
-of both products is at most the table's bound, so each is an integer
-that float64 holds exactly, in whatever order the sums run (the
-argument is in _ValueTables). Larger int64 bounds use int64 products,
-and object tables stay object.
+Value tables are kept per algebra, one subtree key -> table map for
+every degree (_shape_tables), each table built the first time it is
+read: a subtree's table is the same in every shape that contains it. They
+hold integers. The table of a k-leaf subtree has the proven L1 row bound
+(d * cmax)^(k-1), and its dtype follows from that bound alone: int64
+tables below 2^53 are built with float64 matrix products (BLAS) and cast
+back, exactly, because every term and partial sum of both products is at
+most the bound (the argument is in _ValueTables). Larger int64 bounds use
+int64 products, and bounds from 2^62, or object constants, object tables.
 """
 
 from __future__ import annotations
@@ -112,15 +114,23 @@ def _flat_indices(d: int, positions, digits: np.ndarray) -> np.ndarray:
     return weights @ digits.T
 
 
-def _subtree_keys(tree, out):
+def _subtree_keys(tree) -> str:
+    """The key of a subtree: "x" for a leaf, "(LR)" for the product of
+    the subtrees with keys L and R."""
     if tree is None:
-        out.setdefault("x", None)
         return "x"
-    lk = _subtree_keys(tree[0], out)
-    rk = _subtree_keys(tree[1], out)
-    key = "(%s%s)" % (lk, rk)
-    out.setdefault(key, tree)
-    return key
+    return "(%s%s)" % (_subtree_keys(tree[0]), _subtree_keys(tree[1]))
+
+
+@lru_cache(maxsize=None)
+def _children(key: str) -> tuple:
+    """The keys (L, R) of the two children of the product key "(LR)"."""
+    inner = key[1:-1]
+    depth = 0
+    for i, ch in enumerate(inner):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return inner[:i + 1], inner[i + 1:]
 
 
 def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndarray:
@@ -136,36 +146,50 @@ def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndar
 
 
 class _ValueTables(dict):
-    """Subtree key -> value table, each table built on its first lookup and
-    kept. Only the structure constants, each key's two children and the
-    bounds are held, never a function that refers back to the mapping, so
-    an evicted entry is freed at once.
+    """Subtree key -> value table of one algebra, each table built on its
+    first lookup and kept, for subtrees of every degree. Only the
+    structure constants, den and scale are held, never a function that
+    refers back to the mapping, so an evicted entry is freed at once.
 
-    An int64 table whose bound is below 2^53 is computed with float64
-    (BLAS) products and cast back, exactly. bounds[key] bounds the L1 norm
-    of every row of the key's table (see _shape_tables). The first
-    product's entries sum_p tl[a, p] c[p, q, k] have terms and partial
-    sums of absolute sum at most ||tl_a||_1 * cmax; the second product's
-    entries sum_q tr[b, q] w[a, q, k] at most ||tr_b||_1 * ||tl_a||_1 *
-    cmax. Both are at most bounds[key] = d * cmax * bounds[left] *
-    bounds[right], so every product and every partial sum is an integer
-    below 2^53, which float64 holds exactly, whatever order BLAS sums in.
-    Other int64 tables use int64 products; object tables stay object.
+    The table of a k-leaf subtree has shape (d^k, d): its row at flat leaf
+    tuple w is the product vector scaled by den^(k-1). bound(k) =
+    scale^(k-1), scale = d * cmax for cmax the largest absolute cleared
+    structure constant, bounds the L1 norm of every row, so also every
+    entry: a leaf's rows are unit vectors, ||xy||_1 <= d * cmax * ||x||_1
+    * ||y||_1, and the children's leaf counts add up to k.
+
+    A table's dtype follows from its bound alone: object when the
+    constants are object or the bound reaches 2^62, else int64. An int64
+    table whose bound is below 2^53 is computed with float64 (BLAS)
+    products and cast back, exactly. The first product's entries sum_p
+    tl[a, p] c[p, q, k] have terms and partial sums of absolute sum at
+    most ||tl_a||_1 * cmax; the second product's entries sum_q tr[b, q]
+    w[a, q, k] at most ||tr_b||_1 * ||tl_a||_1 * cmax. Both are at most
+    d * cmax * bound(left) * bound(right) = bound(k), so every product and
+    every partial sum is an integer below 2^53, which float64 holds
+    exactly, whatever order BLAS sums in. Other int64 tables use int64
+    products, and object tables Python integers.
     """
 
-    def __init__(self, cflat: np.ndarray, children: dict, bounds: dict):
-        d = cflat.shape[0]
-        super().__init__(x=np.eye(d, dtype=cflat.dtype))
-        self.cflat = cflat
-        self.children = children
-        self.bounds = bounds
+    def __init__(self, carr: np.ndarray, den: int):
+        d = carr.shape[0]
+        super().__init__(x=np.eye(d, dtype=carr.dtype))
+        self.cflat = carr.reshape(d, d * d)
+        self.den = den
+        self.scale = d * max(1, int(abs(carr).max())) if d else 1
+
+    def bound(self, leaves: int) -> int:
+        return self.scale ** (leaves - 1)
 
     def __missing__(self, key):
-        lk, rk = self.children[key]
-        factors = (self[lk], self[rk], self.cflat)
-        dtype = self.cflat.dtype
-        if dtype == np.int64 and self.bounds[key] < _FLOAT64_LIMIT:
-            factors = (m.astype(np.float64) for m in factors)
+        bound = self.bound(key.count("x"))
+        if self.cflat.dtype == object or bound >= _INT64_LIMIT:
+            dtype = work = object
+        else:
+            dtype = np.int64
+            work = np.float64 if bound < _FLOAT64_LIMIT else np.int64
+        lk, rk = _children(key)
+        factors = (m.astype(work, copy=False) for m in (self[lk], self[rk], self.cflat))
         t = np.ascontiguousarray(_product_table(*factors), dtype=dtype)
         t = t.reshape(t.shape[0] * t.shape[1], t.shape[2])
         t.setflags(write=False)
@@ -174,48 +198,20 @@ class _ValueTables(dict):
 
 
 @lru_cache(maxsize=1)
-def _shape_tables(a: Algebra, n: int):
-    """Value tables for the subtrees of the degree-n shapes.
+def _shape_tables(a: Algebra) -> _ValueTables:
+    """The value tables of a (see _ValueTables), for every degree.
 
-    Returns (tables, bounds, den): tables maps a subtree key to an array
-    of shape (d^leaves, d) whose row at flat leaf tuple w is the product
-    vector scaled by den^(leaves-1); bounds maps the key to a proven bound
-    on the L1 norm of every row, so also on its absolute entries: a leaf's
-    rows are unit vectors, and ||xy||_1 <= d * cmax * ||x||_1 * ||y||_1
-    for cmax the largest absolute cleared structure constant. Bounds and
-    the dtype (int64 unless a bound crosses 2^62) are decided here for
-    every subtree; a table is built the first time a caller looks it up,
-    and stays in this cached entry.
-
-    Only the last (algebra, degree) is kept. Callers ask for one key many
-    times in a row, and certified identity spaces are kept on their
-    algebra, so a larger cache mostly holds tables no one reads again:
-    replaying the registry's 355 lookups against an LRU gave the same 164
-    hits at every size from 1 to 6.
+    Only the last algebra is kept. Callers ask for one algebra many times
+    in a row, and certified identity spaces are kept on their algebra, so
+    a larger cache mostly holds tables no one reads again: replaying the
+    registry's 378 lookups against an LRU gave 235 hits at every size from
+    1 to 5, and 236 at size 6.
     """
-    d = a.dim
-    carr, den = a.int_constants()
-    cmax = max(1, int(abs(carr).max())) if d else 1
-
-    trees: dict = {}
-    for s in shapes(n):
-        _subtree_keys(s.tree, trees)
-    # _subtree_keys inserts every subtree after both of its children, so one
-    # pass in insertion order meets each child's bound first.
-    children = {key: (_subtree_keys(tree[0], {}), _subtree_keys(tree[1], {}))
-                for key, tree in trees.items() if tree is not None}
-
-    bounds = {"x": 1}
-    for key, (lk, rk) in children.items():
-        bounds[key] = d * bounds[lk] * bounds[rk] * cmax
-
-    use_object = any(b >= _INT64_LIMIT for b in bounds.values()) or carr.dtype == object
-    dtype = object if use_object else np.int64
-    return _ValueTables(carr.astype(dtype).reshape(d, d * d), children, bounds), bounds, den
+    return _ValueTables(*a.int_constants())
 
 
 def _shape_key(shape: BracketShape) -> str:
-    return _subtree_keys(shape.tree, {})
+    return _subtree_keys(shape.tree)
 
 
 def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
@@ -244,7 +240,7 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     holds component k at the tuple idx[j]. A block is one gather from the
     shapes' root tables laid side by side, with no copy."""
     d = a.dim
-    tables, _bounds, _den = _shape_tables(a, n)
+    tables = _shape_tables(a)
     digits = _digit_table(d, n)
     perms = list(permutations(range(1, n + 1)))
     # shape ci's leaf tuple w sits at column ci * d^n + w
@@ -455,24 +451,21 @@ def _term_factors(a: Algebra, c: IdentityCombination, split):
 
     terms holds (w, [(value table, row of positions)]) for each term of
     c's plan, with the factors split lists; positions lists the distinct
-    position tuples, for _flat_indices. dtype is int64 unless the tables
-    are object or sum |w| * (product of factor bounds) reaches the int64
-    limit; denom = weight denominator * den^(n-1). Tables are looked up
-    here.
+    position tuples, for _flat_indices. The k factors of a term have n
+    leaves in all, so their values' product is bounded by scale^(n-k) (see
+    _ValueTables); dtype is int64 unless the constants are object or sum
+    |w| * scale^(n-k) over the terms reaches the int64 limit. denom =
+    weight denominator * den^(n-1). Tables are looked up here.
     """
-    tables, bounds, den = _shape_tables(a, c.degree)
+    tables = _shape_tables(a)
     plan = _plan(c)
     keys, positions = plan.factors(split)
-    terms = []
-    total_bound = 0
-    for (w, _shape, _perm), factors in zip(plan.terms, keys):
-        bound = abs(w)
-        for key, _r in factors:
-            bound *= bounds[key]
-        total_bound += bound
-        terms.append((w, [(tables[key], r) for key, r in factors]))
-    use_object = tables["x"].dtype == object or total_bound >= _INT64_LIMIT
-    return terms, positions, object if use_object else np.int64, plan.wden * den ** (c.degree - 1)
+    n = c.degree
+    terms = [(w, [(tables[key], r) for key, r in factors])
+             for (w, _shape, _perm), factors in zip(plan.terms, keys)]
+    bound = sum(abs(w) * tables.scale ** (n - len(factors)) for w, factors in terms)
+    use_object = tables.cflat.dtype == object or bound >= _INT64_LIMIT
+    return terms, positions, object if use_object else np.int64, plan.wden * tables.den ** (n - 1)
 
 
 def _whole(shape: BracketShape, perm: tuple):

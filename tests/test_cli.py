@@ -219,9 +219,10 @@ def test_cohomology_report(capsys, tmp_path):
 
 
 def test_cohomology_rejects_a_base_outside_the_variety(capsys):
-    rc, out, _ = run(capsys, "cohomology", "W2(big)", "--identity", "st3_1")
-    assert rc == 1
-    assert out.startswith("base does not satisfy P")
+    rc, out, err = run(capsys, "cohomology", "W2(big)", "--identity", "st3_1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: base does not satisfy P: ")
 
 
 def test_reproduce_table_for_one_scope(capsys):

@@ -26,7 +26,14 @@ from nonassoc.conservative import (
     verify_witness,
     witness_defect,
 )
-from nonassoc.identities import evaluate_combination_table
+from nonassoc.identities import (
+    _children,
+    _product_table,
+    _shape_tables,
+    _ValueTables,
+    evaluate_combination_table,
+    first_violation,
+)
 
 # e1 e1 = -e2, e1 e2 = e1 - 2 e2, e2 e1 = -2 e1 + 2 e2, e2 e2 = -2 e1;
 # found by random search, kept fixed as a known negative
@@ -260,3 +267,42 @@ def test_witness_check_past_the_int64_bound_agrees():
     r_table, _ = evaluate_combination_table(big, commutator_expansion())
     assert max(abs(int(v)) for v in np.asarray(r_table).ravel()) >= 2**62
     _assert_defects_agree(big, random.Random(7), failures=4)
+
+
+def test_conservative_solve_builds_each_value_table_once(monkeypatch):
+    # G reads degree-3 tables and the commutator table degree-4 ones; both
+    # come from the algebra's one cache entry, and no table is built twice
+    built = []
+    build = _ValueTables.__missing__
+
+    def counting(self, key):
+        built.append(key)
+        return build(self, key)
+
+    monkeypatch.setattr(_ValueTables, "__missing__", counting)
+    _shape_tables.cache_clear()
+    conservative_solve(catalog("W2bar"))
+    assert _shape_tables.cache_info().misses == 1
+    assert built and len(built) == len(set(built))
+
+
+def test_value_tables_take_their_dtype_from_their_own_bound():
+    # scale = d * cmax = 4 * 3 * 2^21: the bound scale^(k-1) stays below
+    # 2^53 up to k = 3 leaves and passes 2^62 at k = 4
+    big = _scaled_s2()
+    _shape_tables.cache_clear()
+    assert conservative_solve(big) is not None
+    first_violation(big, terminal_identity())
+    tables = _shape_tables(big)
+    assert tables.scale == 4 * 3 * 2**21
+    leaves = {key: key.count("x") for key in tables}
+    assert set(leaves.values()) == {1, 2, 3, 4}
+    for key, table in tables.items():
+        assert table.dtype == (object if leaves[key] == 4 else np.int64), key
+    objects = tables.cflat.astype(object)
+    ref = {"x": np.eye(big.dim, dtype=object)}
+    for key in sorted(tables, key=len):
+        if key != "x":
+            lk, rk = _children(key)
+            ref[key] = _product_table(ref[lk], ref[rk], objects).reshape(-1, big.dim)
+        assert (tables[key] == ref[key]).all(), key

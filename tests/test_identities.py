@@ -19,6 +19,7 @@ from nonassoc.claims import _algebra, load_claims, named_identity, resolve_ident
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
+    _children,
     _cocycle_rows,
     _digit_table,
     _evaluation_block_builder,
@@ -30,7 +31,6 @@ from nonassoc.identities import (
     _shape_tables,
     _sorted_tuples,
     _tuple_indices,
-    _ValueTables,
     combination_in_span,
     evaluate_combination_table,
     evaluate_monomial,
@@ -420,7 +420,7 @@ def test_combination_in_span_and_spaces_equal():
 def test_evicted_value_tables_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
-        tables, _bounds, _den = _shape_tables(catalog("D2"), 4)
+        tables = _shape_tables(catalog("D2"))
         tables[_shape_key(shapes(4)[0])]  # tables are built on demand
         ref = weakref.ref(tables[max(tables, key=len)])
         del tables
@@ -545,9 +545,8 @@ def test_first_violation_builds_only_the_tables_it_reads():
     a = catalog("W2bar")
     _shape_tables.cache_clear()
     assert first_violation(a, st_identity(5, 1)) is None
-    tables, bounds, _den = _shape_tables(a, 5)
+    tables = _shape_tables(a)
     assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)", "((((xx)x)x)x)"}
-    assert set(bounds) > set(tables)  # bounds stay eager
 
 
 @st.composite
@@ -587,34 +586,66 @@ REGISTRY_ALGEBRAS = sorted({rec[k] for rec in load_claims()
                             if k in rec})
 
 
+def _product_subtrees() -> dict:
+    """key -> (left key, right key) of every product subtree of the shapes
+    of degree 2 to 5, each after both of its children."""
+    out = {}
+
+    def walk(tree):
+        if tree is None:
+            return "x"
+        lk, rk = walk(tree[0]), walk(tree[1])
+        key = "(%s%s)" % (lk, rk)
+        out.setdefault(key, (lk, rk))
+        return key
+
+    for n in range(2, 6):
+        for s in shapes(n):
+            walk(s.tree)
+    return out
+
+
+SUBTREES = _product_subtrees()
+
+
 def _reference_tables(tables) -> dict:
-    """Every table of a _ValueTables, rebuilt with products in its own
-    dtype (int64 or object), never float64."""
+    """The table of every subtree in SUBTREES, rebuilt with products in
+    the dtype its bound gives (int64 or object), never float64."""
     d = tables.cflat.shape[0]
     ref = {"x": np.eye(d, dtype=tables.cflat.dtype)}
-    for key, (lk, rk) in tables.children.items():
-        ref[key] = _product_table(ref[lk], ref[rk], tables.cflat).reshape(-1, d)
+    for key, (lk, rk) in SUBTREES.items():
+        big = tables.cflat.dtype == object or tables.bound(key.count("x")) >= 2**62
+        dtype = object if big else np.int64
+        factors = (m.astype(dtype) for m in (ref[lk], ref[rk], tables.cflat))
+        ref[key] = _product_table(*factors).reshape(-1, d)
     return ref
 
 
-def _assert_tables_match_reference(a, n):
-    tables, bounds, _den = _shape_tables.__wrapped__(a, n)  # a fresh, uncached entry
-    for key in tables.children:
+def _assert_tables_match_reference(a):
+    tables = _shape_tables.__wrapped__(a)  # a fresh, uncached entry
+    for key in SUBTREES:
         tables[key]
     ref = _reference_tables(tables)
     assert set(tables) == set(ref)
     for key, table in tables.items():
         assert table.dtype == ref[key].dtype and table.flags.c_contiguous, key
         assert np.array_equal(table, ref[key]), key
-    return tables, bounds
+    # the closed form scale^(k-1) is the recursion it replaced
+    carr, den = a.int_constants()
+    assert tables.den == den
+    cmax = max(1, int(abs(carr).max()))
+    old = {"x": 1}
+    for key, (lk, rk) in SUBTREES.items():
+        assert _children(key) == (lk, rk), key
+        old[key] = a.dim * old[lk] * old[rk] * cmax
+        assert tables.bound(key.count("x")) == old[key], key
+    return tables
 
 
 @pytest.mark.parametrize("name", REGISTRY_ALGEBRAS)
 def test_value_tables_equal_integer_builds_on_the_registry_algebras(name):
-    a = _algebra(name)
-    for n in (3, 4, 5):
-        tables, _bounds = _assert_tables_match_reference(a, n)
-        assert tables["x"].dtype == np.int64
+    tables = _assert_tables_match_reference(_algebra(name))
+    assert all(table.dtype == np.int64 for table in tables.values())
 
 
 def test_value_tables_beyond_the_float64_bound_are_built_in_int64():
@@ -624,15 +655,16 @@ def test_value_tables_beyond_the_float64_bound_are_built_in_int64():
     rng = random.Random(7)
     dense = Algebra("dense", 3, [[[rng.randint(4001, 7999) for _ in range(3)]
                                   for _ in range(3)] for _ in range(3)])
-    tables, bounds = _assert_tables_match_reference(dense, 5)
-    assert tables["x"].dtype == np.int64
-    beyond = [key for key in tables.children if bounds[key] >= 2**53]
+    tables = _assert_tables_match_reference(dense)
+    assert all(table.dtype == np.int64 for table in tables.values())
+    bounds = {key: tables.bound(key.count("x")) for key in SUBTREES}
+    beyond = [key for key in SUBTREES if bounds[key] >= 2**53]
     assert beyond and all(bounds[key] < 2**62 for key in beyond)
     assert any(int(abs(tables[key]).max()) > 2**53 for key in beyond)
-    assert any(bounds[key] < 2**53 for key in tables.children)  # both paths ran
+    assert any(bounds[key] < 2**53 for key in SUBTREES)  # both paths ran
     objects = tables.cflat.astype(object)
     obj = {"x": np.eye(3, dtype=object)}
-    for key, (lk, rk) in tables.children.items():
+    for key, (lk, rk) in SUBTREES.items():
         obj[key] = _product_table(obj[lk], obj[rk], objects).reshape(-1, 3)
         assert (tables[key] == obj[key]).all(), key
 
