@@ -2,9 +2,11 @@
 
 An algebra is a square array of rational structure constants c[i][j][k]
 meaning e_i e_j = sum_k c[i][j][k] e_k (0-based indices internally; the
-tables and file formats are 1-based). Left multiplication operators,
-derivations, ideals and subalgebra restriction all reduce to exact linear
-algebra over these constants.
+tables and file formats are 1-based), held once as an integer array over
+one common denominator. Left multiplication operators, derivations,
+ideals and subalgebra restriction all reduce to exact linear algebra over
+these constants; restriction and change of basis are integer tensor
+products, with echelon forms from fastrank.
 """
 
 from __future__ import annotations
@@ -16,64 +18,95 @@ from typing import Sequence
 import numpy as np
 
 from . import fastrank
-from .linalg import Matrix, RankSink
+from .linalg import Matrix
+
+
+def _cleared_rows(rows) -> tuple[list[list[int]], int]:
+    """(ints, den) with rows = ints / den: den is the lcm of the entries'
+    reduced denominators, so ints holds Python integers."""
+    fr = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r] for r in rows]
+    den = lcm(*(x.denominator for r in fr for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in fr], den
 
 
 class BilinearMap:
-    """n x n x n rational array: (x, y) -> sum x_i y_j c[i][j]."""
+    """n x n x n rational array: (x, y) -> sum x_i y_j c[i][j].
 
-    __slots__ = ("dim", "c", "_hash")
+    The constants are held once, as the canonical cleared pair (ints, den):
+    den is the lcm of their reduced denominators and ints = c * den, an
+    int64 array when every |entry| is below 2^31 and an object array
+    otherwise. Equal maps have equal pairs, so equality and the hash come
+    from the pair. The nested Fraction tuple c is built on first access.
+    """
+
+    __slots__ = ("dim", "ints", "den", "_c", "_hash")
 
     def __init__(self, dim: int, c):
-        self.dim = dim
-        self.c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
-        )
-        if len(self.c) != dim or any(
-            len(p) != dim or any(len(r) != dim for r in p) for p in self.c
+        planes = [[list(r) for r in p] for p in c]
+        if len(planes) != dim or any(
+            len(p) != dim or any(len(r) != dim for r in p) for p in planes
         ):
             raise ValueError("structure array is not %d^3" % dim)
+        ints, den = _cleared_rows(r for p in planes for r in p)
+        self._set(fastrank._int_array(ints, dim).reshape((dim,) * 3), den)
+
+    def _set(self, x: np.ndarray, m: int) -> None:
+        """Hold x / m (x an integer array of shape dim^3, m > 0) in canonical
+        form: divided by gcd(m, every entry)."""
+        g = gcd(m, int(np.gcd.reduce(x, axis=None))) if x.size else m
+        big = fastrank._abs_max(x) // g
+        x = (x // g).astype(np.int64 if big < 2**31 else object)
+        x.setflags(write=False)
+        self.dim, self.ints, self.den, self._c = len(x), x, m // g, None
         # immutable, and hashed on every value-table cache lookup
-        self._hash = hash((dim, self.c))
+        self._hash = hash((self.dim, self.den, tuple(x.ravel().tolist())))
 
     @classmethod
-    def _from_fractions(cls, dim: int, c) -> "BilinearMap":
-        """Unchecked constructor for the package's own results: c is
-        already a dim x dim x dim nesting of sequences of Fractions."""
+    def _from_cleared(cls, x: np.ndarray, m: int) -> "BilinearMap":
+        """The map with constants x / m: x an integer array (int64 or
+        object) of shape dim^3, m a positive integer."""
         b = cls.__new__(cls)
-        b.dim = dim
-        b.c = tuple(tuple(map(tuple, plane)) for plane in c)
-        b._hash = hash((dim, b.c))
+        b._set(x, m)
         return b
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearMap":
-        z = Fraction(0)
-        return cls(dim, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
+        return cls._from_cleared(np.zeros((dim,) * 3, dtype=np.int64), 1)
 
     @classmethod
     def from_products(cls, dim: int, products: dict) -> "BilinearMap":
         """products: {(i, j): vector} with 1-based basis indices."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), vec in products.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError("product index (%d,%d) out of range" % (i, j))
             if len(vec) != dim:
                 raise ValueError("product vector for (%d,%d) has length %d" % (i, j, len(vec)))
-            c[i - 1][j - 1] = [Fraction(x) for x in vec]
-        return cls._from_fractions(dim, c)
+            c[i - 1][j - 1] = vec
+        return cls(dim, c)
+
+    @property
+    def c(self):
+        if self._c is None:
+            den = self.den
+            fr = {v: Fraction(v, den) for v in set(self.ints.ravel().tolist())}
+            self._c = tuple(
+                tuple(tuple(fr[v] for v in r) for r in p) for p in self.ints.tolist()
+            )
+        return self._c
 
     def apply(self, x: Sequence, y: Sequence) -> list[Fraction]:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("argument length mismatch")
         out = [Fraction(0)] * self.dim
+        c = self.c
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                row = self.c[i][j]
+                row = c[i][j]
                 s = xi * yj
                 for k in range(self.dim):
                     if row[k]:
@@ -81,13 +114,14 @@ class BilinearMap:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BilinearMap) and self.dim == other.dim and self.c == other.c
+        return (isinstance(other, BilinearMap) and self.dim == other.dim
+                and self.den == other.den and np.array_equal(self.ints, other.ints))
 
     def __hash__(self):
         return self._hash
 
     def is_zero(self) -> bool:
-        return all(not x for p in self.c for r in p for x in r)
+        return not np.count_nonzero(self.ints)
 
 
 class Algebra:
@@ -98,7 +132,7 @@ class Algebra:
     tuple), so the answers live exactly as long as the algebra.
     """
 
-    __slots__ = ("name", "dim", "mult", "_int_cache", "_identity_spaces")
+    __slots__ = ("name", "dim", "mult", "_identity_spaces")
 
     def __init__(self, name: str, dim: int, c):
         self.name = name
@@ -106,7 +140,6 @@ class Algebra:
         self.mult = c if isinstance(c, BilinearMap) else BilinearMap(dim, c)
         if self.mult.dim != dim:
             raise ValueError("structure array dimension mismatch")
-        self._int_cache = None
 
     @property
     def c(self):
@@ -134,24 +167,11 @@ class Algebra:
     def int_constants(self):
         """(numpy integer array, denominator): c * den is integral.
 
-        dtype is int64 when the cleared entries fit comfortably, else object.
+        The map's canonical pair: den is the lcm of the constants' reduced
+        denominators, the read-only array is int64 when every |entry| is
+        below 2^31 and object otherwise.
         """
-        if self._int_cache is None:
-            den = 1
-            for p in self.c:
-                for r in p:
-                    for x in r:
-                        den = lcm(den, x.denominator)
-            ints = [
-                [[x.numerator * (den // x.denominator) for x in r] for r in p]
-                for p in self.c
-            ]
-            big = max((abs(v) for p in ints for r in p for v in r), default=0)
-            dtype = np.int64 if big < 2**31 else object
-            arr = np.array(ints, dtype=dtype)
-            arr.setflags(write=False)
-            self._int_cache = (arr, den)
-        return self._int_cache
+        return self.mult.ints, self.mult.den
 
     def renamed(self, name: str) -> "Algebra":
         return Algebra(name, self.dim, self.mult)
@@ -202,7 +222,7 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
                     for k in range(n):
                         third[k] += cj * row[k]
             out[i][j] = [first[k] - second[k] - third[k] for k in range(n)]
-    return BilinearMap._from_fractions(n, out)
+    return BilinearMap(n, out)
 
 
 class Subspace:
@@ -211,19 +231,22 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence]):
-        sink = RankSink(ambient)
-        for v in vectors:
-            sink.feed(v)
+        rows, _den = _cleared_rows(vectors)
+        for r in rows:
+            if len(r) != ambient:
+                raise ValueError("vector length %d, expected %d" % (len(r), ambient))
         self.ambient = ambient
-        self.basis = sink.basis()
+        self.basis = fastrank.rref_basis(ambient, *fastrank.rref_int(rows, ambient))
 
     @classmethod
     def span_of_basis_indices(cls, ambient: int, indices) -> "Subspace":
+        """The span of e_i for the 1-based indices i; any other index is a
+        ValueError."""
         vecs = []
         for i in indices:
-            v = [Fraction(0)] * ambient
-            v[i - 1] = Fraction(1)
-            vecs.append(v)
+            if type(i) is bool or not isinstance(i, (int, np.integer)) or not 1 <= i <= ambient:
+                raise ValueError("basis index %r is not an integer in 1..%d" % (i, ambient))
+            vecs.append([int(k == i) for k in range(1, ambient + 1)])
         return cls(ambient, vecs)
 
     @property
@@ -271,29 +294,39 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     """The algebra induced on a subalgebra, in the canonical basis of s.
 
-    Each product of two basis vectors of s is computed once; one outside s
-    raises ValueError.
+    With the basis rows cleared to b / bden and the constants to c / den,
+    every product of two basis rows is x / (bden^2 den) for one integer
+    array x; it lies in the span exactly when x bden equals its entries at
+    the pivots (its coordinates, the basis being in RREF) times b. One
+    outside s raises ValueError.
     """
     if s.ambient != a.dim:
         raise ValueError("ambient dimension mismatch")
-    m = s.dim
-    vecs = [list(r) for r in s.basis.rows]
-    pivots = s.basis.pivot_cols
-    c = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            prod = multiply(a, vecs[i], vecs[j])
-            if not s.contains(prod):
-                raise ValueError("not a subalgebra")
-            # in the span of an RREF basis, the entries at the pivots are the coordinates
-            c[i][j] = [prod[p] for p in pivots]
-    return Algebra(name or (a.name + "|sub"), m, BilinearMap._from_fractions(m, c))
+    carr, den = a.int_constants()
+    rows, bden = _cleared_rows(s.basis.rows)
+    b = fastrank._int_array(rows, a.dim)
+    bmax, cmax = fastrank._abs_max(b), fastrank._abs_max(carr)
+    bound = a.dim**2 * bmax * bmax * cmax * max(bden, s.dim * bmax)  # every partial sum
+    dtype = np.int64 if bound < fastrank._INT64_LIMIT else object
+    b = b.astype(dtype)
+    x = np.tensordot(np.tensordot(b, carr.astype(dtype), ([1], [0])), b, ([1], [1]))
+    x = x.transpose(0, 2, 1)  # x[i, j] is the product of basis rows i and j
+    coords = x[:, :, list(s.basis.pivot_cols)]
+    if not np.array_equal(coords @ b, x * bden):
+        raise ValueError("not a subalgebra")
+    mult = BilinearMap._from_cleared(coords, bden * bden * den)
+    return Algebra(name or (a.name + "|sub"), s.dim, mult)
 
 
 def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> Algebra:
     """Rewrite a in the basis f_j = sum_i columns[j][i] e_i.
 
     columns[j] is the coordinate vector of the new basis vector f_{j+1}.
+    With the columns cleared to t / tden (t[i][j] = tden columns[j][i]) and
+    the constants to c / den, the RREF num / rden of [t | I] is [I | t^-1]
+    when t is invertible, and the new constants are
+    sum num[k][l] t[p][i] t[q][j] c[p][q][l] / (tden rden den): three
+    tensordots, in int64 when their bound allows and in object otherwise.
     """
     n = a.dim
     if len(columns) != n:
@@ -301,22 +334,23 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     for j, col in enumerate(columns, start=1):
         if len(col) != n:
             raise ValueError("basis vector f_%d has %d coordinates, need %d" % (j, len(col), n))
-    # solve t * coords = v for each product vector, t[i][j] = columns[j][i];
-    # t must be invertible
-    ident = Matrix.identity(n)
-    aug = RankSink(2 * n)
-    for i in range(n):
-        aug.feed([Fraction(col[i]) for col in columns] + ident.row(i))
-    basis = aug.basis()
-    if aug.rank() != n or basis.pivot_cols[:n] != tuple(range(n)):
+    cols, tden = _cleared_rows(columns)
+    aug = [[col[i] for col in cols] + [int(k == i) for k in range(n)] for i in range(n)]
+    pivots, num, rden = fastrank.rref_int(aug, 2 * n)
+    if pivots != tuple(range(n)):
         raise ValueError("basis vectors are linearly dependent")
-    inv = Matrix.from_rows([row[n:] for row in basis.rows])
-    c = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = multiply(a, columns[i], columns[j])
-            c[i][j] = inv.mul_vec(prod)
-    return Algebra(name or (a.name + "|chg"), n, BilinearMap._from_fractions(n, c))
+    carr, den = a.int_constants()
+    t = fastrank._int_array(cols, n).T
+    inv = num[:, n:]
+    tmax = fastrank._abs_max(t)
+    bound = n**3 * tmax * tmax * fastrank._abs_max(inv) * fastrank._abs_max(carr)
+    dtype = np.int64 if bound < fastrank._INT64_LIMIT else object
+    t = t.astype(dtype)
+    x = np.tensordot(t, carr.astype(dtype), ([0], [0]))  # x[i, q, l]
+    x = np.tensordot(x, t, ([1], [0]))  # x[i, l, j]
+    x = np.tensordot(x, inv.astype(dtype), ([1], [1]))  # x[i, j, k]
+    mult = BilinearMap._from_cleared(x, tden * rden * den)
+    return Algebra(name or (a.name + "|chg"), n, mult)
 
 
 def derivation_algebra(a: Algebra):

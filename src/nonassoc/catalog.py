@@ -35,9 +35,9 @@ class UnknownAlgebraError(KeyError):
 def _build(name: str, dim: int, entries: dict) -> Algebra:
     products = {}
     for (i, j), terms in entries.items():
-        vec = [Fraction(0)] * dim
+        vec = [0] * dim
         for k, coef in terms:
-            vec[k - 1] += Fraction(coef)
+            vec[k - 1] += coef
         products[(i, j)] = vec
     return Algebra(name, dim, BilinearMap.from_products(dim, products))
 

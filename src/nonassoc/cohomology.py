@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .algebras import Algebra
 from .conservative import terminal_identity
-from .fastrank import certified_nullspace
+from .fastrank import certified_nullspace, rref_basis, rref_int
 from .identities import (
     _block_ranges,
     _cocycle_rows,
@@ -55,7 +55,7 @@ from .identities import (
 # Unused here: benchmark/test_bench.py checks that its tracer rebinds this
 # binding too. Drop both together.
 from .identities import _shape_tables  # noqa: F401
-from .linalg import Matrix, RankSink, RowEchelonBasis
+from .linalg import Matrix, RowEchelonBasis
 from .monomials import IdentityCombination
 
 BilinearForm = Matrix
@@ -68,10 +68,9 @@ def coborder_space(a: Algebra):
     so the dimension equals the number of independent component forms.
     """
     d = a.dim
-    sink = RankSink(d * d)
-    for k in range(d):
-        sink.feed([a.c[i][j][k] for i in range(d) for j in range(d)])
-    basis = sink.basis()
+    carr, _den = a.int_constants()
+    slices = carr.transpose(2, 0, 1).reshape(d, d * d)  # row k: (x, y) -> (xy)_k
+    basis = rref_basis(d * d, *rref_int(slices, d * d))
     return basis.rank, [Matrix(d, d, row) for row in basis.rows]
 
 

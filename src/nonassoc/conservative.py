@@ -23,15 +23,13 @@ coefficients, so terminality is an ordinary identity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from .algebras import Algebra, BilinearMap
-from .fastrank import _INT64_LIMIT, _abs_max, certified_rowspace
+from .fastrank import _INT64_LIMIT, _abs_max, certified_rref
 from .identities import evaluate_combination_table, first_violation, satisfies_identity
 from .monomials import IdentityCombination
 
@@ -107,15 +105,8 @@ def first_terminal_violation(a: Algebra):
 
 def terminal_witness(a: Algebra) -> BilinearMap:
     """The map (x, y) -> (2xy + yx)/3 on coordinates."""
-    d = a.dim
-    c = [
-        [
-            [(2 * a.c[i][j][k] + a.c[j][i][k]) / 3 for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return BilinearMap._from_fractions(d, c)
+    carr, den = a.int_constants()  # int64 entries are below 2^31: no overflow
+    return BilinearMap._from_cleared(2 * carr + carr.transpose(1, 0, 2), 3 * den)
 
 
 def _g_tensor(a: Algebra):
@@ -161,10 +152,10 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
         step = max(1, (1 << 19) // cols)
         return (combined[i : i + step] for i in range(0, len(combined), step))
 
-    _rank, basis = certified_rowspace(cols, blocks)
+    pivots, num, den = certified_rref(cols, blocks)
 
-    g_rank = sum(1 for p in basis.pivot_cols if p < d)
-    if g_rank < basis.rank:
+    g_rank = sum(1 for p in pivots if p < d)
+    if g_rank < len(pivots):
         # a pivot in the right-hand-side block: some combination of
         # equations has zero coefficient side but a nonzero right hand
         # side, so some pair (a, b) has no solution
@@ -172,16 +163,11 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
 
     # Every pivot sits in the coefficient block, so reading each right
     # hand side column off the pivot rows (free coordinates zero) solves
-    # that pair's system.
-    scale = Fraction(gden, rden)
-    w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for row, p in zip(basis.rows, basis.pivot_cols):
-        for j in range(d * d):
-            val = row[d + j]
-            if val:
-                ai, bi = divmod(j, d)
-                w[ai][bi][p] = val * scale
-    witness = BilinearMap._from_fractions(d, w)
+    # that pair's system: F(e_a, e_b)_p = num[row of p][d + a d + b] / den,
+    # scaled by gden / rden.
+    w = np.zeros((d * d, d), dtype=object)  # num * gden may pass 2^63
+    w[:, list(pivots)] = num[:, d:].T
+    witness = BilinearMap._from_cleared(w.reshape(d, d, d) * gden, den * rden)
     defect = _witness_defect(witness, g, gden, r_table, rden)
     if defect is not None:
         raise AssertionError("computed witness fails verification at %r" % (defect,))
@@ -215,11 +201,7 @@ def witness_defect(a: Algebra, f: BilinearMap):
 def _witness_defect(f: BilinearMap, g, gden: int, r_table, rden: int):
     """witness_defect, given the algebra's _g_tensor and commutator table."""
     d = f.dim
-    fden = lcm(*(x.denominator for plane in f.c for row in plane for x in row))
-    fint = np.array(
-        [[x.numerator * (fden // x.denominator) for x in row] for plane in f.c for row in plane],
-        dtype=object,
-    )  # (a, b) x k
+    fint, fden = f.ints.reshape(d * d, d), f.den  # (a, b) x k
     g = np.asarray(g).reshape(d, d**3)  # k x (x, y, l)
     lhs = np.asarray(r_table).reshape(d * d, d**3)
     bound = _abs_max(lhs) * fden * gden + d * _abs_max(fint) * _abs_max(g) * rden

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebras import Algebra, BilinearMap
 
 
@@ -30,25 +32,31 @@ def laurent_constants(a: Algebra, scaled_indices) -> dict:
     vectors do not span a subalgebra; the message names the first such
     (i, j, k).
     """
+    e, carr, den = _exponents(a, scaled_indices)
+    el, cl = e.tolist(), carr.tolist()
+    return {
+        (i + 1, j + 1, k + 1): (el[i][j][k], Fraction(cl[i][j][k], den))
+        for i, j, k in np.argwhere(carr != 0).tolist()
+    }
+
+
+def _exponents(a: Algebra, scaled_indices):
+    """(e, ints, den): e[i, j, k] = s_i + s_j - s_k and a's cleared
+    constants ints / den, after the checks of laurent_constants."""
     scaled = set(scaled_indices)
     for i in sorted(scaled):
         if not 1 <= i <= a.dim:
             raise ContractionError("basis index %r out of range" % (i,))
-    s = [int(i in scaled) for i in range(1, a.dim + 1)]
-    out = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                c = a.c[i][j][k]
-                if not c:
-                    continue
-                e = s[i] + s[j] - s[k]
-                if e < 0:
-                    raise ContractionError(
-                        "not a subalgebra: e_%d e_%d has component %s e_%d"
-                        % (i + 1, j + 1, c, k + 1))
-                out[(i + 1, j + 1, k + 1)] = (e, c)
-    return out
+    s = np.array([int(i in scaled) for i in range(1, a.dim + 1)], dtype=np.int64)
+    e = s[:, None, None] + s[None, :, None] - s[None, None, :]
+    carr, den = a.int_constants()
+    bad = np.argwhere((e < 0) & (carr != 0)).tolist()
+    if bad:
+        i, j, k = bad[0]
+        raise ContractionError(
+            "not a subalgebra: e_%d e_%d has component %s e_%d"
+            % (i + 1, j + 1, Fraction(int(carr[i, j, k]), den), k + 1))
+    return e, carr, den
 
 
 def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
@@ -57,13 +65,9 @@ def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
     scaled index is out of range or the unscaled vectors span no
     subalgebra."""
     scaled = sorted(set(scaled_indices))
-    n = a.dim
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), (e, coef) in laurent_constants(a, scaled).items():
-        if e == 0:
-            c[i - 1][j - 1][k - 1] = coef
+    e, carr, den = _exponents(a, scaled)
     label = name or "%s~contracted{%s}" % (a.name, ",".join(map(str, scaled)))
-    return Algebra(label, n, BilinearMap._from_fractions(n, c))
+    return Algebra(label, a.dim, BilinearMap._from_cleared(np.where(e == 0, carr, 0), den))
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,13 @@ def compare_tables(computed: Algebra, expected: Algebra):
     """All (i, j, k, got, want) triples where two tables disagree."""
     if computed.dim != expected.dim:
         raise ValueError("dimension mismatch")
-    bad = []
-    n = computed.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                g = computed.c[i][j][k]
-                w = expected.c[i][j][k]
-                if g != w:
-                    bad.append((i + 1, j + 1, k + 1, g, w))
-    return tuple(bad)
+    if computed.mult == expected.mult:
+        return ()
+    (g, gden), (w, wden) = computed.int_constants(), expected.int_constants()
+    diff = np.argwhere(g.astype(object) * wden != w.astype(object) * gden).tolist()
+    return tuple(
+        (i + 1, j + 1, k + 1, computed.c[i][j][k], expected.c[i][j][k]) for i, j, k in diff
+    )
 
 
 def contraction_chain_check(sab_pairs=((2, 1), (0, -3), (-1, 1), (0, 0), (Fraction(1, 2), Fraction(-2, 3)))):

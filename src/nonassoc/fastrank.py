@@ -144,7 +144,8 @@ def _mod_p(x: np.ndarray, p: int = PRIME) -> np.ndarray:
 
 def _primes():
     """PRIME, then every smaller odd prime in descending order."""
-    return (q for q in range(PRIME, 2, -2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
+    rest = range(PRIME - 2, 2, -2)
+    return chain((PRIME,), (q for q in rest if all(q % d for d in range(3, isqrt(q) + 1, 2))))
 
 
 def _int_array(rows, cols: int) -> np.ndarray:
@@ -521,17 +522,28 @@ def certified_rank(cols: int, block_source, symmetries=()) -> int:
     return _certify(cols, block_source, symmetries)[0]
 
 
-def certified_rowspace(cols: int, block_source, symmetries=()):
-    """Exact (rank, RowEchelonBasis of the row space) of a streamed system.
+def certified_rref(cols: int, block_source, symmetries=()):
+    """(pivot_cols, num, den) of the RREF num / den of a streamed system's
+    row space, as rref_int gives it.
 
     Once certification ends, the accepted rows span the full row space and
     their RREF is the canonical answer; at full rank it is the identity.
     """
     rank, _basis, accepted = _certify(cols, block_source, symmetries)
     if rank == cols:
-        identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        return rank, RowEchelonBasis(cols, identity, range(cols))
-    pivots, num, den = rref_int(accepted, cols)
+        return tuple(range(cols)), np.eye(cols, dtype=np.int64), 1
+    return rref_int(accepted, cols)
+
+
+def certified_rowspace(cols: int, block_source, symmetries=()):
+    """Exact (rank, RowEchelonBasis of the row space) of a streamed system."""
+    pivots, num, den = certified_rref(cols, block_source, symmetries)
+    return len(pivots), rref_basis(cols, pivots, num, den)
+
+
+def rref_basis(cols: int, pivots, num: np.ndarray, den: int) -> RowEchelonBasis:
+    """The RREF num / den of rref_int as a RowEchelonBasis: the boundary
+    where its Fractions are made."""
     zero = Fraction(0)
     rows = [tuple(Fraction(v, den) if v else zero for v in r) for r in num.tolist()]
-    return rank, RowEchelonBasis._from_fractions(cols, rows, pivots)
+    return RowEchelonBasis._from_fractions(cols, rows, pivots)

@@ -1,6 +1,9 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 from nonassoc.algebras import (
@@ -19,7 +22,7 @@ from nonassoc.algebras import (
 )
 from nonassoc.catalog import catalog, catalog_names
 from nonassoc.claims import _algebra, load_claims
-from nonassoc.linalg import Matrix
+from nonassoc.linalg import Matrix, rref
 
 
 def _rand_vec(rng, n):
@@ -373,3 +376,178 @@ def test_package_results_match_the_checked_constructor():
     _assert_canonical(conservative_solve(_algebra("S1_sub")).F)
     _assert_canonical(iw_contract(a, [5]).mult)
     _assert_canonical(terminal_witness(catalog("S2")))
+
+
+@pytest.mark.parametrize("index", [0, -1, 4, True, 1.0, "1"])
+def test_span_of_basis_indices_rejects_a_bad_index(index):
+    # 0 and -1 once indexed from the end (e_3, e_2) and 4 raised IndexError
+    with pytest.raises(ValueError, match=r"basis index %s is not an integer in 1\.\.3"
+                       % re.escape(repr(index))):
+        Subspace.span_of_basis_indices(3, [2, index])
+
+
+def test_span_of_basis_indices_accepts_numpy_integers():
+    s = Subspace.span_of_basis_indices(3, np.array([3, 1]))
+    assert s == Subspace(3, [[1, 0, 0], [0, 0, 1]])
+
+
+# -- the integer form, checked against Fractions ------------------------------
+
+
+def _oracle_int_constants(c, d):
+    """The lcm clearing of the nested Fractions, as int_constants did it
+    before the constants were stored as integers (its dimension-0 array was
+    1-d; it is reshaped here)."""
+    den = 1
+    for p in c:
+        for r in p:
+            for x in r:
+                den = lcm(den, x.denominator)
+    ints = [[[x.numerator * (den // x.denominator) for x in r] for r in p] for p in c]
+    big = max((abs(v) for p in ints for r in p for v in r), default=0)
+    dtype = np.int64 if big < 2**31 else object
+    return np.array(ints, dtype=dtype).reshape((d,) * 3), den
+
+
+def _random_table(rng, d, wide):
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        bound = 2**40 if wide and rng.random() < 0.3 else 9
+        return Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 4, 7)))
+
+    return [[[entry() for _ in range(d)] for _ in range(d)] for _ in range(d)]
+
+
+def _as_tuples(c):
+    return tuple(tuple(tuple(r) for r in p) for p in c)
+
+
+RANDOM_TABLES = [(d, wide, seed) for d in range(5) for wide in (False, True) for seed in range(3)]
+# cleared entries on both sides of the int64 rule's 2^31
+EDGE_TABLES = [
+    [[[Fraction(2**31 - 1)]]],
+    [[[Fraction(2**31)]]],
+    [[[Fraction(-2**31)]]],
+    [[[Fraction(2**31 - 1, 2), Fraction(1, 3)], [0, 0]], [[0, 0], [0, 0]]],
+    [[[Fraction(2**62, 5), 0], [0, Fraction(-1, 2**40)]], [[0, 0], [0, 0]]],
+]
+
+
+def _tables():
+    for d, wide, seed in RANDOM_TABLES:
+        yield "d%d-%s-%d" % (d, "wide" if wide else "small", seed), (
+            _random_table(random.Random(1000 * d + 10 * wide + seed), d, wide))
+    for k, c in enumerate(EDGE_TABLES):
+        yield "edge%d" % k, [[[Fraction(x) for x in r] for r in p] for p in c]
+
+
+TABLES = dict(_tables())
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_integer_form_matches_the_fraction_oracle(key):
+    c = TABLES[key]
+    d = len(c)
+    m = BilinearMap(d, c)
+    assert m.c == _as_tuples(c)
+    arr, den = Algebra("t", d, m).int_constants()
+    want, want_den = _oracle_int_constants(c, d)
+    assert den == want_den and arr.dtype == want.dtype and arr.shape == (d,) * 3
+    assert arr.tolist() == want.tolist()
+    assert not arr.flags.writeable
+    products = {(i + 1, j + 1): c[i][j] for i in range(d) for j in range(d) if any(c[i][j])}
+    built = [
+        BilinearMap.from_products(d, products),
+        BilinearMap._from_cleared(want.astype(object) * 6, want_den * 6),
+        BilinearMap._from_cleared(want, want_den),
+    ]
+    for other in built:
+        assert other == m and hash(other) == hash(m)
+        assert other.den == den and other.ints.dtype == arr.dtype
+        assert other.c == m.c
+    assert (m == BilinearMap.zero(d)) == m.is_zero()
+
+
+def _oracle_inverse(columns):
+    n = len(columns)
+    aug = Matrix.from_rows(
+        [[Fraction(col[i]) for col in columns] + [int(k == i) for k in range(n)] for i in range(n)])
+    basis = rref(aug)
+    if basis.pivot_cols[:n] != tuple(range(n)) or basis.rank != n:
+        return None
+    return Matrix.from_rows([row[n:] for row in basis.rows])
+
+
+def _random_basis(rng, n, wide):
+    while True:
+        bound = 2**33 if wide else 3
+        cols = [[Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 5)))
+                 for _ in range(n)] for _ in range(n)]
+        inv = _oracle_inverse(cols)
+        if inv is not None:
+            return cols, inv
+
+
+@pytest.mark.parametrize("key", sorted(k for k in TABLES if not k.startswith("d0")))
+def test_change_of_basis_matches_the_fraction_oracle(key):
+    c = TABLES[key]
+    n = len(c)
+    a = Algebra("t", n, c)
+    rng = random.Random(key)
+    cols, inv = _random_basis(rng, n, "wide" in key)
+    b = change_of_basis(a, cols)
+    want = [[inv.mul_vec(multiply(a, cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    assert b.c == _as_tuples(want)
+    assert b.mult == BilinearMap(n, want)
+    back = change_of_basis(b, [[inv[i, j] for i in range(n)] for j in range(n)])
+    assert back == a and back.int_constants()[0].dtype == a.int_constants()[0].dtype
+    # the last column is twice the first: t is singular
+    dependent = cols[:-1] + [[2 * x for x in cols[0]]] if n > 1 else [[0]]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        change_of_basis(a, dependent)
+
+
+def _oracle_restrict(a, s):
+    vecs = [list(r) for r in s.basis.rows]
+    out = []
+    for u in vecs:
+        out.append([])
+        for v in vecs:
+            prod = multiply(a, u, v)
+            assert s.contains(prod)
+            out[-1].append([prod[p] for p in s.basis.pivot_cols])
+    return out
+
+
+@pytest.mark.parametrize("parent, indices", [
+    ("W2(big)", (1, 2)), ("W2(big)", (1, 3, 4, 5, 6)), ("W2bar", (2, 3, 4, 6, 7, 8)),
+    ("Sab_bar(1/2,-2/3)", (1, 2, 3, 4, 5, 6, 7)),
+])
+def test_restrict_matches_the_fraction_oracle_in_a_moved_basis(parent, indices):
+    # b is the parent in a random rational basis; span(e_i) becomes a
+    # subalgebra of b with a rational, non-coordinate canonical basis
+    a = catalog(parent)
+    cols, inv = _random_basis(random.Random(parent), a.dim, False)
+    b = change_of_basis(a, cols)
+    s = Subspace(a.dim, [[inv[j, i - 1] for j in range(a.dim)] for i in indices])
+    assert any(x.denominator > 1 for r in s.basis.rows for x in r)
+    sub = restrict(b, s)
+    assert sub.c == _as_tuples(_oracle_restrict(b, s))
+    outside = Subspace(a.dim, list(s.basis.rows)[:-1] + [[1] * a.dim])
+    assert not is_subalgebra(b, outside)
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        restrict(b, outside)
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_terminal_witness_matches_the_fraction_oracle(key):
+    from nonassoc.conservative import terminal_witness
+
+    c = TABLES[key]
+    d = len(c)
+    want = [[[(2 * c[i][j][k] + c[j][i][k]) / 3 for k in range(d)] for j in range(d)]
+            for i in range(d)]
+    got = terminal_witness(Algebra("t", d, c))
+    assert got.c == _as_tuples(want)
+    assert got.ints.tolist() == _oracle_int_constants(want, d)[0].tolist()

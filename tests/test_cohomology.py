@@ -60,6 +60,18 @@ def test_coborder_space_of_the_two_dim_algebra():
         assert m[1, 1] == 0
 
 
+@pytest.mark.parametrize("name", ["W2(big)", "W2bar", "S2", "E2", "Sab_bar(1/2,-2/3)"])
+def test_coborder_space_is_the_fraction_rref_of_the_component_forms(name):
+    a = catalog(name)
+    d = a.dim
+    sink = RankSink(d * d)
+    for k in range(d):
+        sink.feed([a.c[i][j][k] for i in range(d) for j in range(d)])
+    dim, mats = coborder_space(a)
+    assert dim == sink.rank()
+    assert [tuple(m.entries) for m in mats] == sink.basis().rows
+
+
 def test_coborder_space_of_zero_algebra():
     z = Algebra("z", 2, [[[0, 0]] * 2] * 2)
     assert coborder_space(z)[0] == 0
