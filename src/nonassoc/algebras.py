@@ -52,7 +52,9 @@ class BilinearMap:
 
     def _set(self, x: np.ndarray, m: int) -> None:
         """Hold x / m (x an integer array of shape dim^3, m > 0) in canonical
-        form: divided by gcd(m, every entry)."""
+        form: divided by gcd(m, every entry); the zero map is 0 / 1."""
+        if not np.count_nonzero(x):
+            x, m = np.zeros(x.shape, dtype=np.int64), 1
         g = gcd(m, int(np.gcd.reduce(x, axis=None))) if x.size else m
         big = fastrank._abs_max(x) // g
         x = (x // g).astype(np.int64 if big < 2**31 else object)
@@ -291,6 +293,21 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
     return True
 
 
+def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for integer arrays, exactly, as an int64 or object array."""
+    out = fastrank._exact_products(x, y.T)
+    return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def _row_products(b: np.ndarray, carr: np.ndarray) -> np.ndarray:
+    """x[i, j, k] = sum b[i, p] b[j, q] carr[p, q, k]: the products of the
+    rows of the integer array b under the constants carr."""
+    r, n = b.shape
+    y = _exact_matmul(b, carr.reshape(n, n * n))  # y[i, q, k]
+    y = y.reshape(r, n, n).transpose(0, 2, 1).reshape(r * n, n)
+    return _exact_matmul(y, b.T).reshape(r, n, r).transpose(0, 2, 1)
+
+
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     """The algebra induced on a subalgebra, in the canonical basis of s.
 
@@ -305,14 +322,10 @@ def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     carr, den = a.int_constants()
     rows, bden = _cleared_rows(s.basis.rows)
     b = fastrank._int_array(rows, a.dim)
-    bmax, cmax = fastrank._abs_max(b), fastrank._abs_max(carr)
-    bound = a.dim**2 * bmax * bmax * cmax * max(bden, s.dim * bmax)  # every partial sum
-    dtype = np.int64 if bound < fastrank._INT64_LIMIT else object
-    b = b.astype(dtype)
-    x = np.tensordot(np.tensordot(b, carr.astype(dtype), ([1], [0])), b, ([1], [1]))
-    x = x.transpose(0, 2, 1)  # x[i, j] is the product of basis rows i and j
+    x = _row_products(b, carr)  # x[i, j] is the product of basis rows i and j
     coords = x[:, :, list(s.basis.pivot_cols)]
-    if not np.array_equal(coords @ b, x * bden):
+    span = _exact_matmul(coords.reshape(len(b) ** 2, len(b)), b).reshape(x.shape)
+    if not np.array_equal(span, x.astype(object) * bden):
         raise ValueError("not a subalgebra")
     mult = BilinearMap._from_cleared(coords, bden * bden * den)
     return Algebra(name or (a.name + "|sub"), s.dim, mult)
@@ -325,8 +338,8 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     With the columns cleared to t / tden (t[i][j] = tden columns[j][i]) and
     the constants to c / den, the RREF num / rden of [t | I] is [I | t^-1]
     when t is invertible, and the new constants are
-    sum num[k][l] t[p][i] t[q][j] c[p][q][l] / (tden rden den): three
-    tensordots, in int64 when their bound allows and in object otherwise.
+    sum num[k][l] t[p][i] t[q][j] c[p][q][l] / (tden rden den): exact
+    integer matrix products.
     """
     n = a.dim
     if len(columns) != n:
@@ -340,15 +353,8 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     if pivots != tuple(range(n)):
         raise ValueError("basis vectors are linearly dependent")
     carr, den = a.int_constants()
-    t = fastrank._int_array(cols, n).T
-    inv = num[:, n:]
-    tmax = fastrank._abs_max(t)
-    bound = n**3 * tmax * tmax * fastrank._abs_max(inv) * fastrank._abs_max(carr)
-    dtype = np.int64 if bound < fastrank._INT64_LIMIT else object
-    t = t.astype(dtype)
-    x = np.tensordot(t, carr.astype(dtype), ([0], [0]))  # x[i, q, l]
-    x = np.tensordot(x, t, ([1], [0]))  # x[i, l, j]
-    x = np.tensordot(x, inv.astype(dtype), ([1], [1]))  # x[i, j, k]
+    x = _row_products(fastrank._int_array(cols, n), carr)  # x[i, j, l]
+    x = _exact_matmul(x.reshape(n * n, n), num[:, n:].T).reshape(n, n, n)
     mult = BilinearMap._from_cleared(x, tden * rden * den)
     return Algebra(name or (a.name + "|chg"), n, mult)
 

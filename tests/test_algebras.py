@@ -22,6 +22,7 @@ from nonassoc.algebras import (
 )
 from nonassoc.catalog import catalog, catalog_names
 from nonassoc.claims import _algebra, load_claims
+from nonassoc.contraction import iw_contract
 from nonassoc.linalg import Matrix, rref
 
 
@@ -551,3 +552,23 @@ def test_terminal_witness_matches_the_fraction_oracle(key):
     got = terminal_witness(Algebra("t", d, c))
     assert got.c == _as_tuples(want)
     assert got.ints.tolist() == _oracle_int_constants(want, d)[0].tolist()
+
+
+def _tiny_square():
+    # e1 e1 = 2^-70 e2: the cleared table is int64 over den 2^70
+    return Algebra("tiny", 2, [[[0, Fraction(1, 2**70)], [0, 0]], [[0, 0], [0, 0]]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: iw_contract(_tiny_square(), [1]),
+    lambda: change_of_basis(Algebra("z", 2, [[[0, 0]] * 2] * 2),
+                            [[Fraction(1, 2**70), 0], [0, 1]]),
+    lambda: restrict(Algebra("z", 2, [[[0, 0]] * 2] * 2),
+                     Subspace(2, [[1, Fraction(1, 2**70)]])),
+], ids=["iw_contract", "change_of_basis", "restrict"])
+def test_a_zero_table_over_a_denominator_from_2_63_is_the_zero_algebra(build):
+    a = build()
+    assert _tiny_square().int_constants()[1] == 2**70
+    assert a.mult == BilinearMap.zero(a.dim)
+    carr, den = a.int_constants()
+    assert den == 1 and carr.dtype == np.int64 and not carr.any()
