@@ -3,16 +3,18 @@
 An algebra is a square array of rational structure constants c[i][j][k]
 meaning e_i e_j = sum_k c[i][j][k] e_k (0-based indices internally; the
 tables and file formats are 1-based), held once as an integer array over
-one common denominator. Left multiplication operators, derivations,
-ideals and subalgebra restriction all reduce to exact linear algebra over
-these constants; restriction and change of basis are integer tensor
-products, with echelon forms from fastrank.
+one common denominator. The operator calculus (left multiplications, the
+bracket [T, B], derivations, subalgebras, ideals, restriction and change
+of basis) is exact integer products on that array, through one row-product
+kernel and one span test, with echelon forms from fastrank. multiply and
+BilinearMap.apply evaluate pointwise in Fractions: the reference the
+integer path is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +29,13 @@ def _cleared_rows(rows) -> tuple[list[list[int]], int]:
     fr = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     den = lcm(*(x.denominator for r in fr for x in r))
     return [[x.numerator * (den // x.denominator) for x in r] for r in fr], den
+
+
+def _basis_index(i, n: int):
+    """i, when it is an integer in 1..n (a bool is not); else ValueError."""
+    if type(i) is bool or not isinstance(i, (int, np.integer)) or not 1 <= i <= n:
+        raise ValueError("basis index %r is not an integer in 1..%d" % (i, n))
+    return i
 
 
 class BilinearMap:
@@ -161,9 +170,9 @@ class Algebra:
         return "Algebra(%r, dim=%d)" % (self.name, self.dim)
 
     def basis_vector(self, i: int) -> list[Fraction]:
-        """1-based coordinate vector of e_i."""
+        """1-based coordinate vector of e_i; any other index is a ValueError."""
         v = [Fraction(0)] * self.dim
-        v[i - 1] = Fraction(1)
+        v[_basis_index(i, self.dim) - 1] = Fraction(1)
         return v
 
     def int_constants(self):
@@ -184,47 +193,52 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> list[Fraction]:
     return a.mult.apply(x, y)
 
 
+def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for integer arrays, exactly, as an int64 or object array."""
+    out = fastrank._exact_products(x, y.T)
+    return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def _row_products(u: np.ndarray, v: np.ndarray, carr: np.ndarray) -> np.ndarray:
+    """x[i, j, k] = sum u[i, p] v[j, q] carr[p, q, k]: the products of the
+    rows of the integer array u by those of v under the constants carr."""
+    r, n = u.shape
+    y = _exact_matmul(u, carr.reshape(n, n * n))  # y[i, q, k]
+    y = y.reshape(r, n, n).transpose(0, 2, 1).reshape(r * n, n)
+    return _exact_matmul(y, v.T).reshape(r, n, len(v)).transpose(0, 2, 1)
+
+
 def left_mul_operator(a: Algebra, x: Sequence) -> Matrix:
     """Matrix of y -> x y on coordinate columns."""
-    if len(x) != a.dim:
-        raise ValueError("argument length mismatch")
     n = a.dim
-    ent = [Fraction(0)] * (n * n)
-    for k in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for i, xi in enumerate(x):
-                if xi:
-                    acc += xi * a.c[i][j][k]
-            ent[k * n + j] = acc
-    return Matrix(n, n, ent)
+    if len(x) != n:
+        raise ValueError("argument length mismatch")
+    carr, den = a.int_constants()
+    rows, xden = _cleared_rows([x])
+    y = _row_products(fastrank._int_array(rows, n), np.eye(n, dtype=np.int64), carr)[0]
+    return Matrix(n, n, [Fraction(v, xden * den) for v in y.T.ravel().tolist()])
 
 
 def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
-    """[A,B](x,y) = A(B(x,y)) - B(Ax,y) - B(x,Ay), on all basis pairs."""
+    """[A,B](x,y) = A(B(x,y)) - B(Ax,y) - B(x,Ay), on all basis pairs.
+
+    With A cleared to t / tden, the three terms are integer arrays over
+    tden * B.den; each may reach 2^62, so their sum is taken in Python
+    integers unless a bound keeps it in int64.
+    """
     n = b_map.dim
     if a_map.rows != n or a_map.cols != n:
         raise ValueError("dimension mismatch")
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            first = a_map.mul_vec(b_map.c[i][j])
-            # B(Ae_i, e_j) = sum_p A[p][i] B(e_p, e_j), same on the right
-            second = [Fraction(0)] * n
-            third = [Fraction(0)] * n
-            for p in range(n):
-                ci = a_map[p, i]
-                cj = a_map[p, j]
-                if ci:
-                    row = b_map.c[p][j]
-                    for k in range(n):
-                        second[k] += ci * row[k]
-                if cj:
-                    row = b_map.c[i][p]
-                    for k in range(n):
-                        third[k] += cj * row[k]
-            out[i][j] = [first[k] - second[k] - third[k] for k in range(n)]
-    return BilinearMap(n, out)
+    rows, tden = _cleared_rows(a_map.row(i) for i in range(n))
+    t, carr, eye = fastrank._int_array(rows, n), b_map.ints, np.eye(n, dtype=np.int64)
+    terms = (
+        _exact_matmul(carr.reshape(n * n, n), t.T).reshape((n,) * 3),
+        _row_products(t.T, eye, carr),  # B(Ae_i, e_j): row i of t.T is Ae_i
+        _row_products(eye, t.T, carr),
+    )
+    big = sum(fastrank._abs_max(x) for x in terms) >= 2**63
+    x = terms[0].astype(object if big else np.int64) - terms[1] - terms[2]
+    return BilinearMap._from_cleared(x, tden * b_map.den)
 
 
 class Subspace:
@@ -244,12 +258,8 @@ class Subspace:
     def span_of_basis_indices(cls, ambient: int, indices) -> "Subspace":
         """The span of e_i for the 1-based indices i; any other index is a
         ValueError."""
-        vecs = []
-        for i in indices:
-            if type(i) is bool or not isinstance(i, (int, np.integer)) or not 1 <= i <= ambient:
-                raise ValueError("basis index %r is not an integer in 1..%d" % (i, ambient))
-            vecs.append([int(k == i) for k in range(1, ambient + 1)])
-        return cls(ambient, vecs)
+        indices = [_basis_index(i, ambient) for i in indices]
+        return cls(ambient, [[int(k == i) for k in range(1, ambient + 1)] for i in indices])
 
     @property
     def dim(self) -> int:
@@ -272,40 +282,34 @@ class Subspace:
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient, self.dim)
 
 
-def is_subalgebra(a: Algebra, s: Subspace) -> bool:
+def _cleared_basis(a: Algebra, s: Subspace) -> tuple[np.ndarray, int]:
+    """The canonical basis rows of s as b / bden, b an integer array."""
     if s.ambient != a.dim:
         raise ValueError("ambient dimension mismatch")
-    vecs = [list(r) for r in s.basis.rows]
-    return all(s.contains(multiply(a, u, v)) for u in vecs for v in vecs)
+    rows, bden = _cleared_rows(s.basis.rows)
+    return fastrank._int_array(rows, a.dim), bden
+
+
+def _in_span(x: np.ndarray, b: np.ndarray, bden: int, pivots) -> bool:
+    """Whether every vector x[..., :] (over any common denominator) lies in
+    the row space of b / bden, an RREF with these pivot columns: a vector's
+    coordinates are then its entries at the pivots, so it lies in the span
+    exactly when x bden equals x[..., pivots] @ b."""
+    coords = x[..., list(pivots)].reshape(prod(x.shape[:-1]), len(b))
+    span = _exact_matmul(coords, b).reshape(x.shape)
+    return np.array_equal(span, x.astype(object) * bden)
+
+
+def is_subalgebra(a: Algebra, s: Subspace) -> bool:
+    b, bden = _cleared_basis(a, s)
+    return _in_span(_row_products(b, b, a.mult.ints), b, bden, s.basis.pivot_cols)
 
 
 def is_ideal(a: Algebra, s: Subspace) -> bool:
-    if s.ambient != a.dim:
-        raise ValueError("ambient dimension mismatch")
-    vecs = [list(r) for r in s.basis.rows]
-    for i in range(1, a.dim + 1):
-        e = a.basis_vector(i)
-        for v in vecs:
-            if not s.contains(multiply(a, e, v)):
-                return False
-            if not s.contains(multiply(a, v, e)):
-                return False
-    return True
-
-
-def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for integer arrays, exactly, as an int64 or object array."""
-    out = fastrank._exact_products(x, y.T)
-    return out.astype(np.int64) if out.dtype == np.float64 else out
-
-
-def _row_products(b: np.ndarray, carr: np.ndarray) -> np.ndarray:
-    """x[i, j, k] = sum b[i, p] b[j, q] carr[p, q, k]: the products of the
-    rows of the integer array b under the constants carr."""
-    r, n = b.shape
-    y = _exact_matmul(b, carr.reshape(n, n * n))  # y[i, q, k]
-    y = y.reshape(r, n, n).transpose(0, 2, 1).reshape(r * n, n)
-    return _exact_matmul(y, b.T).reshape(r, n, r).transpose(0, 2, 1)
+    b, bden = _cleared_basis(a, s)
+    carr, eye = a.mult.ints, np.eye(a.dim, dtype=np.int64)
+    return all(_in_span(_row_products(u, v, carr), b, bden, s.basis.pivot_cols)
+               for u, v in ((eye, b), (b, eye)))
 
 
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
@@ -313,21 +317,15 @@ def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
 
     With the basis rows cleared to b / bden and the constants to c / den,
     every product of two basis rows is x / (bden^2 den) for one integer
-    array x; it lies in the span exactly when x bden equals its entries at
-    the pivots (its coordinates, the basis being in RREF) times b. One
-    outside s raises ValueError.
+    array x, whose coordinates in s are its entries at the pivots. A
+    product outside s raises ValueError.
     """
-    if s.ambient != a.dim:
-        raise ValueError("ambient dimension mismatch")
+    b, bden = _cleared_basis(a, s)
     carr, den = a.int_constants()
-    rows, bden = _cleared_rows(s.basis.rows)
-    b = fastrank._int_array(rows, a.dim)
-    x = _row_products(b, carr)  # x[i, j] is the product of basis rows i and j
-    coords = x[:, :, list(s.basis.pivot_cols)]
-    span = _exact_matmul(coords.reshape(len(b) ** 2, len(b)), b).reshape(x.shape)
-    if not np.array_equal(span, x.astype(object) * bden):
+    x = _row_products(b, b, carr)  # x[i, j] is the product of basis rows i and j
+    if not _in_span(x, b, bden, s.basis.pivot_cols):
         raise ValueError("not a subalgebra")
-    mult = BilinearMap._from_cleared(coords, bden * bden * den)
+    mult = BilinearMap._from_cleared(x[:, :, list(s.basis.pivot_cols)], bden * bden * den)
     return Algebra(name or (a.name + "|sub"), s.dim, mult)
 
 
@@ -353,7 +351,8 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     if pivots != tuple(range(n)):
         raise ValueError("basis vectors are linearly dependent")
     carr, den = a.int_constants()
-    x = _row_products(fastrank._int_array(cols, n), carr)  # x[i, j, l]
+    f = fastrank._int_array(cols, n)  # row j is tden f_j
+    x = _row_products(f, f, carr)  # x[i, j, l]
     x = _exact_matmul(x.reshape(n * n, n), num[:, n:].T).reshape(n, n, n)
     mult = BilinearMap._from_cleared(x, tden * rden * den)
     return Algebra(name or (a.name + "|chg"), n, mult)
@@ -368,43 +367,17 @@ def derivation_algebra(a: Algebra):
     n = a.dim
     if n == 0:
         return 0, []
-    carr, _den = a.int_constants()
-    cols = n * n
-
-    def blocks():
-        rows = np.zeros((n * n * n, cols), dtype=carr.dtype)
-        r = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    row = rows[r]
-                    for q in range(n):
-                        row[k * n + q] += carr[i][j][q]
-                    for p in range(n):
-                        row[p * n + i] -= carr[p][j][k]
-                        row[p * n + j] -= carr[i][p][k]
-                    r += 1
-        yield rows
-
-    _rank, null = fastrank.certified_nullspace(cols, blocks)
+    carr, eye = a.mult.ints, np.eye(n, dtype=np.int64)
+    # row (i, j, k), column (p, q): the coefficient of D[p][q] in
+    # D(e_i e_j)_k - (D(e_i) e_j)_k - (e_i D(e_j))_k
+    rows = (np.einsum("ijq,kp->ijkpq", carr, eye)
+            - np.einsum("pjk,iq->ijkpq", carr, eye)
+            - np.einsum("ipk,jq->ijkpq", carr, eye)).reshape(n ** 3, n * n)
+    _rank, null = fastrank.certified_nullspace(n * n, lambda: iter([rows]))
     mats = [Matrix(n, n, list(row)) for row in null.rows]
     return null.rank, mats
 
 
 def is_derivation(a: Algebra, d: Matrix) -> bool:
     """True when D satisfies the product rule on every basis pair."""
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            ei = a.basis_vector(i + 1)
-            ej = a.basis_vector(j + 1)
-            lhs = d.mul_vec(multiply(a, ei, ej))
-            rhs = [
-                u + v
-                for u, v in zip(
-                    multiply(a, d.mul_vec(ei), ej), multiply(a, ei, d.mul_vec(ej))
-                )
-            ]
-            if lhs != rhs:
-                return False
-    return True
+    return bracket(d, a.mult).is_zero()

@@ -36,6 +36,18 @@ def test_basis_vector_is_one_based():
     assert a.basis_vector(3) == [0, 0, 1]
 
 
+@pytest.mark.parametrize("index", [0, -1, 3, True, 1.0, 1.5, "1"])
+def test_basis_vector_rejects_a_bad_index(index):
+    # 0 and -1 once indexed from the end (e_2, e_1) and 3 raised IndexError
+    with pytest.raises(ValueError, match=r"basis index %s is not an integer in 1\.\.2"
+                       % re.escape(repr(index))):
+        catalog("E2").basis_vector(index)
+
+
+def test_basis_vector_accepts_numpy_integers():
+    assert catalog("E2").basis_vector(np.int64(2)) == [0, 1]
+
+
 def test_product_spot_checks_against_printed_rows():
     a = catalog("W2(big)")
     e = a.basis_vector

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -100,6 +101,15 @@ def test_evaluate_monomial_validation():
         evaluate_monomial(a, m, (1, 2))
     with pytest.raises(ValueError):
         evaluate_monomial(a, m, (1, 2, 3))
+
+
+@pytest.mark.parametrize("index", [0, 3, True, 1.5])
+def test_evaluate_monomial_rejects_a_bad_basis_index(index):
+    # True was once read as index 1, and 1.5 raised TypeError
+    m = enumerate_monomials(3)[0]
+    with pytest.raises(ValueError, match=r"basis index %s is not an integer in 1\.\.2"
+                       % re.escape(repr(index))):
+        evaluate_monomial(catalog("E2"), m, (1, index, 2))
 
 
 def test_identity_space_dims_match_brute_force():

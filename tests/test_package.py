@@ -54,3 +54,25 @@ def test_only_linalg_the_package_identities_and_cohomology_name_ranksink(path):
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert ("RankSink" in names) == (path.name in RANKSINK_MODULES)
+
+
+# algebras.py computes on the cleared integer table. The nested Fraction
+# tuple .c is for callers who read entries one by one and for the pointwise
+# reference evaluator BilinearMap.apply; Algebra.c only forwards it.
+def _definitions(tree):
+    """(qualified name, node) for each top-level definition and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield "%s.%s" % (node.name, getattr(item, "name", "")), item
+        else:
+            yield getattr(node, "name", ""), node
+
+
+def test_in_algebras_only_bilinear_map_reads_the_fraction_table():
+    path = Path(nonassoc.__file__).parent / "algebras.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    readers = {name for name, node in _definitions(tree) for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr == "c" and isinstance(n.ctx, ast.Load)}
+    assert "BilinearMap.apply" in readers
+    assert {r for r in readers if not r.startswith("BilinearMap.")} == {"Algebra.c"}
