@@ -16,9 +16,18 @@ coborders B2 (deformations absorbed by moving the complement of the
 annihilator line) are spanned by the component forms (x, y) -> (xy)_k.
 B2 always sits inside Z2_P: the cocycle condition on (x, y) -> (xy)_k at
 a basis tuple is the k-th component of P's value there, which is zero
-because P holds in A (checked before any row is built). So dim H2_P =
-dim Z2_P - dim B2 counts genuinely new extensions; H2_P = 0 means every
-extension in the variety of P is split or a trivial deformation.
+because P holds in A. So dim H2_P = dim Z2_P - dim B2 counts genuinely
+new extensions; H2_P = 0 means every extension in the variety of P is
+split or a trivial deformation.
+
+The same fact checks P in A from the rows themselves. With C the d^2 x d
+array of the cleared structure constants, P's value at v is row(v) @ C up
+to a positive scale, so each block of rows is multiplied by C, exactly,
+as it is built, and the first nonzero product is at the lexicographically
+first tuple where P fails. No block goes unchecked: certification stops
+before the end of the stream only at rank d^2, and rows at tuples where P
+vanishes are orthogonal to the d columns of C, so they reach rank d^2 only
+when C = 0, where P holds at every tuple.
 
 There is one row of that condition per basis tuple v. When P is
 alternating in all its variables, the row at v o tau is sgn(tau) times
@@ -28,10 +37,10 @@ space: C(d, n) rows instead of d^n, and none at all when d < n, where
 every form is a cocycle. The nullspace, and so its canonical basis, is
 the same either way.
 
-The rows (identities._cocycle_rows) and the tuples they are read at
-(identities._tuple_indices) come from identities, the one module that
-evaluates combinations at basis tuples; this module streams the rows in
-blocks and certifies their nullspace.
+The checked rows (identities._checked_cocycle_rows) and the tuples they
+are read at (identities._tuple_indices) come from identities, the one
+module that evaluates combinations at basis tuples; this module streams
+the rows in blocks and certifies their nullspace.
 
 The brute-force alternative, building the (d+1)-dimensional extension
 and running the identity checker on it, is deliberately kept as
@@ -47,18 +56,19 @@ from .conservative import terminal_identity
 from .fastrank import certified_nullspace
 from .identities import (
     _block_ranges,
-    _cocycle_rows,
+    _checked_cocycle_rows,
     _parallel_blocks,
     _tuple_indices,
-    first_violation,
 )
-# Unused here: benchmark/test_bench.py checks that its tracer rebinds this
-# binding too. Drop both together.
-from .identities import _shape_tables  # noqa: F401
+# Unused here: benchmark/test_bench.py checks that its tracer rebinds these
+# bindings too. Drop them together.
+from .identities import _shape_tables, first_violation  # noqa: F401
 from .linalg import Matrix, RankSink, RowEchelonBasis
 from .monomials import IdentityCombination
 
 BilinearForm = Matrix
+
+_BLOCK_ENTRIES = 1 << 19  # entries per block of cocycle rows
 
 
 def coborder_space(a: Algebra):
@@ -78,19 +88,12 @@ def coborder_space(a: Algebra):
 
 def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     d = a.dim
-    n = p.degree
-    bad = first_violation(a, p)
-    if bad is not None:
-        raise ValueError(
-            "base does not satisfy P: %s fails %s at basis tuple %r"
-            % (a.name or "algebra", p.name or "the identity", bad)
-        )
     cols = d * d
     if d == 0:
         return RowEchelonBasis(0, [], [])
-    rows = _cocycle_rows(a, p)
+    rows = _checked_cocycle_rows(a, p)
     tuples = _tuple_indices(p, d)
-    ranges = _block_ranges(len(tuples), max(16, min(len(tuples), (1 << 19) // cols)))
+    ranges = _block_ranges(len(tuples), max(16, min(len(tuples), _BLOCK_ENTRIES // cols)))
 
     def block_source():
         return _parallel_blocks(ranges, lambda rng: rows(tuples[rng[0]:rng[1]]))

@@ -29,15 +29,17 @@ those rows are all that is built, and fastrank certifies that their span
 is invariant under each g_i.
 
 This module is the one place that evaluates a combination at basis
-tuples: its values (first_violation, evaluate_combination_table) and the
-cocycle rows of its central extensions (cohomology) come from one term
-walk over the same tables. What that walk needs from the coefficients
-is compiled once per combination object into a plan (_Plan): whether it
-alternates, the weight denominator, the nonzero terms as (integer
-weight, shape, permutation), and for each evaluator the subtree keys and
-leaf positions of every term's factors. The plan is kept on the
-combination but is no part of its value: equality, hashing and pickling
-ignore it. Later calls only look up tables and sum bounds.
+tuples, from the same tables: its values (first_violation,
+evaluate_combination_table) by a walk over its terms, and the cocycle
+rows of its central extensions (cohomology) by one batched product over
+all terms at once, which also checks the combination itself
+(_checked_cocycle_rows). What both need from the coefficients is compiled
+once per combination object into a plan (_Plan): whether it alternates,
+the weight denominator, the nonzero terms as (integer weight, shape,
+permutation), and for each evaluator the subtree keys and leaf positions
+of every term's factors. The plan is kept on the combination but is no
+part of its value: equality, hashing and pickling ignore it. Later calls
+only look up tables and sum bounds.
 
 A certified identity space is kept on the Algebra object it was computed
 for, keyed by degree and shapes (Algebra._identity_spaces), so asking
@@ -79,6 +81,9 @@ from .monomials import (
     monomial_count,
     shapes,
 )
+
+
+_CHUNK_BYTES = 1 << 20  # bound on the arrays of one chunk of _cocycle_rows
 
 
 def _block_ranges(total: int, block: int):
@@ -495,21 +500,92 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     """rows(idx) -> (len(idx), d^2) array: row j is the cocycle condition
     of p at the flat basis tuple idx[j], the sum over p's terms of the
     weight times the outer product of the values of the two root subtrees
-    (see cohomology)."""
-    d = a.dim
-    digits = _digit_table(d, p.degree)
-    terms, positions, dtype, _denom = _term_factors(a, p, _root_pair)
+    (see cohomology).
+
+    The T terms are one batched product. Every distinct root-subtree table
+    is stacked once into one array; a chunk of m tuples takes all left
+    factors and all right factors in one gather each, (m, T, d), scales
+    the left ones by the weights, and sums the T outer products as one
+    matmul (m, d, T) @ (m, T, d). Every product and partial sum is at most
+    sum |w| * scale^(n-2) (a factor of k leaves is at most scale^(k-1),
+    see _ValueTables), which picks the work dtype: float64 (BLAS) below
+    2^53, exact as in _ValueTables, int64 below 2^62, object otherwise.
+    The rows are int64, or object on the object path. Chunks keep the
+    chunk's arrays within _CHUNK_BYTES, however many terms p has.
+    """
+    d, n = a.dim, p.degree
+    digits = _digit_table(d, n)
+    tables = _shape_tables(a)
+    plan = _plan(p)
+    keys, positions = plan.factors(_root_pair)
+    weights = [w for w, _shape, _perm in plan.terms]
+    bound = sum(map(abs, weights)) * tables.scale ** (n - 2)
+    if tables.cflat.dtype == object or bound >= _INT64_LIMIT:
+        work = dtype = object
+    else:
+        dtype = np.int64
+        work = np.float64 if bound < _FLOAT64_LIMIT else np.int64
+    start: dict = {}  # subtree key -> the first row of its table in the stack
+    stacked = []
+    for key in (key for factors in keys for key, _r in factors):
+        if key not in start:
+            start[key] = sum(map(len, stacked))
+            stacked.append(tables[key].astype(work, copy=False))
+    stack = np.concatenate([np.zeros((0, d), dtype=work), *stacked])
+    # first[s, t]: the stack row where the table of side s of term t starts;
+    # pos[s, t]: the index of that factor's leaf positions
+    first, pos = np.array([[(start[key], r) for key, r in factors] for factors in keys],
+                          dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0)
+    w = np.array(weights, dtype=work)[:, None]
+    nt = len(weights)
+    step = max(1, _CHUNK_BYTES // (8 * (len(positions) + 2 * nt * (d + 1) + 2 * d * d)))
+
+    def chunk(idx):  # its arrays are freed on return
+        gathers = _flat_indices(d, positions, digits[idx]).T  # (m, positions)
+        lv, rv = (np.take(stack, first[s] + gathers[:, pos[s]], axis=0) for s in (0, 1))
+        lv *= w
+        return np.matmul(lv.transpose(0, 2, 1), rv)
 
     def rows(idx):
-        gathers = _flat_indices(d, positions, digits[idx])
-        acc = np.zeros((len(idx), d, d), dtype=dtype)
-        for w, [(tl, lr), (tr, rr)] in terms:
-            lv = tl[gathers[lr]].astype(dtype, copy=False)
-            rv = tr[gathers[rr]].astype(dtype, copy=False)
-            acc += (w * lv)[:, :, None] * rv[:, None, :]
-        return acc.reshape(len(idx), d * d)
+        out = np.empty((len(idx), d, d), dtype=dtype)
+        for v0 in range(0, len(idx), step):
+            out[v0:v0 + step] = chunk(idx[v0:v0 + step])
+        return out.reshape(len(idx), d * d)
 
     return rows
+
+
+def _basis_tuple(d: int, n: int, flat) -> tuple:
+    """The 1-based basis tuple of length n with flat index flat."""
+    return tuple(int(x) + 1 for x in _digit_table(d, n)[flat])
+
+
+def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
+    """rows(idx) of _cocycle_rows, idx ascending, that also checks p at
+    those tuples from the same rows.
+
+    p's value at v is row(v) @ C / denom, for C the cleared structure
+    constants as a (d^2, d) array and denom that of _combination_values:
+    the cleared values of the root pair multiply in their outer product.
+    The block's products are exact (fastrank._exact_products(x, y) is
+    x @ y^T), and the first nonzero one, at the lexicographically first
+    violating tuple of idx, raises ValueError.
+    """
+    d, n = a.dim, p.degree
+    rows = _cocycle_rows(a, p)
+    c_t = a.mult.ints.reshape(d * d, d).T
+
+    def checked(idx):
+        block = rows(idx)
+        bad = np.flatnonzero((fastrank._exact_products(block, c_t) != 0).any(axis=1))
+        if bad.size:
+            raise ValueError(
+                "base does not satisfy P: %s fails %s at basis tuple %r"
+                % (a.name or "algebra", p.name or "the identity", _basis_tuple(d, n, idx[bad[0]]))
+            )
+        return block
+
+    return checked
 
 
 def first_violation(a: Algebra, c: IdentityCombination):
@@ -530,8 +606,7 @@ def first_violation(a: Algebra, c: IdentityCombination):
     for v0, v1 in _block_ranges(len(idx), 4096):
         nz = np.flatnonzero(values(idx[v0:v1]).any(axis=1))
         if nz.size:
-            digits = _digit_table(d, n)[idx[v0 + nz[0]]]
-            return tuple(int(x) + 1 for x in digits)
+            return _basis_tuple(d, n, idx[v0 + nz[0]])
     return None
 
 

@@ -1,9 +1,13 @@
+import importlib
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
+from math import factorial, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_identities import alternating_combinations
 
 from nonassoc.algebras import Algebra, multiply
@@ -20,15 +24,21 @@ from nonassoc.cohomology import (
 )
 from nonassoc.conservative import is_terminal, terminal_identity
 from nonassoc.fastrank import certified_nullspace
+from nonassoc.fastrank import certified_rank
 from nonassoc.identities import (
+    _CHUNK_BYTES,
     _cocycle_rows,
     _digit_table,
     _shape_tables,
+    _tuple_indices,
     first_violation,
     satisfies_identity,
 )
 from nonassoc.linalg import Matrix, RankSink
-from nonassoc.monomials import st_identity
+from nonassoc.monomials import IdentityCombination, monomial_count, shapes, st_identity
+
+# the module, not the function of the same name the package exports
+cohomology_module = importlib.import_module("nonassoc.cohomology")
 
 
 def _combo_2_3():
@@ -265,3 +275,218 @@ def test_split_extension_inherits_terminality():
     a = catalog("W2hat")
     assert is_terminal(a)
     assert is_terminal(extension_algebra(a, Matrix(8, 8, [0] * 64)))
+
+
+# -- cocycle rows against a pointwise Fraction reference ----------------------
+
+
+def _subtree_value(a, tree, leaves):
+    """The product vector of a subtree whose leaves, left to right, are the
+    basis vectors with the 1-based indices drawn from the iterator leaves."""
+    if tree is None:
+        return a.basis_vector(next(leaves))
+    return multiply(a, _subtree_value(a, tree[0], leaves), _subtree_value(a, tree[1], leaves))
+
+
+def _reference_rows(a, p, idx):
+    """Row j: the sum over p's monomials of coefficient * L(v) (x) R(v) at
+    the basis tuple v with flat index idx[j], L and R the values of the two
+    root subtrees, in Fractions."""
+    d, n = a.dim, p.degree
+    perms = list(permutations(range(1, n + 1)))
+    out = []
+    for flat in idx:
+        v = [int(x) + 1 for x in _digit_table(d, n)[flat]]
+        row = [Fraction(0)] * (d * d)
+        for i, coef in enumerate(p.coeffs):
+            if not coef:
+                continue
+            tree, perm = shapes(n)[i // factorial(n)].tree, perms[i % factorial(n)]
+            leaves = iter(v[q - 1] for q in perm)
+            left = _subtree_value(a, tree[0], leaves)
+            right = _subtree_value(a, tree[1], leaves)
+            for r, x in enumerate(left):
+                for c, y in enumerate(right):
+                    row[r * d + c] += coef * x * y
+        out.append(row)
+    return out
+
+
+def _rows_bound(a, p):
+    """sum |w| * scale^(n-2), the bound that picks the rows' work dtype."""
+    wden = lcm(*(x.denominator for x in p.coeffs))
+    ints = a.mult.ints
+    scale = a.dim * max(1, int(abs(ints).max())) if a.dim else 1
+    return sum(abs(x * wden) for x in p.coeffs) * scale ** (p.degree - 2)
+
+
+def _assert_rows_match_reference(a, p, idx, dtype=np.int64):
+    got = _cocycle_rows(a, p)(idx)
+    assert got.dtype == dtype and got.shape == (len(idx), a.dim**2)
+    # the rows are the values times wden * den^(n-2), den the algebra's
+    # common denominator: the two root factors are scaled by den^(k-1)
+    scale = lcm(*(x.denominator for x in p.coeffs)) * a.mult.den ** (p.degree - 2)
+    want = _reference_rows(a, p, idx)
+    assert [[Fraction(int(x), scale) for x in row] for row in got.tolist()] == want
+
+
+def _sample(a, p, k=24, seed=0):
+    total = a.dim**p.degree
+    rng = np.random.default_rng(seed)
+    return np.unique(np.concatenate([[0, total - 1], rng.integers(0, total, k)]))
+
+
+def _scaled_algebra(a, k):
+    """a with every structure constant multiplied by the integer k."""
+    return Algebra(a.name + "*k", a.dim, [[[x * k for x in r] for r in plane] for plane in a.c])
+
+
+@pytest.mark.parametrize("name", ["E2", "S2", "W2", "W2bar", "S1bar", "Sab_bar(1/2,-2/3)"])
+def test_cocycle_rows_of_catalog_algebras_match_the_fraction_reference(name):
+    a = catalog(name)
+    for p in (terminal_identity(), st_identity(3, 1), _combo_2_3(), st_identity(4, 2)):
+        assert _rows_bound(a, p) < 2**53  # the float64 path
+        _assert_rows_match_reference(a, p, _sample(a, p))
+
+
+def test_cocycle_rows_between_two_bounds_take_the_int64_path_exactly():
+    # int64 constants (below 2^31) and rows beyond 2^53, with odd entries
+    a = _scaled_algebra(catalog("W2"), 2**24 + 1)
+    p = terminal_identity()
+    assert a.mult.ints.dtype == np.int64 and 2**53 <= _rows_bound(a, p) < 2**62
+    assert int(abs(_cocycle_rows(a, p)(np.arange(a.dim**4))).max()) > 2**54
+    _assert_rows_match_reference(a, p, _sample(a, p))
+
+
+def test_cocycle_rows_beyond_int64_take_the_object_path_exactly():
+    a = catalog("W2bar")
+    p = terminal_identity().scaled(3**40)
+    assert _rows_bound(a, p) >= 2**62
+    _assert_rows_match_reference(a, p, _sample(a, p), dtype=object)
+
+
+@pytest.mark.parametrize("k", [2**52 - 1, 2**52])
+def test_cocycle_rows_just_below_and_above_two_to_the_53(k):
+    # at (i, i) the two terms add to 2k + 1 = the bound: 2^53 - 1 is exact in
+    # float64, 2^53 + 1 is not, although each weight is below 2^53
+    a = catalog("E2")
+    p = IdentityCombination(2, [k, k + 1])
+    assert _rows_bound(a, p) == 2 * k + 1
+    rows = _cocycle_rows(a, p)(np.arange(4))
+    assert rows.dtype == np.int64 and int(rows[0, 0]) == 2 * k + 1
+    _assert_rows_match_reference(a, p, np.arange(4))
+
+
+def test_cocycle_rows_of_dimension_one():
+    a = Algebra("one", 1, [[[Fraction(3, 2)]]])
+    for p in (terminal_identity(), _combo_2_3(), IdentityCombination(2, [1, 2])):
+        _assert_rows_match_reference(a, p, np.arange(1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cocycle_rows_of_the_zero_combination_are_zero(n):
+    a = catalog("S1bar")
+    p = IdentityCombination(n, [0] * monomial_count(n))
+    rows = _cocycle_rows(a, p)(np.arange(16))
+    assert rows.shape == (16, 64) and rows.dtype == np.int64 and not rows.any()
+    assert cocycle_space(a, p)[0] == 64
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cocycle_rows_of_random_combinations_match_the_fraction_reference(data):
+    a = catalog(data.draw(st.sampled_from(["E2", "D2", "S2", "W2", "B2"])))
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    weight = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeffs = [0] * monomial_count(n)
+    for i, w in data.draw(st.lists(st.tuples(st.integers(0, len(coeffs) - 1), weight),
+                                   max_size=6)):
+        coeffs[i] += w
+    p = IdentityCombination(n, coeffs)
+    _assert_rows_match_reference(a, p, _sample(a, p, k=8, seed=data.draw(st.integers(0, 9))))
+
+
+def test_cocycle_rows_of_a_dense_degree_five_combination_stay_within_one_chunk():
+    # 1,680 terms over all 14 shapes: a chunk is a few tuples, and one call
+    # holds its output block and one chunk's arrays
+    a = catalog("S1bar")
+    p = IdentityCombination(5, [1 + i % 7 for i in range(monomial_count(5))])
+    rows = _cocycle_rows(a, p)
+    idx = np.arange(512)
+    rows(idx[:4])  # digit table and index maps of degree 5 in place
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = rows(idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (512, 64)
+    assert peak < _CHUNK_BYTES + out.nbytes
+    _assert_rows_match_reference(a, p, idx[[0, 7, 300, 511]])
+
+
+# -- the base check read off the rows ---------------------------------------
+
+_UNDEFINED = [r for r in load_claims() if r["kind"] == "z2_undefined"]
+
+
+def _message(a, p):
+    return "base does not satisfy P: %s fails %s at basis tuple %r" % (
+        a.name, p.name or "the identity", first_violation(a, p))
+
+
+@pytest.mark.parametrize("rec", _UNDEFINED, ids=[r["id"] for r in _UNDEFINED])
+def test_base_check_names_the_first_violation(rec):
+    a = _algebra(rec["algebra"])
+    p = resolve_identity(rec["identity"])
+    with pytest.raises(ValueError) as exc:
+        cocycle_space(a, p)
+    assert str(exc.value) == _message(a, p)
+
+
+def test_base_check_over_many_blocks_names_the_first_violation(monkeypatch):
+    # blocks of 16 tuples: on S1bar the first violation of st4_1 is the 63rd
+    # of 70 increasing tuples, so three blocks pass the check first
+    monkeypatch.setattr(cohomology_module, "_BLOCK_ENTRIES", 1)
+    a = catalog("S1bar")
+    p = st_identity(4, 1)
+    bad = first_violation(a, p)
+    assert bad == (3, 5, 6, 8)
+    tuples = _tuple_indices(p, a.dim)
+    assert int(np.searchsorted(tuples, np.ravel_multi_index(np.array(bad) - 1, (8,) * 4))) >= 48
+    for rec in _UNDEFINED:
+        a = _algebra(rec["algebra"])
+        p = resolve_identity(rec["identity"])
+        with pytest.raises(ValueError) as exc:
+            cocycle_space(a, p)
+        assert str(exc.value) == _message(a, p), rec["id"]
+
+
+@pytest.mark.parametrize("rec", _UNDEFINED, ids=[r["id"] for r in _UNDEFINED])
+def test_rows_where_p_holds_never_reach_full_rank(rec):
+    # why no block goes unchecked: certification stops early only at rank
+    # d^2, and the rows at the tuples before the first violation are
+    # orthogonal to the columns of the nonzero structure array
+    a = _algebra(rec["algebra"])
+    p = resolve_identity(rec["identity"])
+    d = a.dim
+    bad = np.ravel_multi_index(np.array(first_violation(a, p)) - 1, (d,) * p.degree)
+    tuples = _tuple_indices(p, d)
+    rows = _cocycle_rows(a, p)(tuples[tuples < bad])
+    assert not (rows @ a.mult.ints.reshape(d * d, d)).any()
+    assert certified_rank(d * d, lambda: [rows]) < d * d
+
+
+def test_zero_product_with_a_full_rank_system_has_no_cocycle():
+    # the rows x1 x2 + 2 x2 x1 at all pairs span every form, and P holds in
+    # the zero algebra
+    z = Algebra("zero", 3, [[[0] * 3] * 3] * 3)
+    p = IdentityCombination(2, [1, 2])
+    assert certified_rank(9, lambda: [_cocycle_rows(z, p)(np.arange(9))]) == 9
+    assert cocycle_space(z, p) == (0, [])
+    assert cohomology(z, p) == CohomologyReport(0, 0, 0)
+    e2 = catalog("E2")
+    with pytest.raises(ValueError) as exc:
+        cocycle_space(e2, p)
+    assert str(exc.value) == _message(e2, p)
