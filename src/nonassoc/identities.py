@@ -537,8 +537,8 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     first, pos = np.array([[(start[key], r) for key, r in factors] for factors in keys],
                           dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0)
     w = np.array(weights, dtype=work)[:, None]
-    nt = len(weights)
-    step = max(1, _CHUNK_BYTES // (8 * (len(positions) + 2 * nt * (d + 1) + 2 * d * d)))
+    # bytes per tuple: index maps, both sides' indices and factors, product
+    step = max(1, _CHUNK_BYTES // (8 * (len(positions) + 2 * len(w) * (d + 1) + 2 * d * d)))
 
     def chunk(idx):  # its arrays are freed on return
         gathers = _flat_indices(d, positions, digits[idx]).T  # (m, positions)
@@ -566,10 +566,11 @@ def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
 
     p's value at v is row(v) @ C / denom, for C the cleared structure
     constants as a (d^2, d) array and denom that of _combination_values:
-    the cleared values of the root pair multiply in their outer product.
-    The block's products are exact (fastrank._exact_products(x, y) is
-    x @ y^T), and the first nonzero one, at the lexicographically first
-    violating tuple of idx, raises ValueError.
+    row(v) sums w * L (x) R over the terms, and (L (x) R) @ C is the
+    product of the root pair's values L and R. The block's products are
+    exact (fastrank._exact_products(x, y) is x @ y^T), and the first
+    nonzero one, at the lexicographically first violating tuple of idx,
+    raises ValueError.
     """
     d, n = a.dim, p.degree
     rows = _cocycle_rows(a, p)
