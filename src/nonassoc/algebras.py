@@ -223,8 +223,8 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
     """[A,B](x,y) = A(B(x,y)) - B(Ax,y) - B(x,Ay), on all basis pairs.
 
     With A cleared to t / tden, the three terms are integer arrays over
-    tden * B.den; each may reach 2^62, so their sum is taken in Python
-    integers unless a bound keeps it in int64.
+    tden * B.den; their sum takes the dtype fastrank._exact_dtypes gives
+    the sum of their largest entries.
     """
     n = b_map.dim
     if a_map.rows != n or a_map.cols != n:
@@ -236,8 +236,8 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
         _row_products(t.T, eye, carr),  # B(Ae_i, e_j): row i of t.T is Ae_i
         _row_products(eye, t.T, carr),
     )
-    big = sum(fastrank._abs_max(x) for x in terms) >= 2**63
-    x = terms[0].astype(object if big else np.int64) - terms[1] - terms[2]
+    _work, out = fastrank._exact_dtypes(sum(fastrank._abs_max(x) for x in terms), *terms)
+    x = terms[0].astype(out) - terms[1] - terms[2]
     return BilinearMap._from_cleared(x, tden * b_map.den)
 
 
@@ -373,9 +373,10 @@ def derivation_algebra(a: Algebra):
     rows = (np.einsum("ijq,kp->ijkpq", carr, eye)
             - np.einsum("pjk,iq->ijkpq", carr, eye)
             - np.einsum("ipk,jq->ijkpq", carr, eye)).reshape(n ** 3, n * n)
-    _rank, null = fastrank.certified_nullspace(n * n, lambda: iter([rows]))
-    mats = [Matrix(n, n, list(row)) for row in null.rows]
-    return null.rank, mats
+    # nullspace_int checks its lift against every row: one exact elimination
+    _rank, free, prim = fastrank.nullspace_int(rows, n * n)
+    null = fastrank.null_basis(n * n, free, prim)
+    return null.rank, [Matrix(n, n, list(row)) for row in null.rows]
 
 
 def is_derivation(a: Algebra, d: Matrix) -> bool:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .algebras import Algebra, BilinearMap
-from .fastrank import _INT64_LIMIT, _abs_max, certified_rref
+from .fastrank import _abs_max, _exact_dtypes, rref_int
 from .identities import evaluate_combination_table, first_violation, satisfies_identity
 from .monomials import IdentityCombination
 
@@ -145,14 +145,8 @@ def conservative_solve(a: Algebra) -> Optional[ConservativeWitness]:
     r_table, rden = evaluate_combination_table(a, commutator_expansion())
     h = np.asarray(r_table).reshape(d, d, d, d, d).transpose(2, 3, 4, 0, 1)
     h = h.reshape(d**3, d * d)
-    combined = np.concatenate([g2, h], axis=1)
-    cols = d + d * d
-
-    def blocks():
-        step = max(1, (1 << 19) // cols)
-        return (combined[i : i + step] for i in range(0, len(combined), step))
-
-    pivots, num, den = certified_rref(cols, blocks)
+    # rref_int checks its lift against every row, so its RREF is certified
+    pivots, num, den = rref_int(np.concatenate([g2, h], axis=1), d + d * d)
 
     g_rank = sum(1 for p in pivots if p < d)
     if g_rank < len(pivots):
@@ -183,10 +177,10 @@ def witness_defect(a: Algebra, f: BilinearMap):
 
     Returns None when F works, else the first failing (a, b, x, y, l)
     1-based, l being the coordinate where the two sides differ. The check
-    is exact: both sides are cleared to integers and compared, in int64
-    when max|R| fden gden + d max|F| max|G| rden < 2^62 (R the cleared
-    commutator table over rden, G the cleared tensor of _g_tensor over
-    gden, F the witness cleared by fden), in Python integers otherwise.
+    is exact: both sides are cleared to integers and compared, on the path
+    _exact_dtypes picks from the bound max|R| fden gden + d max|F| max|G|
+    rden (R the cleared commutator table over rden, G the cleared tensor
+    of _g_tensor over gden, F the witness cleared by fden).
     """
     d = a.dim
     if f.dim != d:
@@ -205,9 +199,9 @@ def _witness_defect(f: BilinearMap, g, gden: int, r_table, rden: int):
     g = np.asarray(g).reshape(d, d**3)  # k x (x, y, l)
     lhs = np.asarray(r_table).reshape(d * d, d**3)
     bound = _abs_max(lhs) * fden * gden + d * _abs_max(fint) * _abs_max(g) * rden
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    fg = fint.astype(dtype) @ g.astype(dtype)
-    diff = lhs.astype(dtype) * (fden * gden) - fg * rden
+    work, out = _exact_dtypes(bound, fint, g, lhs)
+    fg = (fint.astype(work) @ g.astype(work)).astype(out)
+    diff = lhs.astype(out) * (fden * gden) - fg * rden
     hits = np.flatnonzero(diff)
     if not hits.size:
         return None

@@ -55,15 +55,22 @@ three stages:
    null vector e_f - sum_i R[i][f] e_{P_i}: 1 at f and zero at every
    other free column. These vectors already are the canonical RREF of the
    candidate nullspace; no second elimination is needed. nullspace_int
-   builds them as one integer array (den at f, -num at the pivots,
-   divided by the row's gcd) for certification, and makes Fractions only
-   at the boundary: at the nonzero entries of the basis it returns.
+   returns them in integers, as one array of primitive rows (den at f,
+   -num at the pivots, divided by the row's gcd) with the rank and the
+   free columns. Fractions are made at one boundary, _fraction_basis,
+   behind null_basis and rref_basis: once per answer, at its nonzero
+   entries only.
+
+   Because rref_int checks its lift against every row it is given, the
+   lift is a proof on its own (the modular-then-verify scheme of Dixon,
+   Numer. Math. 40, 1982). A system held in memory is solved by one
+   rref_int or nullspace_int call; stages 1, 3 and 4 serve the streams.
 
 3. Certification. Each row is multiplied against the candidate nullspace
-   exactly (float64 BLAS when a proven bound keeps every partial sum below
-   2^53). A nonzero product exposes a row the filter dropped wrongly or
-   never saw; at most cols - rank such rows join the accepted set, and the
-   exact stage reruns. Each rerun strictly increases the exact rank, so
+   exactly, on the path _exact_dtypes picks from a proven bound on every
+   partial sum. A nonzero product exposes a row the filter dropped wrongly
+   or never saw; at most cols - rank such rows join the accepted set, and
+   the exact stage reruns. Each rerun strictly increases the exact rank, so
    the loop terminates; at rank cols the streams are closed. One pass
    checks each block once, against the candidate of the moment, in this
    order: the block the filter stopped on (the one that accepted nothing,
@@ -103,6 +110,12 @@ products of _echelon and the state update multiply residues in [0, p) over
 an inner dimension of at most 2^13 (cols, or at most 256 rows of a panel),
 so with p < 2^20 every accumulated sum, and its difference with a residue,
 stays below 2^13 * (p-1)^2 + p < 2^53.
+
+Every other exact integer computation in the package picks its arithmetic
+path in one place, _exact_dtypes, from a proven bound on every product and
+partial sum: float64 BLAS below 2^53 (each such value is an integer that
+float64 holds exactly, in whatever order BLAS sums), int64 below 2^62, and
+Python integers from 2^62 or for any object input.
 """
 
 from __future__ import annotations
@@ -160,6 +173,16 @@ def _abs_max(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
+def _exact_dtypes(bound: int, *arrays) -> tuple:
+    """(work, out): the dtypes of an exact integer computation on arrays
+    whose every product and partial sum is at most bound in absolute value.
+    float64 work below 2^53, int64 below 2^62, each with int64 out; object
+    for both from 2^62, or when any of the arrays is object."""
+    if bound >= _INT64_LIMIT or any(x.dtype == object for x in arrays):
+        return object, object
+    return (np.float64 if bound < _FLOAT64_LIMIT else np.int64), np.int64
+
+
 def _lift(res: np.ndarray, mod: int):
     """(num, den) with num = den * res mod `mod` and every |num| and den at
     most sqrt(mod / 2), by rational reconstruction; den is 0 if none."""
@@ -194,14 +217,14 @@ def rref_int(rows, cols: int):
         if best is None or key < best:
             best, res, mod = key, rq, q
         elif key == best:
-            if mod * q * isqrt(mod * q) >= _INT64_LIMIT:  # _lift's res * den
-                res, rq = res.astype(object), rq.astype(object)
+            _work, out = _exact_dtypes(mod * q * isqrt(mod * q), res)  # _lift's res * den
+            res, rq = res.astype(out, copy=False), rq.astype(out, copy=False)
             res, mod = res + mod * ((rq - res) * pow(mod, -1, q) % q), mod * q
         else:
             continue
         num, den = _lift(res, mod)
         if den:
-            want = a * den if den * amax < _INT64_LIMIT else a.astype(object) * den
+            want = a.astype(_exact_dtypes(den * amax, a)[1], copy=False) * den
             if np.array_equal(_exact_products(a[:, best[1]], num.T), want):
                 return tuple(best[1]), num, den
         if mod.bit_length() > bits + 1:  # M > 2 H^2: a kept prime is lucky
@@ -209,13 +232,13 @@ def rref_int(rows, cols: int):
 
 
 def nullspace_int(rows, cols: int):
-    """(rank, canonical nullspace basis, primitive integer basis rows).
+    """(rank, free, prim) of an integer matrix, all in integers.
 
-    The third element is the same basis as one array of primitive integer
-    rows, for exact certification products: den at the free column, -num
-    at the pivots, divided by the row's gcd. Each basis row is that row
-    over its (positive) entry at the free column, so Fractions are made
-    only at its nonzero pivot entries.
+    free lists the free columns, ascending; row i of the integer array prim
+    is the canonical nullspace basis row of free[i] made primitive: den at
+    the free column, -num at the pivots, divided by the row's gcd. The
+    basis row itself is prim's row over its (positive) entry at the free
+    column; null_basis makes it.
     """
     rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols)
     pivots = [cols - 1 - p for p in rev_pivots]
@@ -227,17 +250,7 @@ def nullspace_int(rows, cols: int):
     prim //= np.gcd.reduce(prim, axis=1, keepdims=True)
     if prim.dtype == object:
         prim = _int_array(prim, cols)
-    zero, one = Fraction(0), Fraction(1)
-    null_rows = [[zero] * cols for _ in free]
-    for row, f in zip(null_rows, free):
-        row[f] = one
-    at_free = prim[np.arange(len(free)), free].tolist()
-    at_pivots = prim[:, pivots]
-    ii, jj = np.nonzero(at_pivots)
-    for i, j, x in zip(ii.tolist(), jj.tolist(), at_pivots[ii, jj].tolist()):
-        null_rows[i][pivots[j]] = Fraction(x, at_free[i])
-    basis = RowEchelonBasis._from_fractions(cols, [tuple(r) for r in null_rows], free)
-    return len(pivots), basis, prim
+    return len(pivots), free, prim
 
 
 def _residues(rows: np.ndarray, p: int = PRIME) -> np.ndarray:
@@ -341,24 +354,19 @@ class ModularFilter:
 
 
 def _exact_products(block: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """block @ null^T computed exactly, for integer arrays block and null.
-
-    A proven bound max|block| * max|null| * cols on every partial sum picks
-    the path: float64 BLAS below 2^53 (every product then is an exact
-    integer held in float64), int64 below 2^62, Python integers otherwise.
-    """
-    if block.dtype != object and null.dtype != object:
-        bound = _abs_max(block) * _abs_max(null) * block.shape[1]
-        if bound < _FLOAT64_LIMIT:
-            null_t = null.T.astype(np.float64)
-            out = np.empty((block.shape[0], len(null)))
-            for i in range(0, block.shape[0], _PRODUCT_ROWS):  # bounds the float64 copy
-                rows = slice(i, i + _PRODUCT_ROWS)
-                np.matmul(block[rows].astype(np.float64), null_t, out=out[rows])
-            return out
-        if bound < _INT64_LIMIT:
-            return block @ null.T
-    return block.astype(object) @ null.astype(object).T
+    """block @ null^T computed exactly, for integer arrays block and null,
+    on the path _exact_dtypes picks from the proven bound max|block| *
+    max|null| * cols on every partial sum. On the float64 path the result
+    stays float64, and block is converted _PRODUCT_ROWS rows at a time."""
+    work, _out = _exact_dtypes(_abs_max(block) * _abs_max(null) * block.shape[1], block, null)
+    if work is np.float64:
+        null_t = null.T.astype(np.float64)
+        out = np.empty((block.shape[0], len(null)))
+        for i in range(0, block.shape[0], _PRODUCT_ROWS):  # bounds the float64 copy
+            rows = slice(i, i + _PRODUCT_ROWS)
+            np.matmul(block[rows].astype(np.float64), null_t, out=out[rows])
+        return out
+    return block.astype(work, copy=False) @ null.astype(work, copy=False).T
 
 
 def _close(blocks):
@@ -368,19 +376,19 @@ def _close(blocks):
 
 
 class _Candidate(NamedTuple):
-    """The exact nullspace of the accepted rows: their rank, its canonical
-    basis, and the same rows as primitive integer vectors in one array."""
+    """The exact nullspace of the accepted rows, as nullspace_int gives it:
+    their rank, the free columns and the primitive integer basis rows."""
 
     rank: int
-    basis: RowEchelonBasis
+    free: list
     prim: np.ndarray
 
 
 def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int) -> _Candidate:
-    rank, basis, prim = nullspace_int(accepted, cols)
-    if rank <= prev_rank:
+    cand = _Candidate(*nullspace_int(accepted, cols))
+    if cand.rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
-    return _Candidate(rank, basis, prim)
+    return cand
 
 
 def _find_violators(block: np.ndarray, cand: _Candidate) -> np.ndarray:
@@ -462,7 +470,7 @@ class _System:
 
 
 def _certify(cols: int, block_source, symmetries=()):
-    """(rank, nullspace basis, accepted rows) of a streamed integer system.
+    """(candidate, accepted rows) of a streamed integer system.
 
     The filter-certify loop behind every certified_* entry point; unless
     the rank is cols, the accepted rows span the row space of the whole
@@ -484,7 +492,7 @@ def _certify(cols: int, block_source, symmetries=()):
             accepted.extend(block[rows])
             if filt.rank_lower_bound == cols:
                 # the accepted rows are independent outright
-                return cols, RowEchelonBasis(cols, [], []), accepted
+                return _Candidate(cols, [], np.zeros((0, cols), dtype=np.int64)), accepted
             held = (block,)
             if not rows:
                 break
@@ -493,7 +501,7 @@ def _certify(cols: int, block_source, symmetries=()):
             cand = _absorb(block, cand, accepted, cols)
             if cand.rank == cols:
                 break
-        return cand.rank, cand.basis, accepted
+        return cand, accepted
     finally:
         blocks.close()  # a generator source runs its cleanup at once
         replay.close()
@@ -514,36 +522,41 @@ def certified_nullspace(cols: int, block_source, symmetries=()):
     The blocks then need only generate the system: its rows are the images
     of the blocks' rows under the group the g generate.
     """
-    rank, basis, _accepted = _certify(cols, block_source, symmetries)
-    return rank, basis
+    cand, _accepted = _certify(cols, block_source, symmetries)
+    return cand.rank, null_basis(cols, cand.free, cand.prim)
 
 
 def certified_rank(cols: int, block_source, symmetries=()) -> int:
-    return _certify(cols, block_source, symmetries)[0]
-
-
-def certified_rref(cols: int, block_source, symmetries=()):
-    """(pivot_cols, num, den) of the RREF num / den of a streamed system's
-    row space, as rref_int gives it.
-
-    Once certification ends, the accepted rows span the full row space and
-    their RREF is the canonical answer; at full rank it is the identity.
-    """
-    rank, _basis, accepted = _certify(cols, block_source, symmetries)
-    if rank == cols:
-        return tuple(range(cols)), np.eye(cols, dtype=np.int64), 1
-    return rref_int(accepted, cols)
+    return _certify(cols, block_source, symmetries)[0].rank
 
 
 def certified_rowspace(cols: int, block_source, symmetries=()):
-    """Exact (rank, RowEchelonBasis of the row space) of a streamed system."""
-    pivots, num, den = certified_rref(cols, block_source, symmetries)
-    return len(pivots), rref_basis(cols, pivots, num, den)
+    """Exact (rank, RowEchelonBasis of the row space) of a streamed system:
+    once certification ends, the accepted rows span it, and their RREF is
+    the canonical answer; at full rank it is the identity."""
+    cand, accepted = _certify(cols, block_source, symmetries)
+    if cand.rank == cols:
+        return cols, rref_basis(cols, range(cols), np.eye(cols, dtype=np.int64), 1)
+    return cand.rank, rref_basis(cols, *rref_int(accepted, cols))
+
+
+def _fraction_basis(cols: int, lead, ints: np.ndarray, dens) -> RowEchelonBasis:
+    """The RowEchelonBasis with rows ints[i] / dens[i] and leading columns
+    lead: the one place where an answer's Fractions are made, at its
+    nonzero entries only."""
+    zero = Fraction(0)
+    rows = [[zero] * cols for _ in lead]
+    ii, jj = np.nonzero(ints)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), ints[ii, jj].tolist()):
+        rows[i][j] = Fraction(x, dens[i])
+    return RowEchelonBasis._from_fractions(cols, [tuple(r) for r in rows], lead)
+
+
+def null_basis(cols: int, free, prim: np.ndarray) -> RowEchelonBasis:
+    """The canonical nullspace basis of nullspace_int's (free, prim)."""
+    return _fraction_basis(cols, free, prim, prim[np.arange(len(free)), free].tolist())
 
 
 def rref_basis(cols: int, pivots, num: np.ndarray, den: int) -> RowEchelonBasis:
-    """The RREF num / den of rref_int as a RowEchelonBasis: the boundary
-    where its Fractions are made."""
-    zero = Fraction(0)
-    rows = [tuple(Fraction(v, den) if v else zero for v in r) for r in num.tolist()]
-    return RowEchelonBasis._from_fractions(cols, rows, pivots)
+    """The RREF num / den of rref_int as a RowEchelonBasis."""
+    return _fraction_basis(cols, pivots, num, [den] * len(pivots))

@@ -72,12 +72,12 @@ import numpy as np
 
 from . import fastrank
 from .algebras import Algebra, multiply
-from .fastrank import _FLOAT64_LIMIT, _INT64_LIMIT
 from .linalg import RankSink
 from .monomials import (
     BracketShape,
     IdentityCombination,
     MultilinearMonomial,
+    _render,
     monomial_count,
     shapes,
 )
@@ -119,14 +119,6 @@ def _flat_indices(d: int, positions, digits: np.ndarray) -> np.ndarray:
     return weights @ digits.T
 
 
-def _subtree_keys(tree) -> str:
-    """The key of a subtree: "x" for a leaf, "(LR)" for the product of
-    the subtrees with keys L and R."""
-    if tree is None:
-        return "x"
-    return "(%s%s)" % (_subtree_keys(tree[0]), _subtree_keys(tree[1]))
-
-
 @lru_cache(maxsize=None)
 def _children(key: str) -> tuple:
     """The keys (L, R) of the two children of the product key "(LR)"."""
@@ -163,10 +155,10 @@ class _ValueTables(dict):
     entry: a leaf's rows are unit vectors, ||xy||_1 <= d * cmax * ||x||_1
     * ||y||_1, and the children's leaf counts add up to k.
 
-    A table's dtype follows from its bound alone: object when the
-    constants are object or the bound reaches 2^62, else int64. An int64
-    table whose bound is below 2^53 is computed with float64 (BLAS)
-    products and cast back, exactly. The first product's entries sum_p
+    A table's dtypes follow from its bound alone, by fastrank._exact_dtypes:
+    object when the constants are object or the bound reaches 2^62, else
+    int64. An int64 table whose bound is below 2^53 is computed with float64
+    (BLAS) products and cast back, exactly. The first product's entries sum_p
     tl[a, p] c[p, q, k] have terms and partial sums of absolute sum at
     most ||tl_a||_1 * cmax; the second product's entries sum_q tr[b, q]
     w[a, q, k] at most ||tr_b||_1 * ||tl_a||_1 * cmax. Both are at most
@@ -187,15 +179,10 @@ class _ValueTables(dict):
         return self.scale ** (leaves - 1)
 
     def __missing__(self, key):
-        bound = self.bound(key.count("x"))
-        if self.cflat.dtype == object or bound >= _INT64_LIMIT:
-            dtype = work = object
-        else:
-            dtype = np.int64
-            work = np.float64 if bound < _FLOAT64_LIMIT else np.int64
+        work, out = fastrank._exact_dtypes(self.bound(key.count("x")), self.cflat)
         lk, rk = _children(key)
         factors = (m.astype(work, copy=False) for m in (self[lk], self[rk], self.cflat))
-        t = np.ascontiguousarray(_product_table(*factors), dtype=dtype)
+        t = np.ascontiguousarray(_product_table(*factors), dtype=out)
         t = t.reshape(t.shape[0] * t.shape[1], t.shape[2])
         t.setflags(write=False)
         self[key] = t
@@ -216,7 +203,9 @@ def _shape_tables(a: Algebra) -> _ValueTables:
 
 
 def _shape_key(shape: BracketShape) -> str:
-    return _subtree_keys(shape.tree)
+    """The key of a subtree: "x" for a leaf, "(LR)" for the product of the
+    subtrees with keys L and R."""
+    return _render(shape.tree)
 
 
 def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
@@ -321,23 +310,22 @@ def identity_space(a: Algebra, n: int):
     rows and a very wide nullspace, built only at the non-decreasing
     tuples (C(dim + 4, 5) of them) and certified invariant under the
     symmetries of the module docstring. Warm, on a 2-core machine, it
-    took 0.16-0.22 s for E2 (dim 2), 0.51-0.53 s for S2 (dim 4), and at
-    dim 8 1.2-1.3 s for S1bar, 1.4-1.7 s for W2bar and 2.8-3.2 s for W2(big)
-    (large constants, rank 1,655 of 1,680). When one shape at a time is
-    enough, shape_identity_space stays fast even at degree 5.
+    took 0.23-0.55 s for E2 (dim 2), 0.39-0.47 s for S2 (dim 4), and at
+    dim 8 1.04-1.31 s for S1bar, 1.40-1.59 s for W2bar and 2.02-2.29 s for
+    W2(big) (large constants, rank 1,655 of 1,680). When one shape at a
+    time is enough, shape_identity_space stays fast even at degree 5.
 
     The answer is kept on a, so a repeat call on the same object returns
     a new list of the same combinations without certifying again (the
     degree-5 warning still fires). A full degree-5 basis holds about
     22 MiB (E2) or 26 MiB (S2) for as long as a lives.
     """
-    if not 2 <= n <= 5:
-        raise ValueError("degree must be between 2 and 5")
+    _check_degree(n)
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 0.5 s at dim 4 and 1-3 s at dim 8 on a "
-            "2-core machine, W2(big) the slowest); shape_identity_space "
+            "system exactly (about 0.4-0.5 s at dim 4 and 1.0-2.3 s at dim 8 "
+            "on a 2-core machine, W2(big) the slowest); shape_identity_space "
             "handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
             RuntimeWarning,
@@ -346,8 +334,14 @@ def identity_space(a: Algebra, n: int):
     return _nullspace_combinations(a, n, range(len(shapes(n))))
 
 
+def _check_degree(n: int):
+    if not 2 <= n <= 5:
+        raise ValueError("degree must be between 2 and 5")
+
+
 def shape_identity_space(a: Algebra, n: int, shape_index: int):
     """Identities supported on a single bracketing shape (1-based index)."""
+    _check_degree(n)
     count = len(shapes(n))
     if not 1 <= shape_index <= count:
         raise ValueError("shape index must be in 1..%d" % count)
@@ -448,47 +442,35 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     return _sorted_tuples(d, c.degree, strict=True)
 
 
-def _term_factors(a: Algebra, c: IdentityCombination, split):
-    """(terms, positions, dtype, denom) for evaluating c at basis tuples.
-
-    terms holds (w, [(value table, row of positions)]) for each term of
-    c's plan, with the factors split lists; positions lists the distinct
-    position tuples, for _flat_indices. The k factors of a term have n
-    leaves in all, so their values' product is bounded by scale^(n-k) (see
-    _ValueTables); dtype is int64 unless the constants are object or sum
-    |w| * scale^(n-k) over the terms reaches the int64 limit. denom =
-    weight denominator * den^(n-1). Tables are looked up here.
-    """
-    tables = _shape_tables(a)
-    plan = _plan(c)
-    keys, positions = plan.factors(split)
-    n = c.degree
-    terms = [(w, [(tables[key], r) for key, r in factors])
-             for (w, _shape, _perm), factors in zip(plan.terms, keys)]
-    bound = sum(abs(w) * tables.scale ** (n - len(factors)) for w, factors in terms)
-    use_object = tables.cflat.dtype == object or bound >= _INT64_LIMIT
-    return terms, positions, object if use_object else np.int64, plan.wden * tables.den ** (n - 1)
-
-
 def _whole(shape: BracketShape, perm: tuple):
     return [(shape, perm)]
 
 
 def _combination_values(a: Algebra, c: IdentityCombination):
     """(values, denom): values(idx)[j, k] / denom is the exact value of the
-    combination at the flat basis tuple idx[j], component k."""
-    d = a.dim
-    digits = _digit_table(d, c.degree)
-    terms, positions, dtype, denom = _term_factors(a, c, _whole)
+    combination at the flat basis tuple idx[j], component k.
+
+    Each term's value, a row of its shape's table, is at most scale^(n-1)
+    (see _ValueTables), so the sum is at most sum |w| * scale^(n-1), the
+    bound that picks the dtype; denom = wden * den^(n-1).
+    """
+    d, n = a.dim, c.degree
+    digits = _digit_table(d, n)
+    tables = _shape_tables(a)
+    plan = _plan(c)
+    keys, positions = plan.factors(_whole)
+    terms = [(w, tables[key], r) for (w, _shape, _perm), [(key, r)] in zip(plan.terms, keys)]
+    bound = sum(abs(w) for w, _table, _r in terms) * tables.scale ** (n - 1)
+    _work, dtype = fastrank._exact_dtypes(bound, tables.cflat)
 
     def values(idx):
         gathers = _flat_indices(d, positions, digits[idx])
         acc = np.zeros((len(idx), d), dtype=dtype)
-        for w, [(table, r)] in terms:
+        for w, table, r in terms:
             acc += w * table[gathers[r]].astype(dtype, copy=False)
         return acc
 
-    return values, denom
+    return values, plan.wden * tables.den ** (n - 1)
 
 
 def _root_pair(shape: BracketShape, perm: tuple):
@@ -508,9 +490,9 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     the left ones by the weights, and sums the T outer products as one
     matmul (m, d, T) @ (m, T, d). Every product and partial sum is at most
     sum |w| * scale^(n-2) (a factor of k leaves is at most scale^(k-1),
-    see _ValueTables), which picks the work dtype: float64 (BLAS) below
-    2^53, exact as in _ValueTables, int64 below 2^62, object otherwise.
-    The rows are int64, or object on the object path. Chunks keep the
+    see _ValueTables), which picks the dtypes by fastrank._exact_dtypes:
+    float64 (BLAS) work below 2^53, exact as in _ValueTables, int64 below
+    2^62, object otherwise; the rows are int64 or object. Chunks keep the
     chunk's arrays within _CHUNK_BYTES, however many terms p has.
     """
     d, n = a.dim, p.degree
@@ -519,12 +501,8 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     plan = _plan(p)
     keys, positions = plan.factors(_root_pair)
     weights = [w for w, _shape, _perm in plan.terms]
-    bound = sum(map(abs, weights)) * tables.scale ** (n - 2)
-    if tables.cflat.dtype == object or bound >= _INT64_LIMIT:
-        work = dtype = object
-    else:
-        dtype = np.int64
-        work = np.float64 if bound < _FLOAT64_LIMIT else np.int64
+    work, dtype = fastrank._exact_dtypes(sum(map(abs, weights)) * tables.scale ** (n - 2),
+                                         tables.cflat)
     start: dict = {}  # subtree key -> the first row of its table in the stack
     stacked = []
     for key in (key for factors in keys for key, _r in factors):

@@ -19,6 +19,7 @@ from nonassoc.fastrank import (
     certified_nullspace,
     certified_rank,
     certified_rowspace,
+    null_basis,
     nullspace_int,
     rref_int,
 )
@@ -201,13 +202,29 @@ def test_certified_rank_agrees_with_fraction_oracle(system):
 def test_nullspace_int_rows_are_the_basis_rows_made_primitive(size, data):
     arr, cols, _step, _symmetries = data.draw(adversarial_systems([size]))
     m = Matrix.from_rows(arr.tolist())
-    rank, basis, prim = nullspace_int(arr.tolist(), cols)
+    rank, free, prim = nullspace_int(arr.tolist(), cols)
+    basis = null_basis(cols, free, prim)
     assert (rank, basis) == (rref(m).rank, nullspace(m))
+    assert list(basis.pivot_cols) == free
     assert prim.shape == (len(basis.rows), cols)
     for f, row, w in zip(basis.pivot_cols, basis.rows, prim.tolist()):
         assert gcd(*w) == 1 and w[f] > 0  # f, the pivot, is the free column
         scale = lcm(*(x.denominator for x in row))
         assert w == [x * scale for x in row]
+
+
+@pytest.mark.parametrize("bound, work, out", [
+    (2**53 - 1, np.float64, np.int64),
+    (2**53, np.int64, np.int64),
+    (2**62 - 1, np.int64, np.int64),
+    (2**62, object, object),
+])
+def test_exact_dtypes_switch_paths_at_2_53_and_2_62(bound, work, out):
+    small, big = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=object)
+    assert fastrank._exact_dtypes(bound, small) == (work, out)
+    assert fastrank._exact_dtypes(bound) == (work, out)
+    # any object array takes the object path, whatever the bound
+    assert fastrank._exact_dtypes(0, small, big) == (object, object)
 
 
 def test_full_rank_and_one_column_systems():

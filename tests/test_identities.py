@@ -137,6 +137,15 @@ def test_identity_space_degree_bounds():
         identity_space(a, 6)
 
 
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_shape_identity_space_has_the_degree_bounds_of_identity_space(n):
+    # degree 1 has one shape, the leaf, so only the degree check refuses it
+    a = catalog("E2")
+    for space in (lambda: identity_space(a, n), lambda: shape_identity_space(a, n, 1)):
+        with pytest.raises(ValueError, match="degree must be between 2 and 5"):
+            space()
+
+
 def test_degree_five_warns_on_large_algebras(monkeypatch):
     import nonassoc.identities as ident
 

@@ -26,6 +26,17 @@ def _imported_packages(tree):
             yield node.module.split(".")[0]
 
 
+def _names(path):
+    """Every name a module reads, binds, imports, defines or spells out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return names | {n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def test_the_package_has_modules():
     assert {"identities.py", "cohomology.py", "fastrank.py"} <= {p.name for p in MODULES}
 
@@ -49,11 +60,7 @@ RANKSINK_MODULES = {"linalg.py", "__init__.py", "identities.py", "cohomology.py"
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_linalg_the_package_identities_and_cohomology_name_ranksink(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert ("RankSink" in names) == (path.name in RANKSINK_MODULES)
+    assert ("RankSink" in _names(path)) == (path.name in RANKSINK_MODULES)
 
 
 # algebras.py computes on the cleared integer table. The nested Fraction
@@ -76,3 +83,24 @@ def test_in_algebras_only_bilinear_map_reads_the_fraction_table():
                if isinstance(n, ast.Attribute) and n.attr == "c" and isinstance(n.ctx, ast.Load)}
     assert "BilinearMap.apply" in readers
     assert {r for r in readers if not r.startswith("BilinearMap.")} == {"Algebra.c"}
+
+
+# fastrank picks every arithmetic path (_exact_dtypes) and makes every
+# Fraction of an answer (_fraction_basis); an in-memory system is proved by
+# rref_int's own check, so the streamed RREF entry point stays gone.
+LIMITS = {"_INT64_LIMIT", "_FLOAT64_LIMIT"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fastrank_names_the_limits_and_nothing_names_certified_rref(path):
+    names = _names(path)
+    assert names & LIMITS == (LIMITS if path.name == "fastrank.py" else set())
+    assert "certified_rref" not in names
+
+
+def test_in_fastrank_only_fraction_basis_makes_fractions():
+    path = Path(nonassoc.__file__).parent / "fastrank.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    makers = {name for name, node in _definitions(tree) for n in ast.walk(node)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"}
+    assert makers == {"_fraction_basis"}
