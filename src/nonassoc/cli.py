@@ -51,7 +51,7 @@ def _resolve_algebra(name: str):
         if os.path.exists(name):
             try:
                 return load_algebra(name)
-            except FormatError as err:
+            except (FormatError, OSError) as err:
                 raise _Usage(str(err)) from err
         hint = ""
         if exc.suggestions:
@@ -66,7 +66,7 @@ def _resolve_identity(spec: str):
         if os.path.exists(spec):
             try:
                 return load_identity(spec)
-            except FormatError as err:
+            except (FormatError, OSError) as err:
                 raise _Usage(str(err)) from err
         names = ", ".join(identity_names())
         raise _Usage("unknown identity %r (known: %s, or a JSON file)"

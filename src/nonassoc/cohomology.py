@@ -22,12 +22,14 @@ split or a trivial deformation.
 
 The same fact checks P in A from the rows themselves. With C the d^2 x d
 array of the cleared structure constants, P's value at v is row(v) @ C up
-to a positive scale, so each block of rows is multiplied by C, exactly,
-as it is built, and the first nonzero product is at the lexicographically
-first tuple where P fails. No block goes unchecked: certification stops
-before the end of the stream only at rank d^2, and rows at tuples where P
-vanishes are orthogonal to the d columns of C, so they reach rank d^2 only
-when C = 0, where P holds at every tuple.
+to a positive scale, and identities reads every value of P this way, here
+and in first_violation and evaluate_combination_table alike. Each block
+of rows is multiplied by C, exactly, as it is built, and the first
+nonzero product is at the lexicographically first tuple where P fails.
+No block goes unchecked: certification stops before the end of the
+stream only at rank d^2, and rows at tuples where P vanishes are
+orthogonal to the d columns of C, so they reach rank d^2 only when
+C = 0, where P holds at every tuple.
 
 There is one row of that condition per basis tuple v. When P is
 alternating in all its variables, the row at v o tau is sgn(tau) times
@@ -55,9 +57,9 @@ from .algebras import Algebra
 from .conservative import terminal_identity
 from .fastrank import certified_nullspace
 from .identities import (
-    _block_ranges,
     _checked_cocycle_rows,
     _parallel_blocks,
+    _tuple_blocks,
     _tuple_indices,
 )
 # Unused here: benchmark/test_bench.py checks that its tracer rebinds these
@@ -67,8 +69,6 @@ from .linalg import Matrix, RankSink, RowEchelonBasis
 from .monomials import IdentityCombination
 
 BilinearForm = Matrix
-
-_BLOCK_ENTRIES = 1 << 19  # entries per block of cocycle rows
 
 
 def coborder_space(a: Algebra):
@@ -88,17 +88,15 @@ def coborder_space(a: Algebra):
 
 def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
     d = a.dim
-    cols = d * d
     if d == 0:
         return RowEchelonBasis(0, [], [])
     rows = _checked_cocycle_rows(a, p)
-    tuples = _tuple_indices(p, d)
-    ranges = _block_ranges(len(tuples), max(16, min(len(tuples), _BLOCK_ENTRIES // cols)))
+    chunks = _tuple_blocks(_tuple_indices(p, d), d * d)
 
     def block_source():
-        return _parallel_blocks(ranges, lambda rng: rows(tuples[rng[0]:rng[1]]))
+        return _parallel_blocks(chunks, rows)
 
-    _rank, null = certified_nullspace(cols, block_source)
+    _rank, null = certified_nullspace(d * d, block_source)
     return null
 
 

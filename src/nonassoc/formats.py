@@ -159,6 +159,8 @@ def _load(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError("%s: invalid JSON (%s)" % (path, e)) from e
+        except UnicodeDecodeError as e:
+            raise FormatError("%s: not UTF-8 text (%s)" % (path, e)) from e
 
 
 def _dump(data: dict, path: str):

@@ -29,17 +29,18 @@ those rows are all that is built, and fastrank certifies that their span
 is invariant under each g_i.
 
 This module is the one place that evaluates a combination at basis
-tuples, from the same tables: its values (first_violation,
-evaluate_combination_table) by a walk over its terms, and the cocycle
-rows of its central extensions (cohomology) by one batched product over
-all terms at once, which also checks the combination itself
-(_checked_cocycle_rows). What both need from the coefficients is compiled
-once per combination object into a plan (_Plan): whether it alternates,
-the weight denominator, the nonzero terms as (integer weight, shape,
-permutation), and for each evaluator the subtree keys and leaf positions
-of every term's factors. The plan is kept on the combination but is no
-part of its value: equality, hashing and pickling ignore it. Later calls
-only look up tables and sum bounds.
+tuples, and it does so one way: by its root-pair rows (_cocycle_rows),
+one batched product over all its terms, whose row at v times the cleared
+structure constants is its value at v (_violator). Its values
+(evaluate_combination_table), its first violation (first_violation) and
+the cocycle rows of its central extensions, checked against it
+(cohomology, _checked_cocycle_rows), are all read off these rows, from
+tables of at most n - 1 leaves. What the rows need from the coefficients
+is compiled once per combination object into a plan (_Plan): whether it
+alternates, the weight denominator, and each term's integer weight and
+root pair. The plan is kept on the combination but is no part of its
+value: equality, hashing and pickling ignore it. Later calls only look up
+tables and sum bounds.
 
 A certified identity space is kept on the Algebra object it was computed
 for, keyed by degree and shapes (Algebra._identity_spaces), so asking
@@ -71,7 +72,7 @@ from math import factorial, lcm
 import numpy as np
 
 from . import fastrank
-from .algebras import Algebra, multiply
+from .algebras import Algebra, _exact_matmul, multiply
 from .linalg import RankSink
 from .monomials import (
     BracketShape,
@@ -86,8 +87,12 @@ from .monomials import (
 _CHUNK_BYTES = 1 << 20  # bound on the arrays of one chunk of _cocycle_rows
 
 
-def _block_ranges(total: int, block: int):
-    return [(v0, min(v0 + block, total)) for v0 in range(0, total, block)]
+def _tuple_blocks(tuples: np.ndarray, cols: int) -> list:
+    """tuples cut, in order, into the blocks of a streamed system with cols
+    columns: 2^19 // cols tuples a block, so that one output component's
+    rows of a block hold at most 2^19 entries, but never fewer than 16."""
+    block = max(16, (1 << 19) // max(1, cols))
+    return [tuples[v0:v0 + block] for v0 in range(0, len(tuples), block)]
 
 
 def _parallel_blocks(ranges, build):
@@ -229,13 +234,15 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     indices. Column order: for each listed shape, all n! permutations in
     lexicographic order. Rows are component-major: row k * len(idx) + j
     holds component k at the tuple idx[j]. A block is one gather from the
-    shapes' root tables laid side by side, with no copy."""
+    shapes' root tables laid side by side, kept C-contiguous so that the
+    gather never copies the table."""
     d = a.dim
     tables = _shape_tables(a)
     digits = _digit_table(d, n)
     perms = list(permutations(range(1, n + 1)))
     # shape ci's leaf tuple w sits at column ci * d^n + w
-    table = np.concatenate([tables[_shape_key(shapes(n)[si])] for si in shape_indices]).T
+    table = np.ascontiguousarray(
+        np.concatenate([tables[_shape_key(shapes(n)[si])] for si in shape_indices]).T)
     offsets = np.arange(len(shape_indices))[:, None] * d**n
     cols = len(perms) * len(shape_indices)
 
@@ -281,8 +288,7 @@ def _certified_combinations(a: Algebra, n: int, shape_indices: tuple):
     build, cols = _evaluation_block_builder(a, n, shape_indices)
     nf = factorial(n)
     tuples = _sorted_tuples(a.dim, n)
-    block = max(16, (1 << 19) // max(1, cols))
-    chunks = [tuples[v0:v1] for v0, v1 in _block_ranges(len(tuples), block)]
+    chunks = _tuple_blocks(tuples, cols)
     shape_cols = np.arange(len(shape_indices))[:, None] * nf
     symmetries = [(shape_cols + swap).ravel() for swap in _adjacent_swaps(n)]
 
@@ -384,15 +390,15 @@ class _Plan:
     from them once (see _plan).
 
     alternating is _is_alternating(c); wden is the lcm of the coefficient
-    denominators; terms holds (w, shape, permutation) for each nonzero
-    coefficient (shape i // n!, permutation of lexicographic rank i % n!),
-    w = coefficient * wden an integer. For each split function, splits
-    holds (keys, positions): keys[t] lists the factors split(shape,
-    permutation) of term t as (subtree key, index into positions), and
-    positions the distinct leaf position tuples, for _flat_indices.
+    denominators. Term t is the nonzero coefficient at index i: shape
+    i // n!, permutation of lexicographic rank i % n!. weights[t] is its
+    coefficient times wden, an integer, and keys[t] its root pair: (subtree
+    key, index into positions) for the left and then the right root
+    subtree. positions lists the distinct leaf position tuples of those
+    subtrees, for _flat_indices.
     """
 
-    __slots__ = ("alternating", "wden", "terms", "splits")
+    __slots__ = ("alternating", "wden", "weights", "keys", "positions")
 
     def __init__(self, c: IdentityCombination):
         n = c.degree
@@ -401,19 +407,16 @@ class _Plan:
         perms = list(permutations(range(1, n + 1)))
         self.alternating = _is_alternating(c)
         self.wden = lcm(*(x.denominator for x in c.coeffs))
-        self.terms = [(int(x * self.wden), degree_shapes[i // nf], perms[i % nf])
-                      for i, x in enumerate(c.coeffs) if x]
-        self.splits = {}
-
-    def factors(self, split):
-        out = self.splits.get(split)
-        if out is None:
-            positions: dict = {}
-            keys = [[(_shape_key(sub), positions.setdefault(pos, len(positions)))
-                     for sub, pos in split(shape, perm)]
-                    for _w, shape, perm in self.terms]
-            out = self.splits[split] = (keys, list(positions))
-        return out
+        self.weights, self.keys, positions = [], [], {}
+        for i, x in enumerate(c.coeffs):
+            if x:
+                left, right = degree_shapes[i // nf].split()
+                perm = perms[i % nf]
+                pair = ((left, perm[:left.leaves]), (right, perm[left.leaves:]))
+                self.weights.append(int(x * self.wden))
+                self.keys.append([(_shape_key(sub), positions.setdefault(pos, len(positions)))
+                                  for sub, pos in pair])
+        self.positions = list(positions)
 
 
 def _plan(c: IdentityCombination) -> _Plan:
@@ -442,47 +445,11 @@ def _tuple_indices(c: IdentityCombination, d: int) -> np.ndarray:
     return _sorted_tuples(d, c.degree, strict=True)
 
 
-def _whole(shape: BracketShape, perm: tuple):
-    return [(shape, perm)]
-
-
-def _combination_values(a: Algebra, c: IdentityCombination):
-    """(values, denom): values(idx)[j, k] / denom is the exact value of the
-    combination at the flat basis tuple idx[j], component k.
-
-    Each term's value, a row of its shape's table, is at most scale^(n-1)
-    (see _ValueTables), so the sum is at most sum |w| * scale^(n-1), the
-    bound that picks the dtype; denom = wden * den^(n-1).
-    """
-    d, n = a.dim, c.degree
-    digits = _digit_table(d, n)
-    tables = _shape_tables(a)
-    plan = _plan(c)
-    keys, positions = plan.factors(_whole)
-    terms = [(w, tables[key], r) for (w, _shape, _perm), [(key, r)] in zip(plan.terms, keys)]
-    bound = sum(abs(w) for w, _table, _r in terms) * tables.scale ** (n - 1)
-    _work, dtype = fastrank._exact_dtypes(bound, tables.cflat)
-
-    def values(idx):
-        gathers = _flat_indices(d, positions, digits[idx])
-        acc = np.zeros((len(idx), d), dtype=dtype)
-        for w, table, r in terms:
-            acc += w * table[gathers[r]].astype(dtype, copy=False)
-        return acc
-
-    return values, plan.wden * tables.den ** (n - 1)
-
-
-def _root_pair(shape: BracketShape, perm: tuple):
-    left, right = shape.split()
-    return [(left, perm[:left.leaves]), (right, perm[left.leaves:])]
-
-
 def _cocycle_rows(a: Algebra, p: IdentityCombination):
     """rows(idx) -> (len(idx), d^2) array: row j is the cocycle condition
     of p at the flat basis tuple idx[j], the sum over p's terms of the
     weight times the outer product of the values of the two root subtrees
-    (see cohomology).
+    (see cohomology). Every value of p is read off these rows (_violator).
 
     The T terms are one batched product. Every distinct root-subtree table
     is stacked once into one array; a chunk of m tuples takes all left
@@ -499,27 +466,25 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     digits = _digit_table(d, n)
     tables = _shape_tables(a)
     plan = _plan(p)
-    keys, positions = plan.factors(_root_pair)
-    weights = [w for w, _shape, _perm in plan.terms]
-    work, dtype = fastrank._exact_dtypes(sum(map(abs, weights)) * tables.scale ** (n - 2),
+    work, dtype = fastrank._exact_dtypes(sum(map(abs, plan.weights)) * tables.scale ** (n - 2),
                                          tables.cflat)
     start: dict = {}  # subtree key -> the first row of its table in the stack
     stacked = []
-    for key in (key for factors in keys for key, _r in factors):
+    for key in (key for factors in plan.keys for key, _r in factors):
         if key not in start:
             start[key] = sum(map(len, stacked))
             stacked.append(tables[key].astype(work, copy=False))
     stack = np.concatenate([np.zeros((0, d), dtype=work), *stacked])
     # first[s, t]: the stack row where the table of side s of term t starts;
     # pos[s, t]: the index of that factor's leaf positions
-    first, pos = np.array([[(start[key], r) for key, r in factors] for factors in keys],
+    first, pos = np.array([[(start[key], r) for key, r in factors] for factors in plan.keys],
                           dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0)
-    w = np.array(weights, dtype=work)[:, None]
+    w = np.array(plan.weights, dtype=work)[:, None]
     # bytes per tuple: index maps, both sides' indices and factors, product
-    step = max(1, _CHUNK_BYTES // (8 * (len(positions) + 2 * len(w) * (d + 1) + 2 * d * d)))
+    step = max(1, _CHUNK_BYTES // (8 * (len(plan.positions) + 2 * len(w) * (d + 1) + 2 * d * d)))
 
     def chunk(idx):  # its arrays are freed on return
-        gathers = _flat_indices(d, positions, digits[idx]).T  # (m, positions)
+        gathers = _flat_indices(d, plan.positions, digits[idx]).T  # (m, positions)
         lv, rv = (np.take(stack, first[s] + gathers[:, pos[s]], axis=0) for s in (0, 1))
         lv *= w
         return np.matmul(lv.transpose(0, 2, 1), rv)
@@ -538,30 +503,34 @@ def _basis_tuple(d: int, n: int, flat) -> tuple:
     return tuple(int(x) + 1 for x in _digit_table(d, n)[flat])
 
 
+def _violator(a: Algebra, c: IdentityCombination, rows: np.ndarray, idx: np.ndarray):
+    """None, or the first tuple of idx (1-based) where c is nonzero, read
+    off its rows there, rows = _cocycle_rows(a, c)(idx).
+
+    c's value at v is row(v) @ C / (wden * den^(n-1)), for C the cleared
+    structure constants as a (d^2, d) array: row(v) sums w * L (x) R over
+    the terms, and (L (x) R) @ C is den times the product of the root
+    pair's values, L and R being scaled by den^(leaves - 1). The products
+    are exact (fastrank._exact_products(x, y) is x @ y^T).
+    """
+    d = a.dim
+    values = fastrank._exact_products(rows, a.mult.ints.reshape(d * d, d).T)
+    bad = np.flatnonzero((values != 0).any(axis=1))
+    return _basis_tuple(d, c.degree, idx[bad[0]]) if bad.size else None
+
+
 def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
     """rows(idx) of _cocycle_rows, idx ascending, that also checks p at
-    those tuples from the same rows.
-
-    p's value at v is row(v) @ C / denom, for C the cleared structure
-    constants as a (d^2, d) array and denom that of _combination_values:
-    row(v) sums w * L (x) R over the terms, and (L (x) R) @ C is the
-    product of the root pair's values L and R. The block's products are
-    exact (fastrank._exact_products(x, y) is x @ y^T), and the first
-    nonzero one, at the lexicographically first violating tuple of idx,
-    raises ValueError.
-    """
-    d, n = a.dim, p.degree
+    those tuples from the same rows: the first violator in idx (_violator)
+    raises ValueError."""
     rows = _cocycle_rows(a, p)
-    c_t = a.mult.ints.reshape(d * d, d).T
 
     def checked(idx):
         block = rows(idx)
-        bad = np.flatnonzero((fastrank._exact_products(block, c_t) != 0).any(axis=1))
-        if bad.size:
-            raise ValueError(
-                "base does not satisfy P: %s fails %s at basis tuple %r"
-                % (a.name or "algebra", p.name or "the identity", _basis_tuple(d, n, idx[bad[0]]))
-            )
+        bad = _violator(a, p, block, idx)
+        if bad is not None:
+            raise ValueError("base does not satisfy P: %s fails %s at basis tuple %r"
+                             % (a.name or "algebra", p.name or "the identity", bad))
         return block
 
     return checked
@@ -569,31 +538,31 @@ def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
 
 def first_violation(a: Algebra, c: IdentityCombination):
     """None, or the lexicographically first basis tuple (1-based) where
-    the combination has a nonzero value.
+    the combination has a nonzero value, read off its rows (_violator).
 
     Only _tuple_indices' tuples are scanned, in order. For an alternating
     c that loses nothing: a violator v has distinct entries, and its
     sorted rearrangement is no later than v and takes plus or minus the
     nonzero value at v, so the first violator is strictly increasing.
     """
-    n = c.degree
-    d = a.dim
-    if d == 0:
+    if a.dim == 0:
         return None
-    values, _den = _combination_values(a, c)
-    idx = _tuple_indices(c, d)
-    for v0, v1 in _block_ranges(len(idx), 4096):
-        nz = np.flatnonzero(values(idx[v0:v1]).any(axis=1))
-        if nz.size:
-            return _basis_tuple(d, n, idx[v0 + nz[0]])
+    rows = _cocycle_rows(a, c)
+    idx = _tuple_indices(c, a.dim)
+    for v0 in range(0, len(idx), 4096):
+        bad = _violator(a, c, rows(idx[v0:v0 + 4096]), idx[v0:v0 + 4096])
+        if bad is not None:
+            return bad
     return None
 
 
 def evaluate_combination_table(a: Algebra, c: IdentityCombination):
     """(R, denom): R[flat(v), k] * 1/denom is the exact value of the
-    combination at the basis tuple v, component k."""
-    values, denom = _combination_values(a, c)
-    return values(np.arange(a.dim**c.degree)), denom
+    combination at the basis tuple v, component k, read off its rows at
+    every tuple as in _violator."""
+    d, n = a.dim, c.degree
+    rows = _cocycle_rows(a, c)(np.arange(d**n))
+    return _exact_matmul(rows, a.mult.ints.reshape(d * d, d)), _plan(c).wden * a.mult.den ** (n - 1)
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:

@@ -169,6 +169,22 @@ def test_check_accepts_identity_files(capsys, tmp_path):
     assert out.startswith("violated at basis tuple")
 
 
+@pytest.mark.parametrize("bad", ["directory", "not_utf8"])
+def test_unreadable_paths_are_usage_errors(capsys, tmp_path, bad):
+    # a path that exists but cannot be read as UTF-8 JSON exits 2 with one
+    # error line, for an algebra and for an identity alike
+    path = tmp_path / "f.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    for argv in (("show", str(path)), ("check", "W2bar", "--identity", str(path))):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: ") and str(path) in err, argv
+        assert "Traceback" not in err and err.count("\n") == 1, argv
+
+
 def test_conservative_yes_prints_the_witness(capsys):
     a = catalog("W2bar")
     witness = conservative_solve(a)

@@ -30,6 +30,7 @@ from nonassoc.identities import (
     _cocycle_rows,
     _digit_table,
     _shape_tables,
+    _tuple_blocks,
     _tuple_indices,
     first_violation,
     satisfies_identity,
@@ -448,7 +449,9 @@ def test_base_check_names_the_first_violation(rec):
 def test_base_check_over_many_blocks_names_the_first_violation(monkeypatch):
     # blocks of 16 tuples: on S1bar the first violation of st4_1 is the 63rd
     # of 70 increasing tuples, so three blocks pass the check first
-    monkeypatch.setattr(cohomology_module, "_BLOCK_ENTRIES", 1)
+    # a system of 2^19 columns gets the smallest blocks
+    monkeypatch.setattr(cohomology_module, "_tuple_blocks",
+                        lambda tuples, _cols: _tuple_blocks(tuples, 1 << 19))
     a = catalog("S1bar")
     p = st_identity(4, 1)
     bad = first_violation(a, p)

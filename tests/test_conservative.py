@@ -294,6 +294,9 @@ def test_value_tables_take_their_dtype_from_their_own_bound():
     assert conservative_solve(big) is not None
     first_violation(big, terminal_identity())
     tables = _shape_tables(big)
+    # degree-4 values are read off root pairs of at most 3 leaves: build
+    # one 4-leaf table to cover the object path
+    tables["(((xx)x)x)"]
     assert tables.scale == 4 * 3 * 2**21
     leaves = {key: key.count("x") for key in tables}
     assert set(leaves.values()) == {1, 2, 3, 4}

@@ -197,6 +197,18 @@ def test_invalid_json_mentions_the_path(tmp_path):
     assert "invalid JSON" in str(exc.value)
 
 
+def test_non_utf8_files_mention_the_path_and_directories_stay_os_errors(tmp_path):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe{")
+    for load in (load_algebra, load_identity):
+        with pytest.raises(FormatError) as exc:
+            load(str(p))
+        assert str(p) in str(exc.value)
+        assert "not UTF-8" in str(exc.value)
+        with pytest.raises(OSError):
+            load(str(tmp_path))
+
+
 def test_identity_name_round_trip(tmp_path):
     c = st_identity(3, 1)
     d = identity_to_dict(c)

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +12,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonassoc.algebras import Algebra, change_of_basis, multiply
@@ -31,6 +32,7 @@ from nonassoc.identities import (
     _shape_key,
     _shape_tables,
     _sorted_tuples,
+    _tuple_blocks,
     _tuple_indices,
     combination_in_span,
     evaluate_combination_table,
@@ -560,12 +562,76 @@ def test_is_alternating():
     assert not _is_alternating(st_identity(5, 1).plus(extra))
 
 
+def test_an_identity_block_is_one_gather_from_the_tables_in_place():
+    # S1bar at degree 5: the 14 shapes' root tables side by side take 29 MB
+    # and one block of 312 tuples 32 MB; building the block copies no table
+    a = catalog("S1bar")
+    build, cols = _evaluation_block_builder(a, 5, range(len(shapes(5))))
+    idx = _tuple_blocks(_sorted_tuples(a.dim, 5), cols)[0]
+    build(idx[:1])  # digit table of degree 5 in place
+    tracemalloc.start()
+    try:
+        block = build(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (len(idx) * a.dim, cols) and len(idx) == 312
+    assert peak < 1.5 * block.nbytes
+
+
+def _fraction_first_violation(a, c):
+    """The first basis tuple, in lexicographic order, where c's value,
+    summed in Fractions over its terms from evaluate_monomial, is nonzero."""
+    terms = c.terms()
+    for v in itertools.product(range(1, a.dim + 1), repeat=c.degree):
+        value = [0] * a.dim
+        for m, x in terms:
+            value = [t + x * y for t, y in zip(value, evaluate_monomial(a, m, v))]
+        if any(value):
+            return v
+    return None
+
+
+ORACLE_ALGEBRAS = ("E2", "D2", "S2")
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_first_violation_of_named_combinations_matches_a_fraction_scan(name):
+    a = catalog(name)
+    combos = [terminal_identity(),
+              *(tail_fixed_alternating(n, j) for n in (3, 4) for j in range(1, n + 1))]
+    if a.dim < 4:  # a full Fraction scan of S2's 1,024 tuples takes about 1 s each
+        combos += [named_identity("tail5_%d" % j) for j in range(1, 6)]
+    for c in combos:
+        assert first_violation(a, c) == _fraction_first_violation(a, c), c.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_first_violation_of_random_combinations_matches_a_fraction_scan(data):
+    # an identity of the algebra (degree-3 basis rows, or the terminal
+    # identity at degree 4) plus a few random terms, not alternating
+    a = catalog(data.draw(st.sampled_from(ORACLE_ALGEBRAS)))
+    n = data.draw(st.sampled_from([3, 4]))
+    held = identity_space(a, 3)[1] if n == 3 else [terminal_identity()]
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = list(data.draw(st.sampled_from(held)).scaled(data.draw(weight)).coeffs) if held \
+        else [Fraction(0)] * monomial_count(n)
+    for i, w in data.draw(st.lists(st.tuples(st.integers(0, len(coeffs) - 1), weight),
+                                   max_size=4)):
+        coeffs[i] += w
+    c = IdentityCombination(n, coeffs)
+    assume(not _is_alternating(c))
+    assert first_violation(a, c) == _fraction_first_violation(a, c)
+
+
 def test_first_violation_builds_only_the_tables_it_reads():
     a = catalog("W2bar")
     _shape_tables.cache_clear()
     assert first_violation(a, st_identity(5, 1)) is None
     tables = _shape_tables(a)
-    assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)", "((((xx)x)x)x)"}
+    # read off the root-pair rows: no table of all five leaves is built
+    assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)"}
 
 
 @st.composite
