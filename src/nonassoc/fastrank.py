@@ -28,6 +28,14 @@ three stages:
    end of this docstring), and one with a zero left factor is skipped;
    residues come from _mod_p, exact below 2^53 and cheaper than np.mod.
 
+   Blocks carry no zero rows: the identity and cocycle sources drop them
+   as they build each block, and a block may end up empty. That changes no
+   decision. A zero row's residue is zero, so the filter never accepts
+   it, and every candidate annihilates it, so certification never adds
+   it. The accepted rows are the same rows in the same order, a block
+   that accepts nothing (an empty one included) still does, and no step
+   below reads a source block's row count.
+
    Full-rank shortcut: once the filter rank reaches cols, the rest of the
    stream is never read and the answer is rank cols with an empty
    nullspace. The accepted rows are independent mod p, hence over Q, so
@@ -88,10 +96,15 @@ three stages:
    blocks are then read as generators: the system is the set of images of
    their rows under the group G the g generate. After the source's own
    blocks, the translates x[g] of the accepted rows not yet translated
-   run through the same loop as further blocks, each no larger than the
-   largest source block. They are filtered mod p while blocks accept rows
-   (the closure mod p: translates of rows a translate block accepted
-   follow in later blocks), then certified exactly; rows that
+   run through the same loop as further blocks, each the translates of
+   max(1, _TRANSLATE_ENTRIES // (cols * len(symmetries))) accepted rows:
+   at most 2^22 entries, 624 rows' translates at 1,680 columns under 4
+   symmetries, the size of a dense degree-5 identity block on dimension 8
+   (2,496 rows). The budget is fixed: sized from the source's blocks, it
+   would shrink with their zero rows and stop the filter sooner.
+   Translate blocks are filtered mod p while blocks accept rows (the
+   closure mod p: translates of rows a translate block accepted follow
+   in later blocks), then certified exactly; rows that
    certification adds are translated in turn, and the translate blocks
    the filter alone has seen are rebuilt from the accepted rows when they
    are streamed again. On return the final candidate annihilates every
@@ -135,6 +148,7 @@ _INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
 _FLOAT64_LIMIT = 2**53  # a proven |entry| bound below this keeps float64 exact
 _PANEL = 256  # filter rows per panel: one reduction and one state update each
 _PRODUCT_ROWS = 1024  # block rows per float64 certification product
+_TRANSLATE_ENTRIES = 1 << 22  # entries per translate block, at most
 
 
 def _mod_p(x: np.ndarray, p: int = PRIME) -> np.ndarray:
@@ -424,8 +438,9 @@ class _System:
     The stream is the source's blocks, then the translates x[g] of the
     accepted rows x, g in symmetries, read from the accepted list as it
     grows. Each translate block holds the translates of a range of accepted
-    rows, no more rows than the largest source block (or one row's
-    translates); the ranges are kept, so the blocks can be streamed again.
+    rows, at most _TRANSLATE_ENTRIES entries (or one row's translates),
+    whatever the source's blocks hold; the ranges are kept, so the blocks
+    can be streamed again.
     """
 
     def __init__(self, cols: int, block_source, symmetries, accepted: list):
@@ -434,7 +449,8 @@ class _System:
         self.symmetries = [np.asarray(g) for g in symmetries]
         self.accepted = accepted
         self.spans: list[tuple[int, int]] = []  # accepted-row range per translate block
-        self.step = 1  # accepted rows per translate block
+        # accepted rows per translate block
+        self.step = max(1, _TRANSLATE_ENTRIES // max(1, cols * len(self.symmetries)))
 
     def _translate(self, span) -> np.ndarray:
         rows = _int_array(self.accepted[span[0]:span[1]], self.cols)
@@ -445,10 +461,7 @@ class _System:
         been translated."""
         blocks = iter(self.block_source())
         try:
-            for block in blocks:
-                if self.symmetries:
-                    self.step = max(self.step, len(block) // len(self.symmetries))
-                yield block
+            yield from blocks
         finally:
             _close(blocks)
         yield from self.translates()
@@ -511,8 +524,9 @@ def certified_nullspace(cols: int, block_source, symmetries=()):
     """Exact (rank, nullspace basis) of a streamed integer row system.
 
     block_source is a zero-argument callable returning a fresh iterable of
-    2-d integer numpy arrays, the system's rows. Every call must yield the
-    same blocks in the same order: it is called at most twice, once for
+    2-d integer numpy arrays, the system's rows; a block may be empty.
+    Every call must yield the same blocks in the same order: it is called
+    at most twice, once for
     the filter and once to replay the blocks the filter alone has seen,
     and either pass may stop early (the iterator is then closed): the
     replay reads only the blocks before the one the filter stopped on.

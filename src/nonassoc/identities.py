@@ -12,10 +12,10 @@ basis tuples being read.
 
 The system is symmetric. Column (s, sigma), at index s * n! + (the
 lexicographic rank of sigma), holds the monomial of shape s whose leaves
-read the variables sigma(1), ..., sigma(n); _flat_indices evaluates it at
-the tuple v o sigma, with (v o sigma)_i = v_{sigma(i)}. For a permutation
-tau, (v o tau) o sigma = v o (tau sigma), so the rows at v o tau and at v
-(same component) satisfy
+read the variables sigma(1), ..., sigma(n); its index map (_index_weights)
+evaluates it at the tuple v o sigma, with (v o sigma)_i = v_{sigma(i)}.
+For a permutation tau, (v o tau) o sigma = v o (tau sigma), so the rows
+at v o tau and at v (same component) satisfy
 
     x_{v o tau}[(s, sigma)] = x_v[(s, tau sigma)].
 
@@ -26,7 +26,12 @@ rank of s_i o sigma_r. The s_i generate S_n and every tuple is v o tau for
 its non-decreasing rearrangement v, so the rows at the C(d + n - 1, n)
 non-decreasing tuples generate the whole d^n-tuple system under the g_i:
 those rows are all that is built, and fastrank certifies that their span
-is invariant under each g_i.
+is invariant under each g_i. Of those, only the nonzero rows are kept: a
+zero row and its images are zero, so the rest generate the same system.
+A block holds the nonzero rows at its tuples in component-major order
+(_evaluation_block_builder), gathered one component at a time, so its
+dense (d * tuples, cols) matrix never exists; on W2(big) the one block
+of a degree-5 shape keeps 489-545 of its 6,336 rows.
 
 This module is the one place that evaluates a combination at basis
 tuples, and it does so one way: by its root-pair rows (_cocycle_rows),
@@ -52,13 +57,17 @@ same combinations. A full degree-5 basis holds about 22 MiB (E2) or
 
 Value tables are kept per algebra, one subtree key -> table map for
 every degree (_shape_tables), each table built the first time it is
-read: a subtree's table is the same in every shape that contains it. They
-hold integers. The table of a k-leaf subtree has the proven L1 row bound
-(d * cmax)^(k-1), and its dtype follows from that bound alone: int64
-tables below 2^53 are built with float64 matrix products (BLAS) and cast
-back, exactly, because every term and partial sum of both products is at
-most the bound (the argument is in _ValueTables). Larger int64 bounds use
-int64 products, and bounds from 2^62, or object constants, object tables.
+read: a subtree's table is the same in every shape that contains it. An
+identity system's n-leaf root tables are the exception: they are built
+straight into the system's side-by-side table from their children's
+tables (_ValueTables.product) and not kept, since a degree-n combination
+reads tables of at most n - 1 leaves. Tables hold integers. The table of
+a k-leaf subtree has the proven L1 row bound (d * cmax)^(k-1), and its
+dtype follows from that bound alone: int64 tables below 2^53 are built
+with float64 matrix products (BLAS) and cast back, exactly, because every
+term and partial sum of both products is at most the bound (the argument
+is in _ValueTables). Larger int64 bounds use int64 products, and bounds
+from 2^62, or object constants, object tables.
 """
 
 from __future__ import annotations
@@ -113,15 +122,16 @@ def _digit_table(d: int, n: int) -> np.ndarray:
     return out
 
 
-def _flat_indices(d: int, positions, digits: np.ndarray) -> np.ndarray:
-    """(len(positions), len(digits)) int64: entry (r, j) is the flat index
-    of the subtuple (v_p for p in positions[r], 1-based) of the basis tuple
-    whose digits are digits[j]."""
-    weights = np.zeros((len(positions), digits.shape[1]), dtype=np.int64)
+def _index_weights(d: int, positions, n: int) -> np.ndarray:
+    """(n, len(positions)) int64 weights, compiled once per caller: for
+    digits, the rows of _digit_table(d, n), entry (j, r) of digits @ weights
+    is the flat index of the subtuple (v_p for p in positions[r], 1-based)
+    of the basis tuple whose digits are digits[j]."""
+    weights = np.zeros((n, len(positions)), dtype=np.int64)
     for r, pos in enumerate(positions):
         for j, p in enumerate(pos):
-            weights[r, p - 1] = d ** (len(pos) - 1 - j)
-    return weights @ digits.T
+            weights[p - 1, r] = d ** (len(pos) - 1 - j)
+    return weights
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +193,20 @@ class _ValueTables(dict):
     def bound(self, leaves: int) -> int:
         return self.scale ** (leaves - 1)
 
-    def __missing__(self, key):
-        work, out = fastrank._exact_dtypes(self.bound(key.count("x")), self.cflat)
+    def dtypes(self, key) -> tuple:
+        """(work, out) dtypes of key's table (see above)."""
+        return fastrank._exact_dtypes(self.bound(key.count("x")), self.cflat)
+
+    def product(self, key) -> np.ndarray:
+        """key's values as the (dl, dr, d) _product_table of its children's
+        tables, in the work dtype. The children's tables are looked up and
+        kept; this is not."""
+        work = self.dtypes(key)[0]
         lk, rk = _children(key)
-        factors = (m.astype(work, copy=False) for m in (self[lk], self[rk], self.cflat))
-        t = np.ascontiguousarray(_product_table(*factors), dtype=out)
+        return _product_table(*(m.astype(work, copy=False) for m in (self[lk], self[rk], self.cflat)))
+
+    def __missing__(self, key):
+        t = np.ascontiguousarray(self.product(key), dtype=self.dtypes(key)[1])
         t = t.reshape(t.shape[0] * t.shape[1], t.shape[2])
         t.setflags(write=False)
         self[key] = t
@@ -232,24 +251,37 @@ def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
 def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     """Returns (build(idx)->array, cols), idx an array of flat basis tuple
     indices. Column order: for each listed shape, all n! permutations in
-    lexicographic order. Rows are component-major: row k * len(idx) + j
-    holds component k at the tuple idx[j]. A block is one gather from the
-    shapes' root tables laid side by side, kept C-contiguous so that the
-    gather never copies the table."""
+    lexicographic order. A block holds the nonzero rows of the (d * len(idx),
+    cols) evaluation matrix at idx, in component-major order: component k
+    at idx[j] before component k at idx[j + 1], and every row of component
+    k before those of component k + 1. It is gathered one component at a
+    time from the shapes' root tables laid side by side, so the dense
+    matrix never exists; a zero row is dropped as its component's slice is
+    read. The root tables are built straight into that side-by-side array
+    from their children's tables, and are not kept in _shape_tables."""
     d = a.dim
     tables = _shape_tables(a)
     digits = _digit_table(d, n)
     perms = list(permutations(range(1, n + 1)))
-    # shape ci's leaf tuple w sits at column ci * d^n + w
-    table = np.ascontiguousarray(
-        np.concatenate([tables[_shape_key(shapes(n)[si])] for si in shape_indices]).T)
-    offsets = np.arange(len(shape_indices))[:, None] * d**n
-    cols = len(perms) * len(shape_indices)
+    weights = _index_weights(d, perms, n)
+    keys = [_shape_key(shapes(n)[si]) for si in shape_indices]
+    # row k, column ci * d^n + w: component k of shape ci at leaf tuple w;
+    # every root has n leaves, so one dtype
+    table = np.empty((d, len(keys) * d**n), dtype=tables.dtypes(keys[0])[1])
+    for ci, key in enumerate(keys):
+        product = tables.product(key)  # (dl, dr, d)
+        view = table[:, ci * d**n:(ci + 1) * d**n].reshape(d, *product.shape[:2])
+        view[...] = product.transpose(2, 0, 1)
+    offsets = np.arange(len(keys))[:, None] * d**n
+    cols = len(perms) * len(keys)
 
     def build(idx):
-        sub = _flat_indices(d, perms, digits[idx]).T  # (block, n!)
-        gather = (sub[:, None, :] + offsets).reshape(len(idx), cols)
-        return np.take(table, gather, axis=1).reshape(-1, cols)
+        gather = ((digits[idx] @ weights)[:, None, :] + offsets).reshape(len(idx), cols)
+        parts = []
+        for k in range(d):  # component k at every tuple of idx
+            rows = table[k][gather]
+            parts.append(rows[rows.any(axis=1)])
+        return np.concatenate(parts)
 
     return build, cols
 
@@ -314,12 +346,13 @@ def identity_space(a: Algebra, n: int):
 
     Degree 5 joins all 14 shapes into one 1680-column system with dim^6
     rows and a very wide nullspace, built only at the non-decreasing
-    tuples (C(dim + 4, 5) of them) and certified invariant under the
-    symmetries of the module docstring. Warm, on a 2-core machine, it
-    took 0.23-0.55 s for E2 (dim 2), 0.39-0.47 s for S2 (dim 4), and at
-    dim 8 1.04-1.31 s for S1bar, 1.40-1.59 s for W2bar and 2.02-2.29 s for
-    W2(big) (large constants, rank 1,655 of 1,680). When one shape at a
-    time is enough, shape_identity_space stays fast even at degree 5.
+    tuples (C(dim + 4, 5) of them), streamed as their nonzero rows only,
+    and certified invariant under the symmetries of the module docstring.
+    Warm, on a 2-core machine, it took 0.18-0.24 s for E2 (dim 2),
+    0.43-0.47 s for S2 (dim 4), and at dim 8 0.57-0.68 s for S1bar,
+    0.71-0.88 s for W2bar and 1.99-2.51 s for W2(big) (large constants,
+    rank 1,655 of 1,680). When one shape at a time is enough,
+    shape_identity_space stays fast even at degree 5.
 
     The answer is kept on a, so a repeat call on the same object returns
     a new list of the same combinations without certifying again (the
@@ -330,7 +363,7 @@ def identity_space(a: Algebra, n: int):
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 0.4-0.5 s at dim 4 and 1.0-2.3 s at dim 8 "
+            "system exactly (about 0.4-0.5 s at dim 4 and 0.6-2.5 s at dim 8 "
             "on a 2-core machine, W2(big) the slowest); shape_identity_space "
             "handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
@@ -480,11 +513,12 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     first, pos = np.array([[(start[key], r) for key, r in factors] for factors in plan.keys],
                           dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0)
     w = np.array(plan.weights, dtype=work)[:, None]
+    weights = _index_weights(d, plan.positions, n)
     # bytes per tuple: index maps, both sides' indices and factors, product
     step = max(1, _CHUNK_BYTES // (8 * (len(plan.positions) + 2 * len(w) * (d + 1) + 2 * d * d)))
 
     def chunk(idx):  # its arrays are freed on return
-        gathers = _flat_indices(d, plan.positions, digits[idx]).T  # (m, positions)
+        gathers = digits[idx] @ weights  # (m, positions)
         lv, rv = (np.take(stack, first[s] + gathers[:, pos[s]], axis=0) for s in (0, 1))
         lv *= w
         return np.matmul(lv.transpose(0, 2, 1), rv)
@@ -520,9 +554,9 @@ def _violator(a: Algebra, c: IdentityCombination, rows: np.ndarray, idx: np.ndar
 
 
 def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
-    """rows(idx) of _cocycle_rows, idx ascending, that also checks p at
-    those tuples from the same rows: the first violator in idx (_violator)
-    raises ValueError."""
+    """rows(idx) of _cocycle_rows without its zero rows, idx ascending,
+    that also checks p at those tuples from the full rows first: the first
+    violator in idx (_violator) raises ValueError."""
     rows = _cocycle_rows(a, p)
 
     def checked(idx):
@@ -531,7 +565,7 @@ def _checked_cocycle_rows(a: Algebra, p: IdentityCombination):
         if bad is not None:
             raise ValueError("base does not satisfy P: %s fails %s at basis tuple %r"
                              % (a.name or "algebra", p.name or "the identity", bad))
-        return block
+        return block[block.any(axis=1)]
 
     return checked
 

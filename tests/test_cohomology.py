@@ -27,6 +27,7 @@ from nonassoc.fastrank import certified_nullspace
 from nonassoc.fastrank import certified_rank
 from nonassoc.identities import (
     _CHUNK_BYTES,
+    _checked_cocycle_rows,
     _cocycle_rows,
     _digit_table,
     _shape_tables,
@@ -149,6 +150,21 @@ def test_cocycle_rows_with_weights_beyond_int64_are_exact():
     big_rows = _cocycle_rows(a, p.scaled(3**40))(idx)
     assert big_rows.dtype == object and rows.any()
     assert (big_rows == rows.astype(object) * 3**40).all()
+
+
+def test_checked_cocycle_blocks_are_the_nonzero_rows_in_order():
+    # S1bar is terminal; its terminal rows at the first 512 tuples are
+    # mostly zero. The object path (weights times 3^40) drops the same rows
+    a = catalog("S1bar")
+    p = terminal_identity()
+    idx = np.arange(512)
+    full = _cocycle_rows(a, p)(idx)
+    want = full[full.any(axis=1)]
+    assert 0 < len(want) < len(full)
+    got = _checked_cocycle_rows(a, p)(idx)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    big = _checked_cocycle_rows(a, p.scaled(3**40))(idx)
+    assert big.dtype == object and big.tolist() == (want.astype(object) * 3**40).tolist()
 
 
 @pytest.mark.parametrize("name", ["E2", "S2"])

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonassoc import fastrank
@@ -624,9 +624,60 @@ def test_translate_blocks_are_no_larger_than_the_source_blocks(monkeypatch):
         return block
 
     monkeypatch.setattr(fastrank._System, "_translate", spy)
+    # a budget of one accepted row's translates (6 columns, 2 symmetries):
+    # every translate block is then no larger than the 2-row source blocks
+    monkeypatch.setattr(fastrank, "_TRANSLATE_ENTRIES", 6 * 2)
     # the dihedral group of the hexagon, from a rotation and a reflection
     symmetries = [np.array([1, 2, 3, 4, 5, 0]), np.array([5, 4, 3, 2, 1, 0])]
     blocks = [np.array([[1, -1, 0, 0, 0, 0], [2, -2, 0, 0, 0, 0]], dtype=np.int64),
               np.array([[0, 1, 0, -1, 0, 0], [1, 0, -1, 0, 0, 0]], dtype=np.int64)]
     _assert_oracle_answers(blocks, 6, symmetries)
     assert sizes and max(sizes) <= 2
+
+
+@st.composite
+def zero_padded_systems(draw):
+    """(padded, compact, cols, symmetries): the blocks of an adversarial
+    system with all-zero rows interleaved and all-zero or empty blocks
+    inserted, and the same blocks with every zero row dropped (an all-zero
+    block becomes an empty one)."""
+    arr, cols, step, symmetries = draw(adversarial_systems())
+    padded = []
+    for i in range(0, len(arr), step):
+        rows = list(arr[i:i + step])
+        for _ in range(draw(st.integers(0, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), np.zeros(cols, dtype=arr.dtype))
+        padded.append(np.array(rows, dtype=arr.dtype).reshape(len(rows), cols))
+    for _ in range(draw(st.integers(0, 2))):
+        zero_block = np.zeros((draw(st.integers(0, 3)), cols), dtype=arr.dtype)
+        padded.insert(draw(st.integers(0, len(padded))), zero_block)
+    compact = [block[block.any(axis=1)] for block in padded]
+    return padded, compact, cols, symmetries
+
+
+# e_0 and e_1 in blocks of one row, one of them padded to two; g swaps
+# columns 1 and 2. Translate blocks sized by the source's blocks would hold
+# one row compacted, where e_0[g] = e_0 accepts nothing and stops the
+# filter, and two rows padded, where {e_0, e_2} reaches full rank
+SWAP_PADDED = ([np.array([[1, 0, 0], [0, 0, 0]]), np.array([[0, 1, 0]])],
+               [np.array([[1, 0, 0]]), np.array([[0, 1, 0]])], 3, [np.array([0, 2, 1])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_padded_systems(), st.sampled_from([1, 12, 1 << 22]))
+@example(SWAP_PADDED, 1 << 22)
+def test_zero_rows_change_no_decision_of_the_filter_or_certification(system, budget):
+    # a zero row's residue is zero and every candidate annihilates it, so
+    # dropping zero rows leaves each block's verdict as it was: the same
+    # accepted rows in the same order, the same candidates, the same answer;
+    # the translate budget, fixed, does not read the source's block sizes
+    padded, compact, cols, symmetries = system
+    answers = []
+    for blocks in (padded, compact):
+        with mock.patch.object(fastrank, "_TRANSLATE_ENTRIES", budget), \
+                mock.patch.object(fastrank, "_candidate", wraps=fastrank._candidate) as spy:
+            cand, accepted = fastrank._certify(cols, CountingSource(blocks), symmetries)
+        answers.append((cand.rank, null_basis(cols, cand.free, cand.prim),
+                        [row.tolist() for row in accepted], spy.call_count))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == exact_rank(_orbit([r for b in compact for r in b], symmetries))

@@ -25,7 +25,7 @@ from nonassoc.identities import (
     _cocycle_rows,
     _digit_table,
     _evaluation_block_builder,
-    _flat_indices,
+    _index_weights,
     _is_alternating,
     _parallel_blocks,
     _product_table,
@@ -346,22 +346,27 @@ def test_evaluation_blocks_hold_the_monomial_values_at_their_tuples():
     scale = a.int_constants()[1] ** (n - 1)
     assert scale > 1
     perms = list(itertools.permutations(range(1, n + 1)))
-    # rows are component-major: a block reads as (d, block, cols)
+    dropped = 0
     for shape_indices in [(1, 0), (1,)]:
         build, cols = _evaluation_block_builder(a, n, shape_indices)
         assert cols == len(shape_indices) * len(perms)
         for idx in [np.arange(0, 5), np.arange(200, 233), np.arange(448, 460),
                     _sorted_tuples(a.dim, n), np.array([511, 7, 300, 7, 0])]:
-            block = build(idx).reshape(a.dim, len(idx), cols)
-            assert block.any()
-            for j, v in enumerate(idx):
+            # the dense rows, component-major (component k at every tuple of
+            # idx in turn), from evaluate_monomial; the block is its nonzero
+            # rows, in order
+            values = []
+            for v in idx:
                 args = tuple(int(x) + 1 for x in np.unravel_index(v, (a.dim,) * n))
-                for ci, si in enumerate(shape_indices):
-                    for r, perm in enumerate(perms):
-                        m = MultilinearMonomial(shapes(n)[si], perm)
-                        want = evaluate_monomial(a, m, args)
-                        got = block[:, j, ci * len(perms) + r]
-                        assert [Fraction(int(x), scale) for x in got] == want
+                values.append([evaluate_monomial(a, MultilinearMonomial(shapes(n)[si], perm), args)
+                               for si in shape_indices for perm in perms])
+            dense = [[value[k] * scale for value in row] for k in range(a.dim) for row in values]
+            want = [row for row in dense if any(row)]
+            block = build(idx)
+            assert block.shape == (len(want), cols) and want
+            assert block.tolist() == want
+            dropped += len(dense) - len(want)
+    assert dropped
 
 
 def _all_tuple_space(a, n, shape_indices):
@@ -563,8 +568,11 @@ def test_is_alternating():
 
 
 def test_an_identity_block_is_one_gather_from_the_tables_in_place():
-    # S1bar at degree 5: the 14 shapes' root tables side by side take 29 MB
-    # and one block of 312 tuples 32 MB; building the block copies no table
+    # S1bar at degree 5: the 14 shapes' root tables side by side take 29 MB,
+    # and the dense rows at one block of 312 tuples would take 33.5 MB. The
+    # block is gathered one component's 4.2 MB slice at a time, copying no
+    # table, and keeps only nonzero rows (1 of the 2,496 here); a dense
+    # block peaked at 1.26 times its bytes
     a = catalog("S1bar")
     build, cols = _evaluation_block_builder(a, 5, range(len(shapes(5))))
     idx = _tuple_blocks(_sorted_tuples(a.dim, 5), cols)[0]
@@ -575,8 +583,54 @@ def test_an_identity_block_is_one_gather_from_the_tables_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block.shape == (len(idx) * a.dim, cols) and len(idx) == 312
-    assert peak < 1.5 * block.nbytes
+    dense_bytes = len(idx) * a.dim * cols * block.itemsize
+    assert len(idx) == 312 and block.shape[1] == cols and block.dtype == np.int64
+    assert len(block) < len(idx) * a.dim and block.any(axis=1).all()
+    assert peak < 0.5 * dense_bytes
+
+
+def test_a_degree_five_shape_system_on_dim_eight_stays_small_from_cold_caches():
+    # W2(big), shape 13: one block of 792 tuples whose 6,336 dense rows of
+    # 120 columns hold 545 nonzero ones; with dense blocks and a kept
+    # 5-leaf root table this peaked at 13.6 MiB
+    a = catalog("W2(big)")
+    _shape_tables.cache_clear()
+    _digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        assert shape_identity_space(a, 5, 13)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert max(key.count("x") for key in _shape_tables(a)) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_an_identity_system_keeps_no_root_table(n):
+    # its n-leaf root tables are built into the system's own table from
+    # their children's, which are kept
+    a = catalog("E2")
+    _shape_tables.cache_clear()
+    identity_space(a, n)
+    assert max(key.count("x") for key in _shape_tables(a)) == n - 1
+
+
+def test_object_identity_blocks_drop_the_same_zero_rows():
+    # constants times 3^40: degree-3 tables bound (d * cmax)^2 >= 2^62 and
+    # take the object path; each value is 3^80 times the int64 one
+    a = catalog("W2")
+    k = 3**40
+    big = Algebra("W2*k", a.dim, [[[x * k for x in r] for r in plane] for plane in a.c])
+    assert big.int_constants()[1] == a.int_constants()[1]
+    idx = np.arange(a.dim**3)
+    for shape_indices in [(0, 1), (1,)]:
+        block = _evaluation_block_builder(a, 3, shape_indices)[0](idx)
+        big_block = _evaluation_block_builder(big, 3, shape_indices)[0](idx)
+        assert block.dtype == np.int64 and big_block.dtype == object
+        assert 0 < len(block) < a.dim * len(idx) and block.any(axis=1).all()
+        assert big_block.shape == block.shape
+        assert (big_block == block.astype(object) * k**2).all()
 
 
 def _fraction_first_violation(a, c):
@@ -652,8 +706,8 @@ def test_flat_indices_decode_the_basis_tuples(data):
     n = data.draw(st.integers(1, 5))
     positions = data.draw(st.lists(position_tuples(n), min_size=1, max_size=6))
     idx = np.array(data.draw(st.lists(st.integers(0, d**n - 1), max_size=20)), dtype=np.int64)
-    got = _flat_indices(d, positions, _digit_table(d, n)[idx])
-    assert got.shape == (len(positions), len(idx))
+    got = _digit_table(d, n)[idx] @ _index_weights(d, positions, n)
+    assert got.shape == (len(idx), len(positions))
     for j, v in enumerate(idx.tolist()):
         digits = []
         for _ in range(n):
@@ -663,7 +717,7 @@ def test_flat_indices_decode_the_basis_tuples(data):
             want = 0
             for p in pos:
                 want = want * d + digits[p - 1]
-            assert got[r, j] == want
+            assert got[j, r] == want
 
 
 REGISTRY_ALGEBRAS = sorted({rec[k] for rec in load_claims()
