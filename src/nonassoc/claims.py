@@ -62,8 +62,6 @@ from .monomials import IdentityCombination, st_identity, tail_fixed_alternating
 
 _DATA = Path(__file__).resolve().parent / "data" / "claims.json"
 
-_ST_RE = re.compile(r"^st([3-5])_([12])$")
-_TAIL_RE = re.compile(r"^tail([3-5])_([1-5])$")
 _ADAPTED_RE = re.compile(r"^Sab_adapted\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)$")
 
 
@@ -79,11 +77,18 @@ class UnknownIdentityError(KeyError):
         return "unknown identity %r" % (self.name,)
 
 
+# name -> (constructor, arguments) of each built-in identity
+_IDENTITIES = {
+    **{"st%d_%d" % (n, v): (st_identity, (n, v)) for n in (3, 4, 5) for v in (1, 2)},
+    "terminal": (terminal_identity, ()),
+    **{"tail%d_%d" % (n, j): (tail_fixed_alternating, (n, j))
+       for n in (3, 4, 5) for j in range(1, n + 1)},
+}
+
+
 def identity_names() -> tuple:
     """Names accepted by :func:`named_identity`."""
-    st = ["st%d_%d" % (n, v) for n in (3, 4, 5) for v in (1, 2)]
-    tails = ["tail5_%d" % j for j in range(1, 6)]
-    return tuple(st + ["terminal"] + tails)
+    return tuple(_IDENTITIES)
 
 
 @lru_cache(maxsize=None)
@@ -94,17 +99,10 @@ def named_identity(name: str) -> IdentityCombination:
     combination, and the evaluation plan identities keeps on it. Unknown
     names raise each time and are not cached.
     """
-    m = _ST_RE.match(name)
-    if m:
-        return st_identity(int(m.group(1)), int(m.group(2)))
-    m = _TAIL_RE.match(name)
-    if m:
-        n, j = int(m.group(1)), int(m.group(2))
-        if j <= n:
-            return tail_fixed_alternating(n, j)
-    if name == "terminal":
-        return terminal_identity()
-    raise UnknownIdentityError(name)
+    if name not in _IDENTITIES:
+        raise UnknownIdentityError(name)
+    make, args = _IDENTITIES[name]
+    return make(*args)
 
 
 def resolve_identity(spec) -> IdentityCombination:

@@ -53,10 +53,7 @@ def _resolve_algebra(name: str):
                 return load_algebra(name)
             except (FormatError, OSError) as err:
                 raise _Usage(str(err)) from err
-        hint = ""
-        if exc.suggestions:
-            hint = " (did you mean: %s?)" % ", ".join(exc.suggestions)
-        raise _Usage("unknown algebra %r%s" % (name, hint)) from exc
+        raise _Usage(str(exc)) from exc
 
 
 def _resolve_identity(spec: str):
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--identity", required=True,
                    help="a built-in name (st3_1 ... st5_2, terminal, "
-                        "tail5_1 ... tail5_5) or a JSON file")
+                        "tail3_1 ... tail5_5) or a JSON file")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("conservative",

@@ -383,12 +383,6 @@ def _exact_products(block: np.ndarray, null: np.ndarray) -> np.ndarray:
     return block.astype(work, copy=False) @ null.astype(work, copy=False).T
 
 
-def _close(blocks):
-    close = getattr(blocks, "close", None)
-    if close is not None:
-        close()  # a generator source runs its cleanup at once
-
-
 class _Candidate(NamedTuple):
     """The exact nullspace of the accepted rows, as nullspace_int gives it:
     their rank, the free columns and the primitive integer basis rows."""
@@ -459,11 +453,7 @@ class _System:
     def stream(self):
         """Source blocks, then translate blocks until every accepted row has
         been translated."""
-        blocks = iter(self.block_source())
-        try:
-            yield from blocks
-        finally:
-            _close(blocks)
+        yield from self.block_source()  # closing the stream closes the source
         yield from self.translates()
 
     def translates(self):

@@ -75,7 +75,6 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, lcm
 
 import numpy as np
@@ -87,8 +86,10 @@ from .monomials import (
     BracketShape,
     IdentityCombination,
     MultilinearMonomial,
+    _permutations,
     _render,
     monomial_count,
+    perm_index,
     shapes,
 )
 
@@ -262,7 +263,7 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     d = a.dim
     tables = _shape_tables(a)
     digits = _digit_table(d, n)
-    perms = list(permutations(range(1, n + 1)))
+    perms = _permutations(n)
     weights = _index_weights(d, perms, n)
     keys = [_shape_key(shapes(n)[si]) for si in shape_indices]
     # row k, column ci * d^n + w: component k of shape ci at leaf tuple w;
@@ -395,12 +396,11 @@ def satisfies_identity(a: Algebra, c: IdentityCombination) -> bool:
 def _adjacent_swaps(n: int) -> tuple:
     """For each adjacent transposition s_i of variables (i = 1..n-1), the
     list mapping the lexicographic rank of sigma to that of s_i o sigma."""
-    perms = list(permutations(range(1, n + 1)))
-    rank = {perm: r for r, perm in enumerate(perms)}
+    perms = _permutations(n)
     swaps = []
     for i in range(1, n):
         flip = {i: i + 1, i + 1: i}
-        swaps.append([rank[tuple(flip.get(v, v) for v in perm)] for perm in perms])
+        swaps.append([perm_index([flip.get(v, v) for v in perm]) for perm in perms])
     return tuple(swaps)
 
 
@@ -436,8 +436,7 @@ class _Plan:
     def __init__(self, c: IdentityCombination):
         n = c.degree
         nf = factorial(n)
-        degree_shapes = shapes(n)
-        perms = list(permutations(range(1, n + 1)))
+        degree_shapes, perms = shapes(n), _permutations(n)
         self.alternating = _is_alternating(c)
         self.wden = lcm(*(x.denominator for x in c.coeffs))
         self.weights, self.keys, positions = [], [], {}

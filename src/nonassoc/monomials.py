@@ -5,11 +5,18 @@ shape) together with a permutation assigning the variables x_1..x_n to the
 leaves from left to right. Shapes are kept in a fixed canonical order so that
 coefficient vectors mean the same thing everywhere: identity files, computed
 bases and the hardwired identity families all index monomials the same way.
+
+Monomial i of degree n has shape shapes(n)[i // n!] and permutation
+_permutations(n)[i % n!], the permutation of lexicographic rank i % n!.
+Shapes are sorted by BracketShape.sort_key: the positions of the leftmost
+pair of sibling leaves (a cherry) as it is collapsed to a leaf, again and
+again, which has the closed form given there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 from typing import Sequence
@@ -70,6 +77,14 @@ class BracketShape:
         The key records, recursively, the leaf position (1-based, from the
         left) of the leftmost pair of sibling leaves, then collapses that
         pair to a single leaf. Left combs sort first, right combs last.
+        It has a closed form: () for a leaf, and for the tree (L, R)
+
+            key(L) + tuple(1 + p for p in key(R)) + (1,).
+
+        While L is not a leaf the leftmost cherry lies in L (a non-leaf tree
+        always has one, and the walk looks in L first), so the first entries
+        are key(L) and L collapses to one leaf. The cherries of R follow,
+        one place past that leaf, and the last cherry, (x x), sits at 1.
         """
         return _collapse_key(self.tree)
 
@@ -101,48 +116,12 @@ def _render(tree) -> str:
     return "(%s%s)" % (_render(l), _render(r))
 
 
-def _cherry_position(tree):
-    """Leaf index (1-based) of the leftmost sibling leaf pair, or None."""
-
-    def walk(t, offset):
-        if t is None:
-            return None
-        l, r = t
-        if l is None and r is None:
-            return offset + 1
-        hit = walk(l, offset)
-        if hit is not None:
-            return hit
-        return walk(r, offset + _count_leaves(l))
-
-    return walk(tree, 0)
-
-
-def _collapse_cherry(tree, target):
-    """Replace the sibling leaf pair starting at leaf index target by a leaf."""
-
-    def walk(t, offset):
-        l, r = t
-        if l is None and r is None and offset + 1 == target:
-            return None
-        if l is not None:
-            nl = walk(l, offset)
-            if nl is not l:
-                return (nl, r)
-        if r is not None:
-            nr = walk(r, offset + _count_leaves(l))
-            if nr is not r:
-                return (l, nr)
-        return t
-
-    return walk(tree, 0)
-
-
 def _collapse_key(tree):
+    """The sort_key of a tree, from its closed form (see sort_key)."""
     if tree is None:
         return ()
-    p = _cherry_position(tree)
-    return (p,) + _collapse_key(_collapse_cherry(tree, p))
+    left, right = _collapse_key(tree[0]), _collapse_key(tree[1])
+    return left + tuple(1 + p for p in right) + (1,)
 
 
 def _all_trees(n: int):
@@ -155,18 +134,12 @@ def _all_trees(n: int):
                 yield (l, r)
 
 
-_SHAPE_CACHE: dict[int, list[BracketShape]] = {}
-
-
+@lru_cache(maxsize=None)
 def shapes(n: int) -> list[BracketShape]:
     """All bracketing shapes of degree n in canonical order."""
     if n < 1 or n > MAX_DEGREE:
         raise ValueError("degree %d out of range (1..%d)" % (n, MAX_DEGREE))
-    if n not in _SHAPE_CACHE:
-        ts = [BracketShape(t) for t in _all_trees(n)]
-        ts.sort(key=BracketShape.sort_key)
-        _SHAPE_CACHE[n] = ts
-    return _SHAPE_CACHE[n]
+    return sorted((BracketShape(t) for t in _all_trees(n)), key=BracketShape.sort_key)
 
 
 def left_comb(n: int) -> BracketShape:
@@ -259,6 +232,13 @@ def perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple:
+    """The permutations of 1..n in lexicographic order: the one at
+    position r has perm_index r."""
+    return tuple(permutations(range(1, n + 1)))
+
+
 def monomial_count(n: int) -> int:
     return catalan(n - 1) * factorial(n)
 
@@ -267,11 +247,7 @@ def enumerate_monomials(n: int) -> list[MultilinearMonomial]:
     """All degree-n monomials: shape-major, permutations in lex order."""
     if n < 2 or n > MAX_DEGREE:
         raise ValueError("degree %d out of range (2..%d)" % (n, MAX_DEGREE))
-    out = []
-    for sh in shapes(n):
-        for perm in permutations(range(1, n + 1)):
-            out.append(MultilinearMonomial(sh, perm))
-    return out
+    return [MultilinearMonomial(sh, perm) for sh in shapes(n) for perm in _permutations(n)]
 
 
 def monomial_index(m: MultilinearMonomial) -> int:
@@ -329,9 +305,13 @@ class IdentityCombination:
         return cls(degree, coeffs, name)
 
     def terms(self):
-        """Nonzero (monomial, coefficient) pairs in canonical order."""
-        monos = enumerate_monomials(self.degree)
-        return [(monos[i], c) for i, c in enumerate(self.coeffs) if c]
+        """Nonzero (monomial, coefficient) pairs in canonical order; only
+        those monomials are built, from the numbering in the module
+        docstring."""
+        n = self.degree
+        nf, degree_shapes, perms = factorial(n), shapes(n), _permutations(n)
+        return [(MultilinearMonomial(degree_shapes[i // nf], perms[i % nf]), c)
+                for i, c in enumerate(self.coeffs) if c]
 
     def __eq__(self, other) -> bool:
         return (

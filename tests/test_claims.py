@@ -60,11 +60,25 @@ def test_named_identity_family():
     assert named_identity("tail5_3") == tail_fixed_alternating(5, 3)
     assert named_identity("terminal").degree == 4
     assert set(identity_names()) == {
-        "st3_1", "st3_2", "st4_1", "st4_2", "st5_1", "st5_2",
-        "terminal", "tail5_1", "tail5_2", "tail5_3", "tail5_4", "tail5_5",
+        "st3_1", "st3_2", "st4_1", "st4_2", "st5_1", "st5_2", "terminal",
+        "tail3_1", "tail3_2", "tail3_3", "tail4_1", "tail4_2", "tail4_3", "tail4_4",
+        "tail5_1", "tail5_2", "tail5_3", "tail5_4", "tail5_5",
     }
     for name in identity_names():
         named_identity(name)
+
+
+def test_a_name_resolves_exactly_when_it_is_listed():
+    grid = (["st%d_%d" % (n, v) for n in range(1, 7) for v in range(4)]
+            + ["tail%d_%d" % (n, j) for n in range(1, 7) for j in range(7)]
+            + ["terminal", "bogus"])
+    for name in grid:
+        try:
+            named_identity(name)
+            resolves = True
+        except UnknownIdentityError:
+            resolves = False
+        assert resolves == (name in identity_names()), name
 
 
 def test_unknown_identity_suggestions():

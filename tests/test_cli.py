@@ -281,6 +281,12 @@ def test_unknown_algebra_suggests_catalog_keys(capsys):
     assert "did you mean" in err and "W2(big)" in err
 
 
+def test_unknown_algebra_without_suggestions(capsys):
+    rc, _, err = run(capsys, "show", "qqqqqqqq")
+    assert rc == 2
+    assert err == "error: unknown algebra 'qqqqqqqq'\n"
+
+
 def test_bad_catalog_parameters_are_a_usage_error(capsys):
     rc, _, err = run(capsys, "show", "Sab_bar(1/0,2)")
     assert rc == 2
@@ -291,7 +297,7 @@ def test_unknown_identity_lists_the_builtins(capsys):
     rc, _, err = run(capsys, "check", "D2", "--identity", "nope")
     assert rc == 2
     assert "unknown identity 'nope'" in err
-    assert "st3_1" in err and "terminal" in err
+    assert "st3_1" in err and "terminal" in err and "tail4_4" in err
 
 
 def test_malformed_algebra_file(capsys, tmp_path):

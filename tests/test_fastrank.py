@@ -367,6 +367,29 @@ def test_full_rank_stops_the_stream():
     assert pulled == [0] and closed == [True]
 
 
+def test_full_rank_closes_an_iterator_source():
+    """A source that is an iterator object, not a generator, is closed too
+    when full rank stops the stream."""
+
+    class Blocks:
+        def __init__(self):
+            self.pulled, self.closed = 0, False
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            self.pulled += 1
+            return np.eye(3, dtype=np.int64) if self.pulled == 1 else np.ones((2, 3), np.int64)
+
+        def close(self):
+            self.closed = True
+
+    source = Blocks()
+    assert certified_nullspace(3, lambda: source)[0] == 3
+    assert source.pulled == 1 and source.closed
+
+
 def test_full_rank_on_the_first_block_builds_no_other():
     built = []
 

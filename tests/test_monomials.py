@@ -1,17 +1,27 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from nonassoc.catalog import catalog
+from nonassoc.conservative import terminal_identity
+from nonassoc.identities import identity_space
 from nonassoc.monomials import (
     MAX_DEGREE,
     BracketShape,
     IdentityCombination,
     MultilinearMonomial,
+    _all_trees,
+    _collapse_key,
+    _permutations,
+    _render,
     enumerate_monomials,
     left_comb,
     monomial_count,
     monomial_index,
+    perm_index,
     right_comb,
     shapes,
     st_identity,
@@ -27,10 +37,46 @@ def test_shape_counts_are_catalan():
 
 
 def test_degree_out_of_range():
-    with pytest.raises(ValueError):
-        shapes(MAX_DEGREE + 1)
-    with pytest.raises(ValueError):
-        shapes(0)
+    for _ in range(2):  # a bad degree raises on every call
+        with pytest.raises(ValueError):
+            shapes(MAX_DEGREE + 1)
+        with pytest.raises(ValueError):
+            shapes(0)
+
+
+def test_shapes_is_one_list_per_degree():
+    assert shapes(4) is shapes(4)
+
+
+def test_tree_order_is_pinned():
+    """Every tree of 1-9 leaves, each degree sorted by the closed-form key,
+    one rendering per line: the digest was read off the cherry-collapse
+    definition of sort_key."""
+    lines = [_render(t) for n in range(1, 10) for t in sorted(_all_trees(n), key=_collapse_key)]
+    text = "\n".join(lines) + "\n"
+    assert len(lines) == 2056
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "360434c74deabc8f0b8a5985cf1f5c1dec828f5d1509ead54f41190b671c6dbe")
+
+
+def test_degree_4_shape_order():
+    assert [str(s) for s in shapes(4)] == [
+        "((xx)x)x", "(xx)(xx)", "(x(xx))x", "x((xx)x)", "x(x(xx))"]
+
+
+def test_permutations_are_numbered_by_perm_index():
+    for n in range(1, 6):
+        perms = _permutations(n)
+        assert len(perms) == len(set(perms)) == factorial(n)
+        assert all(perm_index(p) == r for r, p in enumerate(perms))
+
+
+def test_terms_match_the_enumerate_and_filter_reference():
+    named = [st_identity(5, 1), st_identity(5, 2), terminal_identity(),
+             tail_fixed_alternating(5, 3)]
+    for c in named + identity_space(catalog("E2"), 4)[1]:
+        reference = [(m, x) for m, x in zip(enumerate_monomials(c.degree), c.coeffs) if x]
+        assert c.terms() == reference
 
 
 def test_shape_parse_and_str_round_trip():
