@@ -15,8 +15,10 @@ three stages:
    - one BLAS product reduces the panel against the current RREF;
    - _echelon eliminates the panel's nonzero rows by recursive halving
      (the row rank profile mod p; Jeannerod, Pernet and Storjohann, J.
-     Symbolic Comput. 56, 2013): a single row is normalised; otherwise
-     the first half is eliminated, one product reduces the second half
+     Symbolic Comput. 56, 2013): at most _BASE_ROWS = 16 rows are taken
+     in order, each row left nonzero normalised and its pivot cleared
+     from the other rows by one outer product; more rows are halved, the
+     first half is eliminated, one product reduces the second half
      against it, the rows left nonzero are eliminated in turn, and one
      product clears their pivots from the first half's rows;
    - one product, state -= state[:, new pivots] @ new rows, clears the
@@ -36,6 +38,11 @@ three stages:
    that accepts nothing (an empty one included) still does, and no step
    below reads a source block's row count.
 
+   The stream filter reads each block with its columns reversed, so that
+   its state is the RREF mod p that stage 2 starts from; a row's
+   independence mod p does not depend on the column order, so the same
+   rows are accepted.
+
    Full-rank shortcut: once the filter rank reaches cols, the rest of the
    stream is never read and the answer is rank cols with an empty
    nullspace. The accepted rows are independent mod p, hence over Q, so
@@ -46,22 +53,29 @@ three stages:
    stream ends. rref_int then takes the RREF of the accepted rows (at
    most `cols` of them) once, columns reversed, on the filter's kernel:
    a ModularFilter over each prime q from _primes leaves the RREF mod q
-   as its state. A prime dividing a minor can only lower the rank or move
-   a pivot right, so primes rank by highest rank, then smallest pivot
-   list, and CRT joins only those tying with the best, modulo their
-   product M. Rational reconstruction (Wang) over one common denominator
-   den lifts the result, kept only if the rows' pivot columns times its
-   numerators equal den times the rows: the rows then lie in the span of
-   the r lifted rows, which are in RREF, and have rank >= r (their rank
-   mod q), so the lift is their unique RREF, byte-identical to that of
-   any exact elimination. Otherwise the next prime joins. RREF entries
+   as its state. The first candidate's rows are exactly the stream
+   filter's accepted rows, and the RREF mod p of a span is unique, so the
+   stream filter's state is its result at PRIME, and only later primes
+   are eliminated afresh; a candidate made after certification added rows
+   eliminates from scratch. A prime dividing a minor can only lower the
+   rank or move a pivot right, so primes rank by highest rank, then
+   smallest pivot list, and CRT joins only those tying with the best,
+   modulo their product M. Rational reconstruction (Wang) over one
+   common denominator den lifts the result, kept only if the rows' pivot
+   columns times its numerators equal den times the rows (compared
+   _PRODUCT_ROWS rows at a time, so neither side is held whole): the rows
+   then lie in the span of the r lifted rows, which are in RREF, and have
+   rank >= r (their rank mod q), so the lift is their unique RREF,
+   byte-identical to that of any exact elimination. Otherwise the next prime joins. RREF entries
    are ratios of minors over one common minor, so once M > 2 H^2, H the
    Hadamard bound of the rows, the lift is right and a failure raises.
-   rref_int hands on the lift as it is, the RREF being num / den with num
-   an int64 (or object) array. The pivot P_i of each row R_i is its last
-   nonzero column in the original order, so each free column f gives the
-   null vector e_f - sum_i R[i][f] e_{P_i}: 1 at f and zero at every
-   other free column. These vectors already are the canonical RREF of the
+   rref_int hands on the lift, the RREF being num / den with num an int64
+   array, or an object array if an entry does not fit (the CRT residues
+   of three or more primes are object, whatever the lift's size). The
+   pivot P_i of each row R_i is its last nonzero column in the original
+   order, so each free column f gives the null vector
+   e_f - sum_i R[i][f] e_{P_i}: 1 at f and zero at every other free
+   column. These vectors already are the canonical RREF of the
    candidate nullspace; no second elimination is needed. nullspace_int
    returns them in integers, as one array of primitive rows (den at f,
    -num at the pivots, divided by the row's gcd) with the rank and the
@@ -147,6 +161,7 @@ _MAX_FILTER_COLS = 8192  # 2^13; keeps float64 dot products exact
 _INT64_LIMIT = 2**62  # a proven |entry| bound below this keeps int64 exact
 _FLOAT64_LIMIT = 2**53  # a proven |entry| bound below this keeps float64 exact
 _PANEL = 256  # filter rows per panel: one reduction and one state update each
+_BASE_ROWS = 16  # _echelon eliminates at most this many rows in order, unhalved
 _PRODUCT_ROWS = 1024  # block rows per float64 certification product
 _TRANSLATE_ENTRIES = 1 << 22  # entries per translate block, at most
 
@@ -215,17 +230,20 @@ def _lift(res: np.ndarray, mod: int):
     return None, 0
 
 
-def rref_int(rows, cols: int):
+def rref_int(rows, cols: int, filt: ModularFilter | None = None):
     """(pivot_cols, num, den) of an integer matrix, its RREF being num / den
     with num an int64 or object array, from its RREF modulo one prime at a
-    time (stage 2 of the module docstring)."""
+    time (stage 2 of the module docstring). filt, if given, is a
+    ModularFilter at PRIME whose state already is the RREF mod PRIME of the
+    rows' span: it stands for the first prime's elimination."""
     a = _int_array(rows, cols)
     amax = _abs_max(a)
     bits = len(a) * (cols * amax * amax).bit_length()  # 2^bits >= H^2
     best = None
     for q in _primes():
-        filt = ModularFilter(cols, q)
-        filt.filter_block(a)
+        if filt is None or filt.p != q:
+            filt = ModularFilter(cols, q)
+            filt.filter_block(a)
         key = (-len(filt.pivcols), sorted(filt.pivcols))
         rq = filt.state[np.argsort(filt.pivcols)].astype(np.int64)
         if best is None or key < best:
@@ -238,23 +256,37 @@ def rref_int(rows, cols: int):
             continue
         num, den = _lift(res, mod)
         if den:
-            want = a.astype(_exact_dtypes(den * amax, a)[1], copy=False) * den
-            if np.array_equal(_exact_products(a[:, best[1]], num.T), want):
+            if num.dtype == object:  # res is object from three primes on
+                num = _int_array(num, cols)
+            if _reproduces(a, best[1], num, den, amax):
                 return tuple(best[1]), num, den
         if mod.bit_length() > bits + 1:  # M > 2 H^2: a kept prime is lucky
             raise AssertionError("no verified RREF at a %d-bit modulus" % mod.bit_length())
 
 
-def nullspace_int(rows, cols: int):
+def _reproduces(a: np.ndarray, pivots, num: np.ndarray, den: int, amax: int) -> bool:
+    """Whether a[:, pivots] @ num == den * a, compared _PRODUCT_ROWS rows of
+    a at a time, so that neither side is ever held whole."""
+    out = _exact_dtypes(den * amax, a)[1]
+    for i in range(0, len(a), _PRODUCT_ROWS):
+        chunk = a[i:i + _PRODUCT_ROWS]
+        if not np.array_equal(_exact_products(chunk[:, pivots], num.T),
+                              chunk.astype(out, copy=False) * den):
+            return False
+    return True
+
+
+def nullspace_int(rows, cols: int, filt: ModularFilter | None = None):
     """(rank, free, prim) of an integer matrix, all in integers.
 
     free lists the free columns, ascending; row i of the integer array prim
     is the canonical nullspace basis row of free[i] made primitive: den at
     the free column, -num at the pivots, divided by the row's gcd. The
     basis row itself is prim's row over its (positive) entry at the free
-    column; null_basis makes it.
+    column; null_basis makes it. filt, if given, is rref_int's: a filter at
+    PRIME holding the RREF mod PRIME of the rows with their columns reversed.
     """
-    rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols)
+    rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols, filt)
     pivots = [cols - 1 - p for p in rev_pivots]
     pivset = set(pivots)
     free = [f for f in range(cols) if f not in pivset]
@@ -285,9 +317,8 @@ def _echelon(bm: np.ndarray, p: int):
     before them; pivots[i]: the first nonzero column of row rows[i]'s
     residue against them; reduced[i]: 1 at pivots[i], 0 at the other pivots.
     """
-    if len(bm) == 1:
-        pc = int(bm[0].nonzero()[0][0])
-        return [0], [pc], _mod_p(bm * float(pow(int(bm[0, pc]), -1, p)), p)
+    if len(bm) <= _BASE_ROWS:
+        return _echelon_in_order(bm, p)
     h = len(bm) // 2
     rows, pivots, top = _echelon(bm[:h], p)
     rest, col = bm[h:], bm[h:, pivots]
@@ -302,6 +333,26 @@ def _echelon(bm: np.ndarray, p: int):
         top = _mod_p(top - col @ bottom, p)
     live = live.tolist()
     return rows + [h + live[i] for i in rows2], pivots + pivots2, np.concatenate((top, bottom))
+
+
+def _echelon_in_order(bm: np.ndarray, p: int):
+    """_echelon's base case: each row left nonzero, in order, is normalised
+    and its pivot cleared from the panel's other rows by one outer product."""
+    bm = bm.copy()
+    rows, pivots = [], []
+    for i in range(len(bm)):
+        nz = bm[i].nonzero()[0]
+        if not nz.size:
+            continue
+        pc = int(nz[0])
+        bm[i] = _mod_p(bm[i] * float(pow(int(bm[i, pc]), -1, p)), p)
+        col = bm[:, pc].copy()
+        col[i] = 0
+        if col.any():
+            bm = _mod_p(bm - np.outer(col, bm[i]), p)
+        rows.append(i)
+        pivots.append(pc)
+    return rows, pivots, bm[rows]
 
 
 class ModularFilter:
@@ -392,8 +443,8 @@ class _Candidate(NamedTuple):
     prim: np.ndarray
 
 
-def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int) -> _Candidate:
-    cand = _Candidate(*nullspace_int(accepted, cols))
+def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int, filt=None) -> _Candidate:
+    cand = _Candidate(*nullspace_int(accepted, cols, filt))
     if cand.rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
     return cand
@@ -491,7 +542,8 @@ def _certify(cols: int, block_source, symmetries=()):
     held, filtered = (), 0  # the block the filter stopped on; the blocks before it
     try:
         for filtered, block in enumerate(blocks):
-            rows = filt.filter_block(block)
+            # columns reversed, so the state is what nullspace_int eliminates
+            rows = filt.filter_block(block[:, ::-1])
             accepted.extend(block[rows])
             if filt.rank_lower_bound == cols:
                 # the accepted rows are independent outright
@@ -499,7 +551,7 @@ def _certify(cols: int, block_source, symmetries=()):
             held = (block,)
             if not rows:
                 break
-        cand = _candidate(accepted, cols, -1)
+        cand = _candidate(accepted, cols, -1, filt)  # the filter spans accepted
         for block in chain(held, blocks, islice(replay, filtered), system.translates()):
             cand = _absorb(block, cand, accepted, cols)
             if cand.rank == cols:

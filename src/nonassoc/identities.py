@@ -428,7 +428,7 @@ class _Plan:
     coefficient times wden, an integer, and keys[t] its root pair: (subtree
     key, index into positions) for the left and then the right root
     subtree. positions lists the distinct leaf position tuples of those
-    subtrees, for _flat_indices.
+    subtrees, for _index_weights.
     """
 
     __slots__ = ("alternating", "wden", "weights", "keys", "positions")

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -263,27 +264,27 @@ def test_mod_p_matches_np_mod():
     assert got.min() >= 0 and got.max() < q
 
 
-def _greedy_mod_p(rows):
-    """(indices, RREF) of the rows outside the mod-PRIME span of the rows
+def _greedy_mod_p(rows, p=PRIME):
+    """(indices, RREF) of the rows outside the mod-p span of the rows
     before them, one row at a time with Python integers; the RREF maps each
     pivot column, in insertion order, to its row."""
     pivots = {}  # pivot column -> row with a 1 there
     accepted = []
     for i, raw in enumerate(rows):
-        row = [int(v) % PRIME for v in raw]
+        row = [int(v) % p for v in raw]
         for pc, prow in pivots.items():
             c = row[pc]
             if c:
-                row = [(a - c * b) % PRIME for a, b in zip(row, prow)]
+                row = [(a - c * b) % p for a, b in zip(row, prow)]
         pc = next((j for j, v in enumerate(row) if v), None)
         if pc is None:
             continue
-        inv = pow(row[pc], -1, PRIME)
-        row = [v * inv % PRIME for v in row]
+        inv = pow(row[pc], -1, p)
+        row = [v * inv % p for v in row]
         for q, qrow in pivots.items():
             c = qrow[pc]
             if c:
-                pivots[q] = [(a - c * b) % PRIME for a, b in zip(qrow, row)]
+                pivots[q] = [(a - c * b) % p for a, b in zip(qrow, row)]
         pivots[pc] = row
         accepted.append(i)
     return accepted, pivots
@@ -348,6 +349,50 @@ def test_filter_block_accepts_the_greedy_rows_across_small_panels(stream):
     reached in the middle of a panel."""
     with mock.patch.object(fastrank, "_PANEL", 3):
         _assert_greedy(stream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(filter_streams(3))
+def test_filter_block_accepts_the_greedy_rows_halving_to_single_rows(stream):
+    """Three-row panels halved down to one row each: the halving path, which
+    the default base case never reaches on panels this small."""
+    with mock.patch.object(fastrank, "_PANEL", 3), mock.patch.object(fastrank, "_BASE_ROWS", 1):
+        _assert_greedy(stream)
+
+
+@st.composite
+def echelon_panels(draw):
+    """(residue rows, p): 1-40 nonzero rows mod a small prime or PRIME, many
+    of them combinations of earlier rows, so that they reduce to zero."""
+    p = draw(st.sampled_from([7, 13, PRIME]))
+    cols = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dependent = draw(st.sampled_from([0.3, 0.7, 0.95]))  # share of combinations
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        if rows and rng.random() < dependent:
+            coef = rng.integers(0, p, size=len(rows))
+            row = coef @ np.array(rows) % p
+        else:
+            row = rng.integers(0, p, size=cols) * (rng.random(cols) < 0.6)
+        if row.any():
+            rows.append(row)
+    rows = rows or [np.eye(1, cols, dtype=np.int64)[0]]
+    return np.array(rows, dtype=np.float64), p
+
+
+@pytest.mark.parametrize("base", [1, 2, fastrank._BASE_ROWS])
+@settings(max_examples=60, deadline=None)
+@given(echelon_panels())
+def test_echelon_matches_the_greedy_oracle(base, panel):
+    bm, p = panel
+    accepted, oracle = _greedy_mod_p(bm.astype(np.int64).tolist(), p)
+    before = bm.copy()
+    with mock.patch.object(fastrank, "_BASE_ROWS", base):
+        rows, pivots, reduced = fastrank._echelon(bm, p)
+    assert rows == accepted and pivots == list(oracle)
+    assert reduced.tolist() == [oracle[pc] for pc in pivots]
+    assert np.array_equal(bm, before)  # the panel is left alone
 
 
 def test_full_rank_stops_the_stream():
@@ -494,6 +539,106 @@ def test_zero_mod_p_row_after_saturation_is_caught_in_stream(system):
     pre_switch = 1 if blocks[0].any() else 0
     assert all(pulled == pre_switch for pulled in source.pulls[1:])
     assert all(source.closed)
+
+
+def _filters_built(monkeypatch):
+    """The primes of the ModularFilters built from now on, in order."""
+    built = []
+    init = ModularFilter.__init__
+
+    def spy(self, cols, p=PRIME):
+        built.append(p)
+        init(self, cols, p)
+
+    monkeypatch.setattr(ModularFilter, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_system_without_violators_is_eliminated_once_at_prime(seed, monkeypatch):
+    # the stream filter's state stands for the first candidate's elimination
+    # at PRIME, so no second filter is built at PRIME, and the candidate is
+    # the one nullspace_int computes from scratch
+    rng = np.random.default_rng(seed)
+    cols = 5 + seed
+    base = rng.integers(-9, 10, size=(cols - 2, cols))
+    arr = rng.integers(-3, 4, size=(30, len(base))) @ base
+    built = _filters_built(monkeypatch)
+    with mock.patch.object(fastrank, "_candidate", wraps=fastrank._candidate) as spy:
+        cand, accepted = fastrank._certify(cols, _blocks_of(arr, 7))
+    assert spy.call_count == 1 and built.count(PRIME) == 1
+    rank, free, prim = nullspace_int(accepted, cols)
+    assert cand.rank == rank == cols - 2 and cand.free == free
+    assert np.array_equal(cand.prim, prim)
+
+
+@contextmanager
+def _handed_filters():
+    """rref_int checking every filter handed to it against a fresh
+    elimination of its rows at PRIME; yields the row counts handed."""
+    handed, rref = [], fastrank.rref_int
+
+    def checked(rows, cols, filt=None):
+        if filt is not None:
+            fresh = ModularFilter(cols)
+            fresh.filter_block(fastrank._int_array(rows, cols))
+            assert filt.p == PRIME and filt.pivcols == fresh.pivcols
+            assert np.array_equal(filt.state, fresh.state)
+            handed.append(len(rows))
+        return rref(rows, cols, filt)
+
+    with mock.patch.object(fastrank, "rref_int", checked):
+        yield handed
+
+
+def test_a_candidate_after_a_violator_eliminates_from_scratch():
+    # (0, 0, 1, 1) arrives after the filter stopped and is independent mod
+    # PRIME, so the stream filter's state no longer spans the accepted rows:
+    # only the first candidate of each call takes it
+    blocks = [
+        np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64),
+        np.array([[2, 3, 0, 0]], dtype=np.int64),  # accepts nothing
+        np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int64),  # a violator
+    ]
+    with _handed_filters() as handed:
+        _assert_oracle_answers(blocks, 4)
+    assert handed == [2, 2, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(adversarial_systems())
+def test_a_handed_filter_always_spans_the_rows_it_is_handed_with(system):
+    arr, cols, step, symmetries = system
+    with _handed_filters():
+        _assert_oracle_answers(_blocks_of(arr, step)(), cols, symmetries)
+
+
+def test_a_lift_joining_three_primes_is_checked_in_int64():
+    # RREF entries of 31 and 32 bits need about 2^64 for the lift: three
+    # joined primes, whose CRT residues are object; the lift itself fits
+    # int64, so no product of the check takes the object path
+    rng = random.Random(3)
+    rows = [[rng.randint(-1500, 1500) for _ in range(5)] for _ in range(3)]
+    lifts, products = [], []
+    lift, exact_products = fastrank._lift, fastrank._exact_products
+
+    def lift_spy(res, mod):
+        lifts.append(res.dtype)
+        return lift(res, mod)
+
+    def products_spy(block, null):
+        out = exact_products(block, null)
+        products.append(out.dtype)
+        return out
+
+    with mock.patch.object(fastrank, "_lift", lift_spy), \
+            mock.patch.object(fastrank, "_exact_products", products_spy):
+        pivots, num, den = rref_int(rows, 5)
+    assert object in lifts and num.dtype == np.int64
+    assert products and products.count(object) == 0
+    oracle = rref(Matrix.from_rows(rows))
+    assert (pivots, [tuple(Fraction(v, den) for v in r) for r in num.tolist()]) == (
+        oracle.pivot_cols, oracle.rows)
 
 
 def test_a_block_after_one_that_accepted_nothing_raises_the_rank():
