@@ -14,7 +14,7 @@ integer path is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -242,9 +242,11 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
 
 
 class Subspace:
-    """A subspace of coordinate space, canonically based."""
+    """A subspace of coordinate space, held as its canonical RREF: pivot
+    columns and rows num / den, den the lcm of the reduced denominators.
+    Equality and the hash come from these; basis is built on each read."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "pivots", "num", "den")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence]):
         rows, _den = _cleared_rows(vectors)
@@ -252,7 +254,10 @@ class Subspace:
             if len(r) != ambient:
                 raise ValueError("vector length %d, expected %d" % (len(r), ambient))
         self.ambient = ambient
-        self.basis = fastrank.rref_basis(ambient, *fastrank.rref_int(rows, ambient))
+        self.pivots, num, den = fastrank.rref_int(rows, ambient)
+        g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+        self.num, self.den = num // g, den // g
+        self.num.setflags(write=False)
 
     @classmethod
     def span_of_basis_indices(cls, ambient: int, indices) -> "Subspace":
@@ -262,70 +267,62 @@ class Subspace:
         return cls(ambient, [[int(k == i) for k in range(1, ambient + 1)] for i in indices])
 
     @property
+    def basis(self):
+        return fastrank.rref_basis(self.ambient, self.pivots, self.num, self.den)
+
+    @property
     def dim(self) -> int:
-        return self.basis.rank
+        return len(self.pivots)
 
     def contains(self, vector: Sequence) -> bool:
         return self.basis.contains(vector)
 
+    def _key(self) -> tuple:
+        return self.ambient, self.pivots, self.den, tuple(self.num.ravel().tolist())
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash(self._key())
 
     def __repr__(self):
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient, self.dim)
 
 
-def _cleared_basis(a: Algebra, s: Subspace) -> tuple[np.ndarray, int]:
-    """The canonical basis rows of s as b / bden, b an integer array."""
+def _span_products(a: Algebra, s: Subspace, u: np.ndarray, v: np.ndarray):
+    """The products x[i, j] of the rows of u by those of v, or None if one
+    lies outside s: a vector lies in s exactly when its entries at the
+    pivots times the rows of s give it back (fastrank._reproduces)."""
     if s.ambient != a.dim:
         raise ValueError("ambient dimension mismatch")
-    rows, bden = _cleared_rows(s.basis.rows)
-    return fastrank._int_array(rows, a.dim), bden
-
-
-def _in_span(x: np.ndarray, b: np.ndarray, bden: int, pivots) -> bool:
-    """Whether every vector x[..., :] (over any common denominator) lies in
-    the row space of b / bden, an RREF with these pivot columns: a vector's
-    coordinates are then its entries at the pivots, so it lies in the span
-    exactly when x bden equals x[..., pivots] @ b."""
-    coords = x[..., list(pivots)].reshape(prod(x.shape[:-1]), len(b))
-    span = _exact_matmul(coords, b).reshape(x.shape)
-    return np.array_equal(span, x.astype(object) * bden)
+    x = _row_products(u, v, a.mult.ints)
+    flat = x.reshape(x.shape[0] * x.shape[1], a.dim)
+    inside = fastrank._reproduces(flat, s.pivots, s.num, s.den, fastrank._abs_max(flat))
+    return x if inside else None
 
 
 def is_subalgebra(a: Algebra, s: Subspace) -> bool:
-    b, bden = _cleared_basis(a, s)
-    return _in_span(_row_products(b, b, a.mult.ints), b, bden, s.basis.pivot_cols)
+    return _span_products(a, s, s.num, s.num) is not None
 
 
 def is_ideal(a: Algebra, s: Subspace) -> bool:
-    b, bden = _cleared_basis(a, s)
-    carr, eye = a.mult.ints, np.eye(a.dim, dtype=np.int64)
-    return all(_in_span(_row_products(u, v, carr), b, bden, s.basis.pivot_cols)
-               for u, v in ((eye, b), (b, eye)))
+    eye = np.eye(a.dim, dtype=np.int64)
+    return all(_span_products(a, s, u, v) is not None for u, v in ((eye, s.num), (s.num, eye)))
 
 
 def restrict(a: Algebra, s: Subspace, name: str = "") -> Algebra:
     """The algebra induced on a subalgebra, in the canonical basis of s.
 
-    With the basis rows cleared to b / bden and the constants to c / den,
-    every product of two basis rows is x / (bden^2 den) for one integer
-    array x, whose coordinates in s are its entries at the pivots. A
-    product outside s raises ValueError.
+    With the basis rows num / sden of s and the constants cleared to
+    c / den, every product of two basis rows is x / (sden^2 den) for one
+    integer array x, whose coordinates in s are its entries at the pivots.
+    A product outside s raises ValueError.
     """
-    b, bden = _cleared_basis(a, s)
-    carr, den = a.int_constants()
-    x = _row_products(b, b, carr)  # x[i, j] is the product of basis rows i and j
-    if not _in_span(x, b, bden, s.basis.pivot_cols):
+    x = _span_products(a, s, s.num, s.num)  # x[i, j] is the product of basis rows i and j
+    if x is None:
         raise ValueError("not a subalgebra")
-    mult = BilinearMap._from_cleared(x[:, :, list(s.basis.pivot_cols)], bden * bden * den)
+    mult = BilinearMap._from_cleared(x[:, :, s.pivots], s.den * s.den * a.mult.den)
     return Algebra(name or (a.name + "|sub"), s.dim, mult)
 
 

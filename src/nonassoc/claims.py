@@ -119,7 +119,8 @@ def resolve_identity(spec) -> IdentityCombination:
         for coef, name in spec["combo"]:
             part = named_identity(name).scaled(parse_rational(coef))
             total = part if total is None else total.plus(part)
-        return IdentityCombination(total.degree, total.coeffs, describe_identity(spec))
+        total.name = describe_identity(spec)
+        return total
     if isinstance(spec, dict):
         return identity_from_dict(spec)
     raise TypeError("bad identity spec %r" % (spec,))
@@ -277,7 +278,7 @@ def _run_shape_basis(rec, algebras):
 def _run_combo_equals(rec, algebras):
     combo = resolve_identity({"combo": rec["combo"]})
     target = resolve_identity(rec["equals"])
-    ok = combo.degree == target.degree and combo.coeffs == target.coeffs
+    ok = combo == target
     expected = "combination equals %s" % describe_identity(rec["equals"])
     return expected, "equal" if ok else "different", ok
 

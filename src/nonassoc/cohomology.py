@@ -76,8 +76,8 @@ def coborder_space(a: Algebra):
 
     These are spanned by the d component slices of the structure array,
     so the dimension equals the number of independent component forms.
-    Their cleared rows have the same RREF. RankSink stays here while it is
-    the benchmark harness's only route to its RankSink.feed entry point.
+    Their cleared rows have the same RREF. RankSink stays here: it is how
+    benchmark/test_bench.py's entry-point check reaches RankSink.feed.
     """
     d = a.dim
     sink = RankSink(d * d)

@@ -116,7 +116,7 @@ def identity_from_dict(data: dict) -> IdentityCombination:
     raw = data.get("terms")
     if not isinstance(raw, list):
         _fail("terms", "expected a list")
-    terms = []
+    terms, parsed = [], {}  # parsed: each distinct shape string, parsed once
     for pos, t in enumerate(raw):
         where = "terms[%d]" % pos
         if not isinstance(t, dict):
@@ -125,7 +125,7 @@ def identity_from_dict(data: dict) -> IdentityCombination:
         if not isinstance(shape, str):
             _fail(where + ".shape", "expected a string")
         try:
-            shape = BracketShape.parse(shape)
+            shape = parsed.get(shape) or parsed.setdefault(shape, BracketShape.parse(shape))
         except ValueError as e:
             _fail(where + ".shape", str(e))
         if shape.leaves != degree:

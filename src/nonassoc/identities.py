@@ -42,8 +42,8 @@ the cocycle rows of its central extensions, checked against it
 (cohomology, _checked_cocycle_rows), are all read off these rows, from
 tables of at most n - 1 leaves. What the rows need from the coefficients
 is compiled once per combination object into a plan (_Plan): whether it
-alternates, the weight denominator, and each term's integer weight and
-root pair. The plan is kept on the combination but is no part of its
+alternates and each term's root pair; its integer weights are its own
+numerators. The plan is kept on the combination but is no part of its
 value: equality, hashing and pickling ignore it. Later calls only look up
 tables and sum bounds.
 
@@ -52,8 +52,8 @@ for, keyed by degree and shapes (Algebra._identity_spaces), so asking
 again, for instance once for a dimension and once for a basis, costs a
 dict lookup. There is no global cache and no bound: the answers live
 exactly as long as their algebra, and each call gets a new list of the
-same combinations. A full degree-5 basis holds about 22 MiB (E2) or
-26 MiB (S2), measured with tracemalloc.
+same combinations. Held as cleared integers, a full degree-5 basis takes
+about 1 MiB (E2) or 6 MiB (S2) under tracemalloc.
 
 Value tables are kept per algebra, one subtree key -> table map for
 every degree (_shape_tables), each table built the first time it is
@@ -73,9 +73,8 @@ from 2^62, or object constants, object tables.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
@@ -88,7 +87,6 @@ from .monomials import (
     MultilinearMonomial,
     _permutations,
     _render,
-    monomial_count,
     perm_index,
     shapes,
 )
@@ -317,7 +315,9 @@ def _nullspace_combinations(a: Algebra, n: int, shape_indices):
 def _certified_combinations(a: Algebra, n: int, shape_indices: tuple):
     """(dimension, tuple of the canonical basis) of the identities
     supported on the listed shapes, from the rows at the non-decreasing
-    tuples and the symmetries g_i of the module docstring."""
+    tuples and the symmetries g_i of the module docstring: row i is
+    prim[i] / prim[i, free[i]], in lowest terms (prim is primitive), and
+    column ci * n! + r is monomial si * n! + r, si the ci-th shape."""
     build, cols = _evaluation_block_builder(a, n, shape_indices)
     nf = factorial(n)
     tuples = _sorted_tuples(a.dim, n)
@@ -328,18 +328,14 @@ def _certified_combinations(a: Algebra, n: int, shape_indices: tuple):
     def source():
         return _parallel_blocks(chunks, build)
 
-    _rank, basis = fastrank.certified_nullspace(cols, source, symmetries)
-    if tuple(shape_indices) == tuple(range(len(shapes(n)))):
-        coeffs = basis.rows  # every shape, in order: the columns are the monomials
-    else:  # shape ci's n! columns are the coefficients of shape si
-        zero = [Fraction(0)] * monomial_count(n)
-        coeffs = []
-        for row in basis.rows:
-            full = list(zero)
-            for ci, si in enumerate(shape_indices):
-                full[si * nf:(si + 1) * nf] = row[ci * nf:(ci + 1) * nf]
-            coeffs.append(tuple(full))
-    return basis.rank, tuple(IdentityCombination._from_fractions(n, c) for c in coeffs)
+    (_rank, free, prim), _accepted = fastrank._certify(cols, source, symmetries)
+    rows, at = np.nonzero(prim)
+    monos = (np.asarray(shape_indices)[at // nf] * nf + at % nf).tolist()
+    nums = prim[rows, at].tolist()
+    cuts = np.searchsorted(rows, np.arange(len(free) + 1)).tolist()
+    dens = prim[np.arange(len(free)), free].tolist()
+    return len(free), tuple(IdentityCombination._from_cleared(n, zip(monos[i:j], nums[i:j]), den)
+                            for i, j, den in zip(cuts, cuts[1:], dens))
 
 
 def identity_space(a: Algebra, n: int):
@@ -349,22 +345,23 @@ def identity_space(a: Algebra, n: int):
     rows and a very wide nullspace, built only at the non-decreasing
     tuples (C(dim + 4, 5) of them), streamed as their nonzero rows only,
     and certified invariant under the symmetries of the module docstring.
-    Warm, on a 2-core machine, it took 0.18-0.24 s for E2 (dim 2),
-    0.43-0.47 s for S2 (dim 4), and at dim 8 0.57-0.68 s for S1bar,
-    0.71-0.88 s for W2bar and 1.99-2.51 s for W2(big) (large constants,
+    Warm, on a 2-core machine, it took 0.07-0.10 s for E2 (dim 2),
+    0.19-0.21 s for S2 (dim 4), and at dim 8 0.33-0.42 s for S1bar,
+    0.51-0.68 s for W2bar and 1.40-1.56 s for W2(big) (large constants,
     rank 1,655 of 1,680). When one shape at a time is enough,
     shape_identity_space stays fast even at degree 5.
 
     The answer is kept on a, so a repeat call on the same object returns
     a new list of the same combinations without certifying again (the
     degree-5 warning still fires). A full degree-5 basis holds about
-    22 MiB (E2) or 26 MiB (S2) for as long as a lives.
+    1 MiB (E2) or 6 MiB (S2) for as long as a lives; no Fraction is made
+    until a caller reads .coeffs or .terms().
     """
     _check_degree(n)
     if n == 5 and a.dim >= 4:
         warnings.warn(
             "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 0.4-0.5 s at dim 4 and 0.6-2.5 s at dim 8 "
+            "system exactly (about 0.2 s at dim 4 and 0.3-1.6 s at dim 8 "
             "on a 2-core machine, W2(big) the slowest); shape_identity_space "
             "handles a single shape quickly"
             % (a.dim, (a.dim ** 5) * a.dim),
@@ -410,44 +407,36 @@ def _is_alternating(c: IdentityCombination) -> bool:
     (shape, sigma). Each s_i is an involution, so checking the nonzero
     coefficients is enough."""
     nf = factorial(c.degree)
-    coeffs = c.coeffs
-    for swap in _adjacent_swaps(c.degree):
-        for i, x in enumerate(coeffs):
-            if x and coeffs[i - i % nf + swap[i % nf]] != -x:
-                return False
-    return True
+    values = dict(zip(c.index, c.nums))
+    return all(values.get(i - i % nf + swap[i % nf]) == -x
+               for swap in _adjacent_swaps(c.degree) for i, x in values.items())
 
 
 class _Plan:
     """What evaluating one combination needs from its coefficients, read
     from them once (see _plan).
 
-    alternating is _is_alternating(c); wden is the lcm of the coefficient
-    denominators. Term t is the nonzero coefficient at index i: shape
-    i // n!, permutation of lexicographic rank i % n!. weights[t] is its
-    coefficient times wden, an integer, and keys[t] its root pair: (subtree
-    key, index into positions) for the left and then the right root
-    subtree. positions lists the distinct leaf position tuples of those
-    subtrees, for _index_weights.
+    alternating is _is_alternating(c). Term t is monomial i = c.index[t]:
+    shape i // n!, permutation of lexicographic rank i % n!, weight
+    c.nums[t]. keys[t] is its root pair: (subtree key, index into
+    positions) for the left and then the right root subtree. positions
+    lists the distinct leaf position tuples of those subtrees, for
+    _index_weights.
     """
 
-    __slots__ = ("alternating", "wden", "weights", "keys", "positions")
+    __slots__ = ("alternating", "keys", "positions")
 
     def __init__(self, c: IdentityCombination):
         n = c.degree
-        nf = factorial(n)
-        degree_shapes, perms = shapes(n), _permutations(n)
+        nf, degree_shapes, perms = factorial(n), shapes(n), _permutations(n)
         self.alternating = _is_alternating(c)
-        self.wden = lcm(*(x.denominator for x in c.coeffs))
-        self.weights, self.keys, positions = [], [], {}
-        for i, x in enumerate(c.coeffs):
-            if x:
-                left, right = degree_shapes[i // nf].split()
-                perm = perms[i % nf]
-                pair = ((left, perm[:left.leaves]), (right, perm[left.leaves:]))
-                self.weights.append(int(x * self.wden))
-                self.keys.append([(_shape_key(sub), positions.setdefault(pos, len(positions)))
-                                  for sub, pos in pair])
+        self.keys, positions = [], {}
+        for i in c.index:
+            left, right = degree_shapes[i // nf].split()
+            perm = perms[i % nf]
+            pair = ((left, perm[:left.leaves]), (right, perm[left.leaves:]))
+            self.keys.append([(_shape_key(sub), positions.setdefault(pos, len(positions)))
+                              for sub, pos in pair])
         self.positions = list(positions)
 
 
@@ -498,7 +487,7 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     digits = _digit_table(d, n)
     tables = _shape_tables(a)
     plan = _plan(p)
-    work, dtype = fastrank._exact_dtypes(sum(map(abs, plan.weights)) * tables.scale ** (n - 2),
+    work, dtype = fastrank._exact_dtypes(sum(map(abs, p.nums)) * tables.scale ** (n - 2),
                                          tables.cflat)
     start: dict = {}  # subtree key -> the first row of its table in the stack
     stacked = []
@@ -511,7 +500,7 @@ def _cocycle_rows(a: Algebra, p: IdentityCombination):
     # pos[s, t]: the index of that factor's leaf positions
     first, pos = np.array([[(start[key], r) for key, r in factors] for factors in plan.keys],
                           dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0)
-    w = np.array(plan.weights, dtype=work)[:, None]
+    w = np.array(p.nums, dtype=work)[:, None]
     weights = _index_weights(d, plan.positions, n)
     # bytes per tuple: index maps, both sides' indices and factors, product
     step = max(1, _CHUNK_BYTES // (8 * (len(plan.positions) + 2 * len(w) * (d + 1) + 2 * d * d)))
@@ -540,7 +529,7 @@ def _violator(a: Algebra, c: IdentityCombination, rows: np.ndarray, idx: np.ndar
     """None, or the first tuple of idx (1-based) where c is nonzero, read
     off its rows there, rows = _cocycle_rows(a, c)(idx).
 
-    c's value at v is row(v) @ C / (wden * den^(n-1)), for C the cleared
+    c's value at v is row(v) @ C / (c.den * den^(n-1)), for C the cleared
     structure constants as a (d^2, d) array: row(v) sums w * L (x) R over
     the terms, and (L (x) R) @ C is den times the product of the root
     pair's values, L and R being scaled by den^(leaves - 1). The products
@@ -595,15 +584,14 @@ def evaluate_combination_table(a: Algebra, c: IdentityCombination):
     every tuple as in _violator."""
     d, n = a.dim, c.degree
     rows = _cocycle_rows(a, c)(np.arange(d**n))
-    return _exact_matmul(rows, a.mult.ints.reshape(d * d, d)), _plan(c).wden * a.mult.den ** (n - 1)
+    return _exact_matmul(rows, a.mult.ints.reshape(d * d, d)), c.den * a.mult.den ** (n - 1)
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:
     """True iff c is a rational combination of the given identities."""
     if not basis:
-        return not any(c.coeffs)
-    length = len(c.coeffs)
-    sink = RankSink(length)
+        return not c.index
+    sink = RankSink(len(c.coeffs))
     for b in basis:
         if b.degree != c.degree:
             raise ValueError("degree mismatch")

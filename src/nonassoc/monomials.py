@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 MAX_DEGREE = 5
@@ -252,47 +252,58 @@ def enumerate_monomials(n: int) -> list[MultilinearMonomial]:
 
 def monomial_index(m: MultilinearMonomial) -> int:
     """Position of a monomial in the canonical degree-n list."""
-    n = m.degree
-    shape_idx = next(
-        i for i, sh in enumerate(shapes(n)) if sh == m.shape
-    )
-    return shape_idx * factorial(n) + perm_index(m.perm)
+    return _shape_numbers(m.degree)[m.shape] * factorial(m.degree) + perm_index(m.perm)
+
+
+@lru_cache(maxsize=None)
+def _shape_numbers(n: int) -> dict:
+    """Shape -> its position in shapes(n)."""
+    return {sh: i for i, sh in enumerate(shapes(n))}
 
 
 class IdentityCombination:
     """Rational coefficient vector over the canonical monomial list.
 
-    _plan is a cache that identities fills on first evaluation (how to
-    evaluate these coefficients); it is not part of the value, so it stays
-    out of equality, hashing and the pickled state.
+    Held as the canonical cleared triple: index, the ascending numbers of
+    the monomials with a nonzero coefficient; nums, those coefficients
+    times den; den, the lcm of their reduced denominators. So gcd(den,
+    *nums) = 1, equal vectors hold equal triples, and equality, the hash
+    and the pickled state come from the triple. The Fractions of coeffs
+    and terms() are made on each read and not kept. _plan is a cache that
+    identities fills on first evaluation, no part of the value.
     """
 
-    __slots__ = ("degree", "coeffs", "name", "_plan")
+    __slots__ = ("degree", "index", "nums", "den", "name", "_plan")
 
     def __init__(self, degree: int, coeffs: Sequence, name: str = ""):
         expected = monomial_count(degree)
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != expected:
-            raise ValueError(
-                "coefficient vector length %d, expected %d for degree %d"
-                % (len(coeffs), expected, degree)
-            )
-        self.degree = degree
-        self.coeffs = tuple(coeffs)
-        self.name = name
+            raise ValueError("coefficient vector length %d, expected %d for degree %d"
+                             % (len(coeffs), expected, degree))
+        den = lcm(*(x.denominator for x in coeffs))
+        self._set(degree, enumerate(x.numerator * (den // x.denominator) for x in coeffs),
+                  den, name)
+
+    def _set(self, degree: int, values, den: int, name: str) -> "IdentityCombination":
+        """Hold the vector with value x / den at monomial number i, for the
+        pairs (i, x) of values, i ascending, canonically; x may be 0."""
+        values = [(i, x) for i, x in values if x]
+        g = gcd(den, *(x for _i, x in values))
+        self.degree, self.name, self.den = degree, name, den // g
+        self.index = tuple(i for i, _x in values)
+        self.nums = tuple(x // g for _i, x in values)
+        return self
 
     @classmethod
-    def _from_fractions(cls, degree: int, coeffs: tuple) -> "IdentityCombination":
-        """Unchecked constructor for the package's own results: coeffs is
-        already a tuple of monomial_count(degree) Fractions."""
-        c = cls.__new__(cls)
-        c.degree, c.coeffs, c.name = degree, coeffs, ""
-        return c
+    def _from_cleared(cls, degree: int, values, den: int, name: str = ""):
+        """The combination of _set: values are (monomial number, numerator)."""
+        return cls.__new__(cls)._set(degree, values, den, name)
 
     @classmethod
     def from_terms(cls, degree: int, terms, name: str = "") -> "IdentityCombination":
         """terms: iterable of (MultilinearMonomial | (shape, perm), coefficient)."""
-        coeffs = [Fraction(0)] * monomial_count(degree)
+        coeffs = [0] * monomial_count(degree)
         for mono, c in terms:
             if not isinstance(mono, MultilinearMonomial):
                 sh, perm = mono
@@ -304,45 +315,53 @@ class IdentityCombination:
             coeffs[monomial_index(mono)] += Fraction(c)
         return cls(degree, coeffs, name)
 
+    @property
+    def coeffs(self) -> tuple:
+        """The dense Fraction vector, built on each read."""
+        out = [Fraction(0)] * monomial_count(self.degree)
+        for i, x in zip(self.index, self.nums):
+            out[i] = Fraction(x, self.den)
+        return tuple(out)
+
     def terms(self):
         """Nonzero (monomial, coefficient) pairs in canonical order; only
         those monomials are built, from the numbering in the module
         docstring."""
         n = self.degree
         nf, degree_shapes, perms = factorial(n), shapes(n), _permutations(n)
-        return [(MultilinearMonomial(degree_shapes[i // nf], perms[i % nf]), c)
-                for i, c in enumerate(self.coeffs) if c]
+        return [(MultilinearMonomial(degree_shapes[i // nf], perms[i % nf]), Fraction(x, self.den))
+                for i, x in zip(self.index, self.nums)]
+
+    def _key(self) -> tuple:
+        return self.degree, self.index, self.nums, self.den
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdentityCombination)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, IdentityCombination) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash(self._key())
 
     def __getstate__(self):
-        return None, {"degree": self.degree, "coeffs": self.coeffs, "name": self.name}
+        return None, {k: getattr(self, k) for k in ("degree", "index", "nums", "den", "name")}
 
     def __repr__(self):
-        label = self.name or "%d terms" % sum(1 for c in self.coeffs if c)
+        label = self.name or "%d terms" % len(self.index)
         return "IdentityCombination(degree=%d, %s)" % (self.degree, label)
 
     def scaled(self, k) -> "IdentityCombination":
         k = Fraction(k)
-        out = IdentityCombination._from_fractions(
-            self.degree, tuple(k * c if c else c for c in self.coeffs))
-        out.name = self.name
-        return out
+        return IdentityCombination._from_cleared(
+            self.degree, zip(self.index, (k.numerator * x for x in self.nums)),
+            k.denominator * self.den, self.name)
 
     def plus(self, other: "IdentityCombination") -> "IdentityCombination":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return IdentityCombination._from_fractions(
-            self.degree, tuple(a + b if a and b else a or b
-                               for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        values = dict(zip(self.index, (x * (den // self.den) for x in self.nums)))
+        for i, x in zip(other.index, other.nums):
+            values[i] = values.get(i, 0) + x * (den // other.den)
+        return IdentityCombination._from_cleared(self.degree, sorted(values.items()), den)
 
 
 def st_identity(n: int, variant: int) -> IdentityCombination:

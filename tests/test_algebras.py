@@ -1,10 +1,12 @@
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.algebras import (
     Algebra,
@@ -177,6 +179,26 @@ def test_subspace_canonical_basis():
     t = Subspace(3, [[1, 0, -1], [0, 1, 1]])
     assert s == t
     assert hash(s) == hash(t)
+    # spaces with the same pivots but other rows differ
+    assert Subspace(3, [[1, 1, 0]]) != Subspace(3, [[1, 2, 0]])
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-2**70, 2**70),
+                                                    st.integers(1, 2**66)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=4),
+       k=st.builds(Fraction, st.integers(1, 2**65), st.integers(1, 2**65)))
+def test_subspaces_of_one_space_are_equal_and_based_by_the_oracle(vectors, k):
+    s = Subspace(4, vectors)
+    # another spanning set of the same space: reversed, scaled, plus a sum
+    other = [[k * x for x in v] for v in reversed(vectors)] + [[sum(c) for c in zip(*vectors)]]
+    t = Subspace(4, other)
+    assert s == t and hash(s) == hash(t)
+    assert s.basis == t.basis == rref(Matrix.from_rows(vectors))
+    assert s.dim == s.basis.rank and gcd(s.den, *s.num.ravel().tolist()) == 1
+    assert all(s.contains(v) for v in vectors)
 
 
 def test_span_of_basis_indices():

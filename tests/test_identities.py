@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonassoc.algebras import Algebra, change_of_basis, multiply
+from nonassoc.algebras import Algebra, Subspace, change_of_basis, is_ideal, multiply, restrict
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.claims import _algebra, load_claims, named_identity, resolve_identity
 from nonassoc.conservative import terminal_identity
@@ -178,7 +178,7 @@ def test_identity_spaces_are_certified_once_per_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certified again")
 
-    monkeypatch.setattr(fr, "certified_nullspace", refuse)
+    monkeypatch.setattr(fr, "_certify", refuse)
     again = identity_space(a, 3)
     assert again == first and again[1] is not first[1]
     shape_again = shape_identity_space(a, 4, 2)
@@ -875,3 +875,30 @@ def test_warm_plans_agree_with_fresh_combinations(name):
         idx = _tuple_indices(c, a.dim)[:512]
         assert np.array_equal(_tuple_indices(fresh, a.dim)[:512], idx)
         assert np.array_equal(_cocycle_rows(a, c)(idx), _cocycle_rows(a, fresh)(idx))
+
+
+def test_answers_make_no_fraction_until_read(monkeypatch):
+    """Identity bases and subspaces hold cleared integers: no Fraction is
+    made until .coeffs, .terms() or .basis is read. (Before they did, an E2
+    degree-5 basis alone made 11,297.)"""
+    e2, w2 = catalog("E2").renamed("fresh E2"), catalog("W2bar").renamed("fresh W2bar")
+    made = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    dim, basis = identity_space(e2, 5)
+    shape_dim, shape_basis = shape_identity_space(w2, 5, 14)
+    line = Subspace(8, [[0, 0, 0, 0, 0, 1, -1, 0]])
+    sub = restrict(w2, line)
+    ideal = is_ideal(w2, Subspace.span_of_basis_indices(8, (2, 3, 4, 6, 7, 8)))
+    assert (dim, len(basis), sub.dim, ideal) == (1674, 1674, 1, True)
+    assert shape_dim == len(shape_basis) > 0
+    assert made == []
+    for read in (lambda: basis[0].coeffs, lambda: shape_basis[0].terms(), lambda: line.basis):
+        read()
+        assert made
+        made.clear()

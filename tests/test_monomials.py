@@ -1,9 +1,12 @@
 import hashlib
+import pickle
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog
 from nonassoc.conservative import terminal_identity
@@ -228,3 +231,46 @@ def test_alternating_tail_combination_is_st5_2():
         part = tail_fixed_alternating(5, j).scaled(sign)
         total = part if total is None else total.plus(part)
     assert total.coeffs == st_identity(5, 2).coeffs
+
+
+# The format against a dense-Fraction oracle: sparse degree-3 vectors (36
+# monomials), the zero vector among them, with numerators beyond 2^63 and
+# denominators beyond 2^64.
+_NUMERATORS = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+_DENOMINATORS = st.one_of(st.integers(1, 6), st.integers(2**64, 2**66))
+_RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+_DENSE = st.dictionaries(st.integers(0, monomial_count(3) - 1), _RATIONALS, max_size=6).map(
+    lambda d: [d.get(i, Fraction(0)) for i in range(monomial_count(3))])
+
+
+def _check_format(c, dense):
+    """c holds the canonical triple of the dense Fraction vector dense."""
+    assert c.coeffs == tuple(dense) and all(type(x) is Fraction for x in c.coeffs)
+    assert list(c.index) == [i for i, x in enumerate(dense) if x]
+    assert all(type(x) is int and x for x in c.nums) and c.den > 0
+    assert gcd(c.den, *c.nums) == 1
+    assert [Fraction(x, c.den) for x in c.nums] == [x for x in dense if x]
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and back.coeffs == c.coeffs and back.name == c.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_DENSE, v=_DENSE, k=st.one_of(st.just(Fraction(0)), _RATIONALS))
+def test_combination_format_matches_a_dense_fraction_oracle(u, v, k):
+    a = IdentityCombination(3, u, name="u")
+    _check_format(a, u)
+    monos = enumerate_monomials(3)
+    from_terms = IdentityCombination.from_terms(3, [(monos[i], x) for i, x in enumerate(u) if x])
+    _check_format(from_terms, u)
+    assert from_terms == a and hash(from_terms) == hash(a)
+    scaled = a.scaled(k)
+    _check_format(scaled, [k * x for x in u])
+    assert scaled.name == "u"
+    b = IdentityCombination(3, v)
+    _check_format(a.plus(b), [x + y for x, y in zip(u, v)])
+    _check_format(a.plus(a.scaled(-1)), [Fraction(0)] * len(u))
+    # equal exactly when the dense vectors are equal, and then hashed alike
+    assert (a == b) == (u == v)
+    if u == v:
+        assert hash(a) == hash(b)
+    assert a.scaled(2) == a.plus(a) and hash(a.scaled(2)) == hash(a.plus(a))

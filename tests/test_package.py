@@ -104,3 +104,10 @@ def test_in_fastrank_only_fraction_basis_makes_fractions():
     makers = {name for name, node in _definitions(tree) for n in ast.walk(node)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"}
     assert makers == {"_fraction_basis"}
+
+
+# Identity bases are the exact core's cleared integers (index, nums, den):
+# identities builds them without a Fraction, and a reader of .coeffs or
+# .terms() makes its own.
+def test_identities_names_no_fraction():
+    assert "Fraction" not in _names(Path(nonassoc.__file__).parent / "identities.py")
