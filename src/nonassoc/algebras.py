@@ -6,7 +6,7 @@ tables and file formats are 1-based), held once as an integer array over
 one common denominator. The operator calculus (left multiplications, the
 bracket [T, B], derivations, subalgebras, ideals, restriction and change
 of basis) is exact integer products on that array, through one row-product
-kernel and one span test, with echelon forms from fastrank. multiply and
+kernel, with echelon forms and the one span test from fastrank. multiply and
 BilinearMap.apply evaluate pointwise in Fractions: the reference the
 integer path is tested against.
 """
@@ -249,12 +249,8 @@ class Subspace:
     __slots__ = ("ambient", "pivots", "num", "den")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence]):
-        rows, _den = _cleared_rows(vectors)
-        for r in rows:
-            if len(r) != ambient:
-                raise ValueError("vector length %d, expected %d" % (len(r), ambient))
         self.ambient = ambient
-        self.pivots, num, den = fastrank.rref_int(rows, ambient)
+        self.pivots, num, den = fastrank.rref_int(self._ints(vectors), ambient)
         g = gcd(den, int(np.gcd.reduce(num, axis=None)))
         self.num, self.den = num // g, den // g
         self.num.setflags(write=False)
@@ -274,8 +270,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
+    def _ints(self, vectors) -> np.ndarray:
+        """The vectors cleared of denominators, as one integer array."""
+        rows, _den = _cleared_rows(vectors)
+        for r in rows:
+            if len(r) != self.ambient:
+                raise ValueError("vector length %d, expected %d" % (len(r), self.ambient))
+        return fastrank._int_array(rows, self.ambient)
+
     def contains(self, vector: Sequence) -> bool:
-        return self.basis.contains(vector)
+        x = self._ints([vector])
+        return not fastrank._outside_span(x, self.pivots, self.num, self.den).size
 
     def _key(self) -> tuple:
         return self.ambient, self.pivots, self.den, tuple(self.num.ravel().tolist())
@@ -292,14 +297,12 @@ class Subspace:
 
 def _span_products(a: Algebra, s: Subspace, u: np.ndarray, v: np.ndarray):
     """The products x[i, j] of the rows of u by those of v, or None if one
-    lies outside s: a vector lies in s exactly when its entries at the
-    pivots times the rows of s give it back (fastrank._reproduces)."""
+    lies outside s (fastrank._outside_span)."""
     if s.ambient != a.dim:
         raise ValueError("ambient dimension mismatch")
     x = _row_products(u, v, a.mult.ints)
     flat = x.reshape(x.shape[0] * x.shape[1], a.dim)
-    inside = fastrank._reproduces(flat, s.pivots, s.num, s.den, fastrank._abs_max(flat))
-    return x if inside else None
+    return None if fastrank._outside_span(flat, s.pivots, s.num, s.den).size else x
 
 
 def is_subalgebra(a: Algebra, s: Subspace) -> bool:

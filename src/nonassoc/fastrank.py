@@ -62,13 +62,14 @@ three stages:
    smallest pivot list, and CRT joins only those tying with the best,
    modulo their product M. Rational reconstruction (Wang) over one
    common denominator den lifts the result, kept only if the rows' pivot
-   columns times its numerators equal den times the rows (compared
-   _PRODUCT_ROWS rows at a time, so neither side is held whole): the rows
-   then lie in the span of the r lifted rows, which are in RREF, and have
-   rank >= r (their rank mod q), so the lift is their unique RREF,
-   byte-identical to that of any exact elimination. Otherwise the next prime joins. RREF entries
-   are ratios of minors over one common minor, so once M > 2 H^2, H the
-   Hadamard bound of the rows, the lift is right and a failure raises.
+   columns times its numerators equal den times the rows; at the pivots,
+   where residues 1 and 0 lift to den and 0, that holds, so only the free
+   columns are compared (_outside_span). The rows then lie in the span of
+   the r lifted rows, in RREF, and have rank >= r (their rank mod q), so
+   the lift is their unique RREF, as any exact elimination gives it.
+   Otherwise the next prime joins. RREF entries are ratios of minors over
+   one common minor, so once M > 2 H^2, H the Hadamard bound of the rows,
+   the lift is right and a failure raises.
    rref_int hands on the lift, the RREF being num / den with num an int64
    array, or an object array if an entry does not fit (the CRT residues
    of three or more primes are object, whatever the lift's size). The
@@ -88,22 +89,22 @@ three stages:
    Numer. Math. 40, 1982). A system held in memory is solved by one
    rref_int or nullspace_int call; stages 1, 3 and 4 serve the streams.
 
-3. Certification. Each row is multiplied against the candidate nullspace
-   exactly, on the path _exact_dtypes picks from a proven bound on every
-   partial sum. A nonzero product exposes a row the filter dropped wrongly
-   or never saw; at most cols - rank such rows join the accepted set, and
-   the exact stage reruns. Each rerun strictly increases the exact rank, so
-   the loop terminates; at rank cols the streams are closed. One pass
-   checks each block once, against the candidate of the moment, in this
-   order: the block the filter stopped on (the one that accepted nothing,
-   or the last block if the stream ended in the filter), still held; the
-   rest of the stream; the blocks before it, streamed again; then the
-   translates of rows that certification added (stage 4). Adding rows
-   only shrinks the candidate kernel, so a row that annihilates an
-   earlier candidate annihilates every later one: when the pass ends,
-   every row of the system has been certified against the final
-   candidate, the accepted rows prove rank >= r, and the certification
-   proves rank <= r.
+3. Certification. Each row is checked exactly against the candidate
+   nullspace, at the free columns as in stage 2: null row i is 0 at every
+   free column but its own (_violating_rows). A violation exposes a row
+   the filter dropped wrongly or never saw; at most cols - rank such rows
+   join the accepted set, and the exact stage reruns. Each rerun strictly
+   increases the exact rank, so the loop terminates; at rank cols the
+   streams are closed. One pass checks each block once, against the
+   candidate of the moment, in this order: the block the filter stopped
+   on (the one that accepted nothing, or the last block if the stream
+   ended in the filter), still held; the rest of the stream; the blocks
+   before it, streamed again; then the translates of rows that
+   certification added (stage 4). Adding rows only shrinks the candidate
+   kernel, so a row that annihilates an earlier candidate annihilates
+   every later one: when the pass ends, every row of the system has been
+   certified against the final candidate, the accepted rows prove
+   rank >= r, and the certification proves rank <= r.
 
 4. Symmetries. A caller may name column permutations g under which the
    system's row set is closed: if x is a row, so is x[g]. The source's
@@ -258,22 +259,30 @@ def rref_int(rows, cols: int, filt: ModularFilter | None = None):
         if den:
             if num.dtype == object:  # res is object from three primes on
                 num = _int_array(num, cols)
-            if _reproduces(a, best[1], num, den, amax):
+            if not _outside_span(a, best[1], num, den).size:
                 return tuple(best[1]), num, den
         if mod.bit_length() > bits + 1:  # M > 2 H^2: a kept prime is lucky
             raise AssertionError("no verified RREF at a %d-bit modulus" % mod.bit_length())
 
 
-def _reproduces(a: np.ndarray, pivots, num: np.ndarray, den: int, amax: int) -> bool:
-    """Whether a[:, pivots] @ num == den * a, compared _PRODUCT_ROWS rows of
-    a at a time, so that neither side is ever held whole."""
-    out = _exact_dtypes(den * amax, a)[1]
-    for i in range(0, len(a), _PRODUCT_ROWS):
-        chunk = a[i:i + _PRODUCT_ROWS]
-        if not np.array_equal(_exact_products(chunk[:, pivots], num.T),
-                              chunk.astype(out, copy=False) * den):
-            return False
-    return True
+def _complement(cols, n: int) -> np.ndarray:
+    """The ascending indices in range(n) that cols does not list."""
+    return np.flatnonzero(np.bincount(np.asarray(cols, dtype=np.intp), minlength=n) == 0)
+
+
+def _outside_span(x: np.ndarray, pivots, num: np.ndarray, den: int) -> np.ndarray:
+    """The rows of the integer array x outside the row space of the RREF num / den."""
+    free = _complement(pivots, num.shape[1])
+    return _violating_rows(x, pivots, free, num[:, free], den)
+
+
+def _violating_rows(x: np.ndarray, pivots, free, w: np.ndarray, s) -> np.ndarray:
+    """The rows j of the integer array x with x[j, pivots] @ w != x[j, free] * s,
+    s an integer or one per column of w, exactly: each side on its own bound's
+    path, and a float64 left side, below 2^53, compares exactly with either."""
+    xf, s = x[:, free], np.asarray(s)
+    right = xf.astype(_exact_dtypes(_abs_max(xf) * _abs_max(s), xf, s)[1], copy=False) * s
+    return np.flatnonzero((_exact_products(x[:, pivots], w.T) != right).any(axis=1))
 
 
 def nullspace_int(rows, cols: int, filt: ModularFilter | None = None):
@@ -288,8 +297,7 @@ def nullspace_int(rows, cols: int, filt: ModularFilter | None = None):
     """
     rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols, filt)
     pivots = [cols - 1 - p for p in rev_pivots]
-    pivset = set(pivots)
-    free = [f for f in range(cols) if f not in pivset]
+    free = _complement(pivots, cols).tolist()
     prim = np.zeros((len(free), cols), dtype=num.dtype)
     prim[np.arange(len(free)), free] = den
     prim[:, pivots] = -num[:, [cols - 1 - f for f in free]].T
@@ -435,27 +443,28 @@ def _exact_products(block: np.ndarray, null: np.ndarray) -> np.ndarray:
 
 
 class _Candidate(NamedTuple):
-    """The exact nullspace of the accepted rows, as nullspace_int gives it:
-    their rank, the free columns and the primitive integer basis rows."""
+    """The exact nullspace of the accepted rows, as nullspace_int gives it,
+    and what _find_violators reads of it (None at full rank)."""
 
     rank: int
     free: list
     prim: np.ndarray
+    pivots: np.ndarray = None
+    w: np.ndarray = None  # -prim[:, pivots].T
+    s: np.ndarray = None  # prim[i, free[i]] for each basis row i
 
 
 def _candidate(accepted: list[np.ndarray], cols: int, prev_rank: int, filt=None) -> _Candidate:
-    cand = _Candidate(*nullspace_int(accepted, cols, filt))
-    if cand.rank <= prev_rank:
+    rank, free, prim = nullspace_int(accepted, cols, filt)
+    if rank <= prev_rank:
         raise AssertionError("certification produced no rank growth")
-    return cand
+    pivots = _complement(free, cols)
+    return _Candidate(rank, free, prim, pivots, -prim[:, pivots].T, prim[range(len(free)), free])
 
 
 def _find_violators(block: np.ndarray, cand: _Candidate) -> np.ndarray:
-    """Indices of the block's rows not annihilated by the candidate basis:
-    the one exact check of a block."""
-    prod = _exact_products(block, cand.prim)
-    nz = prod.astype(bool) if prod.dtype == object else prod != 0
-    return np.nonzero(nz.any(axis=1))[0]
+    """The block's rows that the candidate basis does not annihilate (stage 3)."""
+    return _violating_rows(block, cand.pivots, cand.free, cand.w, cand.s)
 
 
 def _absorb(block: np.ndarray, cand: _Candidate, accepted: list, cols: int) -> _Candidate:

@@ -82,11 +82,11 @@ from . import fastrank
 from .algebras import Algebra, _exact_matmul, multiply
 from .linalg import RankSink
 from .monomials import (
-    BracketShape,
     IdentityCombination,
     MultilinearMonomial,
+    _count_leaves,
     _permutations,
-    _render,
+    monomial_count,
     perm_index,
     shapes,
 )
@@ -133,17 +133,6 @@ def _index_weights(d: int, positions, n: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=None)
-def _children(key: str) -> tuple:
-    """The keys (L, R) of the two children of the product key "(LR)"."""
-    inner = key[1:-1]
-    depth = 0
-    for i, ch in enumerate(inner):
-        depth += (ch == "(") - (ch == ")")
-        if not depth:
-            return inner[:i + 1], inner[i + 1:]
-
-
 def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndarray:
     """(dl, dr, d) array of the products of two subtrees' values, in the
     dtype of the arguments: entry [a, b] is (row a of tl)(row b of tr)
@@ -157,9 +146,9 @@ def _product_table(tl: np.ndarray, tr: np.ndarray, cflat: np.ndarray) -> np.ndar
 
 
 class _ValueTables(dict):
-    """Subtree key -> value table of one algebra, each table built on its
-    first lookup and kept, for subtrees of every degree. Only the
-    structure constants, den and scale are held, never a function that
+    """Subtree (its BracketShape.tree) -> value table of one algebra, each
+    built on its first lookup and kept, for subtrees of every degree. Only
+    the structure constants, den and scale are held, never a function that
     refers back to the mapping, so an evicted entry is freed at once.
 
     The table of a k-leaf subtree has shape (d^k, d): its row at flat leaf
@@ -184,7 +173,7 @@ class _ValueTables(dict):
 
     def __init__(self, carr: np.ndarray, den: int):
         d = carr.shape[0]
-        super().__init__(x=np.eye(d, dtype=carr.dtype))
+        super().__init__({None: np.eye(d, dtype=carr.dtype)})
         self.cflat = carr.reshape(d, d * d)
         self.den = den
         self.scale = d * max(1, int(abs(carr).max())) if d else 1
@@ -194,14 +183,14 @@ class _ValueTables(dict):
 
     def dtypes(self, key) -> tuple:
         """(work, out) dtypes of key's table (see above)."""
-        return fastrank._exact_dtypes(self.bound(key.count("x")), self.cflat)
+        return fastrank._exact_dtypes(self.bound(_count_leaves(key)), self.cflat)
 
     def product(self, key) -> np.ndarray:
         """key's values as the (dl, dr, d) _product_table of its children's
         tables, in the work dtype. The children's tables are looked up and
         kept; this is not."""
         work = self.dtypes(key)[0]
-        lk, rk = _children(key)
+        lk, rk = key
         return _product_table(*(m.astype(work, copy=False) for m in (self[lk], self[rk], self.cflat)))
 
     def __missing__(self, key):
@@ -223,12 +212,6 @@ def _shape_tables(a: Algebra) -> _ValueTables:
     1 to 5, and 236 at size 6.
     """
     return _ValueTables(*a.int_constants())
-
-
-def _shape_key(shape: BracketShape) -> str:
-    """The key of a subtree: "x" for a leaf, "(LR)" for the product of the
-    subtrees with keys L and R."""
-    return _render(shape.tree)
 
 
 def evaluate_monomial(a: Algebra, m: MultilinearMonomial, args) -> list:
@@ -263,7 +246,7 @@ def _evaluation_block_builder(a: Algebra, n: int, shape_indices):
     digits = _digit_table(d, n)
     perms = _permutations(n)
     weights = _index_weights(d, perms, n)
-    keys = [_shape_key(shapes(n)[si]) for si in shape_indices]
+    keys = [shapes(n)[si].tree for si in shape_indices]
     # row k, column ci * d^n + w: component k of shape ci at leaf tuple w;
     # every root has n leaves, so one dtype
     table = np.empty((d, len(keys) * d**n), dtype=tables.dtypes(keys[0])[1])
@@ -328,7 +311,7 @@ def _certified_combinations(a: Algebra, n: int, shape_indices: tuple):
     def source():
         return _parallel_blocks(chunks, build)
 
-    (_rank, free, prim), _accepted = fastrank._certify(cols, source, symmetries)
+    _rank, free, prim, *_check = fastrank._certify(cols, source, symmetries)[0]
     rows, at = np.nonzero(prim)
     monos = (np.asarray(shape_indices)[at // nf] * nf + at % nf).tolist()
     nums = prim[rows, at].tolist()
@@ -435,7 +418,7 @@ class _Plan:
             left, right = degree_shapes[i // nf].split()
             perm = perms[i % nf]
             pair = ((left, perm[:left.leaves]), (right, perm[left.leaves:]))
-            self.keys.append([(_shape_key(sub), positions.setdefault(pos, len(positions)))
+            self.keys.append([(sub.tree, positions.setdefault(pos, len(positions)))
                               for sub, pos in pair])
         self.positions = list(positions)
 
@@ -588,15 +571,18 @@ def evaluate_combination_table(a: Algebra, c: IdentityCombination):
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:
-    """True iff c is a rational combination of the given identities."""
+    """True iff c is a rational combination of the given identities: its
+    row checked against the RREF of theirs (fastrank._outside_span)."""
     if not basis:
         return not c.index
-    sink = RankSink(len(c.coeffs))
-    for b in basis:
-        if b.degree != c.degree:
-            raise ValueError("degree mismatch")
-        sink.feed(b.coeffs)
-    return not sink.feed(c.coeffs)
+    if any(b.degree != c.degree for b in basis):
+        raise ValueError("degree mismatch")
+    cols = monomial_count(c.degree)
+    x = np.zeros((len(basis) + 1, cols), dtype=object)
+    for row, b in zip(x, [*basis, c]):  # b times its den
+        row[list(b.index)] = b.nums
+    pivots, num, den = fastrank.rref_int(x[:-1], cols)
+    return not fastrank._outside_span(fastrank._int_array(x[-1:], cols), pivots, num, den).size
 
 
 def spaces_equal(basis_a, basis_b) -> bool:
@@ -606,7 +592,7 @@ def spaces_equal(basis_a, basis_b) -> bool:
         raise ValueError("degree mismatch")
     if not combos:
         return True
-    length = len(combos[0].coeffs)
+    length = monomial_count(combos[0].degree)
 
     def span(basis):
         sink = RankSink(length)

@@ -303,7 +303,7 @@ class IdentityCombination:
     @classmethod
     def from_terms(cls, degree: int, terms, name: str = "") -> "IdentityCombination":
         """terms: iterable of (MultilinearMonomial | (shape, perm), coefficient)."""
-        coeffs = [0] * monomial_count(degree)
+        sums: dict = {}
         for mono, c in terms:
             if not isinstance(mono, MultilinearMonomial):
                 sh, perm = mono
@@ -312,8 +312,11 @@ class IdentityCombination:
                 mono = MultilinearMonomial(sh, perm)
             if mono.degree != degree:
                 raise ValueError("term degree %d != %d" % (mono.degree, degree))
-            coeffs[monomial_index(mono)] += Fraction(c)
-        return cls(degree, coeffs, name)
+            i = monomial_index(mono)
+            sums[i] = sums.get(i, 0) + Fraction(c)
+        den = lcm(*(x.denominator for x in sums.values()))
+        return cls._from_cleared(degree, sorted((i, x.numerator * (den // x.denominator))
+                                                for i, x in sums.items()), den, name)
 
     @property
     def coeffs(self) -> tuple:

@@ -27,13 +27,13 @@ from nonassoc.conservative import (
     witness_defect,
 )
 from nonassoc.identities import (
-    _children,
     _product_table,
     _shape_tables,
     _ValueTables,
     evaluate_combination_table,
     first_violation,
 )
+from nonassoc.monomials import BracketShape, _count_leaves
 
 # e1 e1 = -e2, e1 e2 = e1 - 2 e2, e2 e1 = -2 e1 + 2 e2, e2 e2 = -2 e1;
 # found by random search, kept fixed as a known negative
@@ -296,16 +296,16 @@ def test_value_tables_take_their_dtype_from_their_own_bound():
     tables = _shape_tables(big)
     # degree-4 values are read off root pairs of at most 3 leaves: build
     # one 4-leaf table to cover the object path
-    tables["(((xx)x)x)"]
+    tables[BracketShape.parse("(((xx)x)x)").tree]
     assert tables.scale == 4 * 3 * 2**21
-    leaves = {key: key.count("x") for key in tables}
+    leaves = {key: _count_leaves(key) for key in tables}
     assert set(leaves.values()) == {1, 2, 3, 4}
     for key, table in tables.items():
         assert table.dtype == (object if leaves[key] == 4 else np.int64), key
     objects = tables.cflat.astype(object)
-    ref = {"x": np.eye(big.dim, dtype=object)}
-    for key in sorted(tables, key=len):
-        if key != "x":
-            lk, rk = _children(key)
+    ref = {None: np.eye(big.dim, dtype=object)}
+    for key in sorted(tables, key=_count_leaves):
+        if key is not None:
+            lk, rk = key
             ref[key] = _product_table(ref[lk], ref[rk], objects).reshape(-1, big.dim)
         assert (tables[key] == ref[key]).all(), key

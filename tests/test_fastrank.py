@@ -80,6 +80,80 @@ def test_rref_int_matches_the_fraction_oracle(rows):
     pivots, num, den = rref_int(rows, len(rows[0]))
     got = [tuple(Fraction(v, den) for v in row) for row in num.tolist()]
     assert (pivots, got) == (oracle.pivot_cols, oracle.rows)
+    # the lift is den times the identity at its pivots: the membership test
+    # reads only the free columns
+    r = len(pivots)
+    assert num[:, list(pivots)].tolist() == [[den * (i == j) for j in range(r)] for i in range(r)]
+
+
+def _oracle_rref(basis_rows, cols: int, scale: int):
+    """(pivots, num, den) of the Fraction RREF of basis_rows, with num and
+    den both multiplied by scale, and the RREF itself for its contains."""
+    oracle = rref(Matrix(len(basis_rows), cols, [x for r in basis_rows for x in r]))
+    den = lcm(*(x.denominator for r in oracle.rows for x in r)) * scale
+    num = fastrank._int_array([[int(x * den) for x in r] for r in oracle.rows], cols)
+    return oracle.pivot_cols, num, den, oracle
+
+
+def _assert_violators_match_the_oracle(basis_rows, rows, cols, x_scale=1, scale=1):
+    pivots, num, den, oracle = _oracle_rref(basis_rows, cols, scale)
+    x = fastrank._int_array([[v * x_scale for v in r] for r in rows], cols)
+    want = [j for j, r in enumerate(x.tolist()) if not oracle.contains(r)]
+    free = fastrank._complement(pivots, cols)
+    got = fastrank._violating_rows(x, pivots, free, num[:, free], den)
+    assert got.tolist() == want
+    assert fastrank._outside_span(x, pivots, num, den).tolist() == want
+    return want
+
+
+@st.composite
+def span_questions(draw):
+    """(basis rows, rows, cols, row scale, RREF scale): rows in the span of
+    the basis, rows one multiple of a unit vector away from it, and random
+    rows, to be asked with both arrays scaled onto the float64, int64 or
+    object path (3^41 lies in [2^63, 2^64))."""
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    vector = st.lists(entry, min_size=cols, max_size=cols)
+    basis = draw(st.lists(vector, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        inside = [sum(draw(entry) * b[k] for b in basis) for k in range(cols)]
+        kind = draw(st.sampled_from(["inside", "unit", "unit", "random"]))
+        if kind == "unit":
+            inside[draw(st.integers(0, cols - 1))] += draw(st.sampled_from([-2, -1, 1, 3]))
+        rows.append(draw(vector) if kind == "random" else inside)
+    scales = st.sampled_from([1, 2**20, 2**45, 3**41])
+    return basis, rows, cols, draw(scales), draw(scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_questions())
+def test_violating_rows_match_the_fraction_oracle(question):
+    basis, rows, cols, x_scale, scale = question
+    _assert_violators_match_the_oracle(basis, rows, cols, x_scale, scale)
+
+
+@pytest.mark.parametrize("basis, rows, cols, x_scale, scale, path, violators", [
+    ([[1, 2, 0], [0, 3, 3]], [[1, 5, 3], [1, 0, 0], [2, 4, 0]], 3, 1, 1, np.float64, [1]),
+    ([[1, 2, 0], [0, 3, 3]], [[1, 5, 3], [1, 0, 0], [2, 4, 0]], 3, 2**52, 1, np.int64, [1]),
+    ([[1, 2, 0], [0, 3, 3]], [[1, 5, 3], [1, 0, 0], [2, 4, 0]], 3, 3**41, 1, object, [1]),
+    # s = den = 2^60 + 1 above 2^53, the left side small enough for float64
+    ([[2**60 + 1, 1]], [[1, 0], [0, 0], [0, 1], [5, 0]], 2, 1, 1, np.float64, [0, 2, 3]),
+    ([[0, 0, 0]], [[0, 0, 0], [0, 1, 0]], 3, 1, 1, np.float64, [1]),  # no pivots
+    ([[1, 1], [0, 2]], [[5, -7], [0, 0]], 2, 3**41, 3**41, object, []),  # no free columns
+])
+def test_violating_rows_on_every_path(basis, rows, cols, x_scale, scale, path, violators):
+    paths, exact_products = [], fastrank._exact_products
+
+    def spy(block, null):
+        out = exact_products(block, null)
+        paths.append(out.dtype)
+        return out
+
+    with mock.patch.object(fastrank, "_exact_products", spy):
+        assert _assert_violators_match_the_oracle(basis, rows, cols, x_scale, scale) == violators
+    assert paths and set(paths) == {np.dtype(path)}
 
 
 def test_certified_rank_random_matrices():

@@ -21,7 +21,6 @@ from nonassoc.claims import _algebra, load_claims, named_identity, resolve_ident
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.identities import (
-    _children,
     _cocycle_rows,
     _digit_table,
     _evaluation_block_builder,
@@ -29,7 +28,6 @@ from nonassoc.identities import (
     _is_alternating,
     _parallel_blocks,
     _product_table,
-    _shape_key,
     _shape_tables,
     _sorted_tuples,
     _tuple_blocks,
@@ -44,8 +42,10 @@ from nonassoc.identities import (
     spaces_equal,
 )
 from nonassoc.monomials import (
+    BracketShape,
     IdentityCombination,
     MultilinearMonomial,
+    _count_leaves,
     enumerate_monomials,
     monomial_count,
     perm_sign,
@@ -447,8 +447,8 @@ def test_evicted_value_tables_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         tables = _shape_tables(catalog("D2"))
-        tables[_shape_key(shapes(4)[0])]  # tables are built on demand
-        ref = weakref.ref(tables[max(tables, key=len)])
+        tables[shapes(4)[0].tree]  # tables are built on demand
+        ref = weakref.ref(tables[max(tables, key=_count_leaves)])
         del tables
         _shape_tables.cache_clear()
         assert ref() is None
@@ -603,7 +603,7 @@ def test_a_degree_five_shape_system_on_dim_eight_stays_small_from_cold_caches():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert max(key.count("x") for key in _shape_tables(a)) == 4
+    assert max(_count_leaves(key) for key in _shape_tables(a)) == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -613,7 +613,7 @@ def test_an_identity_system_keeps_no_root_table(n):
     a = catalog("E2")
     _shape_tables.cache_clear()
     identity_space(a, n)
-    assert max(key.count("x") for key in _shape_tables(a)) == n - 1
+    assert max(_count_leaves(key) for key in _shape_tables(a)) == n - 1
 
 
 def test_object_identity_blocks_drop_the_same_zero_rows():
@@ -685,7 +685,7 @@ def test_first_violation_builds_only_the_tables_it_reads():
     assert first_violation(a, st_identity(5, 1)) is None
     tables = _shape_tables(a)
     # read off the root-pair rows: no table of all five leaves is built
-    assert set(tables) == {"x", "(xx)", "((xx)x)", "(((xx)x)x)"}
+    assert set(tables) == {_tree(key) for key in ("x", "(xx)", "((xx)x)", "(((xx)x)x)")}
 
 
 @st.composite
@@ -747,6 +747,11 @@ def _product_subtrees() -> dict:
 SUBTREES = _product_subtrees()
 
 
+def _tree(key: str):
+    """The value-table key of the subtree written key: its BracketShape.tree."""
+    return BracketShape.parse(key).tree
+
+
 def _reference_tables(tables) -> dict:
     """The table of every subtree in SUBTREES, rebuilt with products in
     the dtype its bound gives (int64 or object), never float64."""
@@ -763,8 +768,8 @@ def _reference_tables(tables) -> dict:
 def _assert_tables_match_reference(a):
     tables = _shape_tables.__wrapped__(a)  # a fresh, uncached entry
     for key in SUBTREES:
-        tables[key]
-    ref = _reference_tables(tables)
+        tables[_tree(key)]
+    ref = {_tree(key): table for key, table in _reference_tables(tables).items()}
     assert set(tables) == set(ref)
     for key, table in tables.items():
         assert table.dtype == ref[key].dtype and table.flags.c_contiguous, key
@@ -775,7 +780,7 @@ def _assert_tables_match_reference(a):
     cmax = max(1, int(abs(carr).max()))
     old = {"x": 1}
     for key, (lk, rk) in SUBTREES.items():
-        assert _children(key) == (lk, rk), key
+        assert _tree(key) == (_tree(lk), _tree(rk)), key
         old[key] = a.dim * old[lk] * old[rk] * cmax
         assert tables.bound(key.count("x")) == old[key], key
     return tables
@@ -799,13 +804,13 @@ def test_value_tables_beyond_the_float64_bound_are_built_in_int64():
     bounds = {key: tables.bound(key.count("x")) for key in SUBTREES}
     beyond = [key for key in SUBTREES if bounds[key] >= 2**53]
     assert beyond and all(bounds[key] < 2**62 for key in beyond)
-    assert any(int(abs(tables[key]).max()) > 2**53 for key in beyond)
+    assert any(int(abs(tables[_tree(key)]).max()) > 2**53 for key in beyond)
     assert any(bounds[key] < 2**53 for key in SUBTREES)  # both paths ran
     objects = tables.cflat.astype(object)
     obj = {"x": np.eye(3, dtype=object)}
     for key, (lk, rk) in SUBTREES.items():
         obj[key] = _product_table(obj[lk], obj[rk], objects).reshape(-1, 3)
-        assert (tables[key] == obj[key]).all(), key
+        assert (tables[_tree(key)] == obj[key]).all(), key
 
 
 def _exact_table(a, c):
@@ -879,8 +884,9 @@ def test_warm_plans_agree_with_fresh_combinations(name):
 
 def test_answers_make_no_fraction_until_read(monkeypatch):
     """Identity bases and subspaces hold cleared integers: no Fraction is
-    made until .coeffs, .terms() or .basis is read. (Before they did, an E2
-    degree-5 basis alone made 11,297.)"""
+    made until .coeffs, .terms() or .basis is read, and span questions
+    (Subspace.contains, combination_in_span) make none. (Before they did,
+    an E2 degree-5 basis alone made 11,297.)"""
     e2, w2 = catalog("E2").renamed("fresh E2"), catalog("W2bar").renamed("fresh W2bar")
     made = []
     new = Fraction.__dict__["__new__"]
@@ -897,6 +903,9 @@ def test_answers_make_no_fraction_until_read(monkeypatch):
     ideal = is_ideal(w2, Subspace.span_of_basis_indices(8, (2, 3, 4, 6, 7, 8)))
     assert (dim, len(basis), sub.dim, ideal) == (1674, 1674, 1, True)
     assert shape_dim == len(shape_basis) > 0
+    assert line.contains([0, 0, 0, 0, 0, 3, -3, 0]) and not line.contains([0] * 5 + [1, 1, 0])
+    assert combination_in_span(basis[0].plus(basis[1]), basis[:2])
+    assert not combination_in_span(basis[5], basis[:5])
     assert made == []
     for read in (lambda: basis[0].coeffs, lambda: shape_basis[0].terms(), lambda: line.basis):
         read()

@@ -51,10 +51,11 @@ def test_no_module_runs_work_off_the_calling_thread(path):
 
 
 # linalg's row-at-a-time Fraction elimination is the tests' independent
-# oracle. Inside the package only identities (spaces_equal and
-# combination_in_span) and cohomology.coborder_space still run it, the
-# benchmark's route to its linalg.RankSink.feed entry point; algebras
-# takes its echelon forms from fastrank and must not take it back.
+# oracle. Inside the package only identities.spaces_equal and
+# cohomology.coborder_space still run it, the benchmark's route to its
+# linalg.RankSink.feed entry point; every membership question
+# (combination_in_span, Subspace.contains and the algebras' span tests)
+# goes through fastrank's one check and must not take it back.
 RANKSINK_MODULES = {"linalg.py", "__init__.py", "identities.py", "cohomology.py"}
 
 
