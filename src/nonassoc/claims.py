@@ -36,7 +36,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -58,7 +58,7 @@ from .identities import (
     spaces_equal,
 )
 from .linalg import format_rational, parse_rational
-from .monomials import IdentityCombination, st_identity, tail_fixed_alternating
+from .monomials import MAX_DEGREE, IdentityCombination, st_identity, tail_fixed_alternating
 
 _DATA = Path(__file__).resolve().parent / "data" / "claims.json"
 
@@ -79,10 +79,11 @@ class UnknownIdentityError(KeyError):
 
 # name -> (constructor, arguments) of each built-in identity
 _IDENTITIES = {
-    **{"st%d_%d" % (n, v): (st_identity, (n, v)) for n in (3, 4, 5) for v in (1, 2)},
+    **{"st%d_%d" % (n, v): (st_identity, (n, v))
+       for n in range(3, MAX_DEGREE + 1) for v in (1, 2)},
     "terminal": (terminal_identity, ()),
     **{"tail%d_%d" % (n, j): (tail_fixed_alternating, (n, j))
-       for n in (3, 4, 5) for j in range(1, n + 1)},
+       for n in range(3, MAX_DEGREE + 1) for j in range(1, n + 1)},
 }
 
 
@@ -186,9 +187,22 @@ def claim_scopes() -> tuple:
     return tuple(sorted({r["scope"] for r in load_claims()}))
 
 
-def _run_der_dim(rec, algebras):
-    got, _ = derivation_algebra(algebras[rec["algebra"]])
+def _run_answer(answer, rec, algebras):
+    """A claim on one value: answer(algebra, rec) against rec["expected"]."""
+    got = answer(algebras[rec["algebra"]], rec)
     return str(rec["expected"]), str(got), got == rec["expected"]
+
+
+def _run_basis(space, rec, algebras):
+    """A claim that the given identities are a basis of space(algebra, rec),
+    a (dimension, basis) pair."""
+    given = [resolve_identity(s) for s in rec["identities"]]
+    dim, basis = space(algebras[rec["algebra"]], rec)
+    expected = "basis of %d identities" % len(given)
+    if len(given) != dim:
+        return expected, "dim %d, %d identities given" % (dim, len(given)), False
+    ok = spaces_equal(given, basis)
+    return expected, ("dim %d, spans match" if ok else "dim %d, spans differ") % dim, ok
 
 
 def _run_contraction(rec, algebras):
@@ -199,11 +213,6 @@ def _run_contraction(rec, algebras):
     computed = "table matches" if not bad else "%d entries differ, first %s" % (
         len(bad), bad[0][:3])
     return "limit is %s" % rec["target"], computed, not bad
-
-
-def _run_terminal(rec, algebras):
-    got = is_terminal(algebras[rec["algebra"]])
-    return str(rec["expected"]), str(got), got == rec["expected"]
 
 
 def _run_conservative(rec, algebras):
@@ -228,51 +237,11 @@ def _run_ideal(rec, algebras):
     return "proper ideal of dim %d" % len(rec["span"]), computed, ok
 
 
-def _run_identity_dim(rec, algebras):
-    dim, _ = identity_space(algebras[rec["algebra"]], rec["degree"])
-    return str(rec["expected"]), str(dim), dim == rec["expected"]
-
-
 def _run_spaces_equal(rec, algebras):
     _, left = identity_space(algebras[rec["left"]], rec["degree"])
     _, right = identity_space(algebras[rec["right"]], rec["degree"])
     ok = spaces_equal(left, right)
     return "equal spaces", "equal" if ok else "different", ok
-
-
-def _run_satisfies(rec, algebras):
-    got = satisfies_identity(algebras[rec["algebra"]], resolve_identity(rec["identity"]))
-    return str(rec["expected"]), str(got), got == rec["expected"]
-
-
-def _basis_check(given, dim, basis):
-    if len(given) != dim:
-        return "dim %d, %d identities given" % (dim, len(given)), False
-    ok = spaces_equal(given, basis)
-    return ("dim %d, spans match" if ok else "dim %d, spans differ") % dim, ok
-
-
-def _run_identity_basis(rec, algebras):
-    a = algebras[rec["algebra"]]
-    given = [resolve_identity(s) for s in rec["identities"]]
-    dim, basis = identity_space(a, rec["degree"])
-    expected = "basis of %d identities" % len(rec["identities"])
-    computed, ok = _basis_check(given, dim, basis)
-    return expected, computed, ok
-
-
-def _run_shape_dim(rec, algebras):
-    dim, _ = shape_identity_space(algebras[rec["algebra"]], rec["degree"], rec["shape"])
-    return str(rec["expected"]), str(dim), dim == rec["expected"]
-
-
-def _run_shape_basis(rec, algebras):
-    a = algebras[rec["algebra"]]
-    given = [resolve_identity(s) for s in rec["identities"]]
-    dim, basis = shape_identity_space(a, rec["degree"], rec["shape"])
-    expected = "basis of %d identities" % len(rec["identities"])
-    computed, ok = _basis_check(given, dim, basis)
-    return expected, computed, ok
 
 
 def _run_combo_equals(rec, algebras):
@@ -281,17 +250,6 @@ def _run_combo_equals(rec, algebras):
     ok = combo == target
     expected = "combination equals %s" % describe_identity(rec["equals"])
     return expected, "equal" if ok else "different", ok
-
-
-def _run_b2_dim(rec, algebras):
-    dim, _ = coborder_space(algebras[rec["algebra"]])
-    return str(rec["expected"]), str(dim), dim == rec["expected"]
-
-
-def _run_z2_dim(rec, algebras):
-    a = algebras[rec["algebra"]]
-    dim, _ = cocycle_space(a, resolve_identity(rec["identity"]))
-    return str(rec["expected"]), str(dim), dim == rec["expected"]
 
 
 def _run_z2_undefined(rec, algebras):
@@ -316,22 +274,33 @@ def _run_h2_report(rec, algebras):
     return expected, computed, ok
 
 
+def _identities(a, rec):
+    return identity_space(a, rec["degree"])
+
+
+def _shape_identities(a, rec):
+    return shape_identity_space(a, rec["degree"], rec["shape"])
+
+
+# kind -> runner(rec, algebras) -> (expected, computed, ok)
 _RUNNERS = {
-    "der_dim": _run_der_dim,
+    "der_dim": partial(_run_answer, lambda a, rec: derivation_algebra(a)[0]),
     "contraction": _run_contraction,
-    "terminal": _run_terminal,
+    "terminal": partial(_run_answer, lambda a, rec: is_terminal(a)),
     "conservative": _run_conservative,
     "witness": _run_witness,
     "ideal": _run_ideal,
-    "identity_dim": _run_identity_dim,
+    "identity_dim": partial(_run_answer, lambda a, rec: _identities(a, rec)[0]),
     "spaces_equal": _run_spaces_equal,
-    "satisfies": _run_satisfies,
-    "identity_basis": _run_identity_basis,
-    "shape_dim": _run_shape_dim,
-    "shape_basis": _run_shape_basis,
+    "satisfies": partial(
+        _run_answer, lambda a, rec: satisfies_identity(a, resolve_identity(rec["identity"]))),
+    "identity_basis": partial(_run_basis, _identities),
+    "shape_dim": partial(_run_answer, lambda a, rec: _shape_identities(a, rec)[0]),
+    "shape_basis": partial(_run_basis, _shape_identities),
     "combo_equals": _run_combo_equals,
-    "b2_dim": _run_b2_dim,
-    "z2_dim": _run_z2_dim,
+    "b2_dim": partial(_run_answer, lambda a, rec: coborder_space(a)[0]),
+    "z2_dim": partial(
+        _run_answer, lambda a, rec: cocycle_space(a, resolve_identity(rec["identity"]))[0]),
     "z2_undefined": _run_z2_undefined,
     "h2_report": _run_h2_report,
 }

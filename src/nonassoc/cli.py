@@ -35,7 +35,7 @@ from .formats import (
 )
 from .identities import first_violation, identity_space, shape_identity_space
 from .linalg import format_rational
-from .monomials import shapes
+from .monomials import MAX_DEGREE, shapes
 
 
 class _Usage(Exception):
@@ -268,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="multilinear identity space")
     p.add_argument("algebra")
-    p.add_argument("--degree", type=int, required=True, choices=(3, 4, 5))
+    p.add_argument("--degree", type=int, required=True, choices=range(3, MAX_DEGREE + 1))
     p.add_argument("--basis", action="store_true", help="print a basis")
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("shape-space", help="identity space of one shape orbit")
     p.add_argument("algebra")
-    p.add_argument("--degree", type=int, default=5, choices=(3, 4, 5))
+    p.add_argument("--degree", type=int, default=5, choices=range(3, MAX_DEGREE + 1))
     p.add_argument("--shape", type=int, required=True, metavar="i",
                    help="1-based shape index")
     p.add_argument("--basis", action="store_true", help="print a basis")

@@ -72,7 +72,6 @@ from 2^62, or object constants, object tables.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from math import factorial
 
@@ -84,6 +83,7 @@ from .linalg import RankSink
 from .monomials import (
     IdentityCombination,
     MultilinearMonomial,
+    _check_degree,
     _count_leaves,
     _permutations,
     monomial_count,
@@ -328,35 +328,19 @@ def identity_space(a: Algebra, n: int):
     rows and a very wide nullspace, built only at the non-decreasing
     tuples (C(dim + 4, 5) of them), streamed as their nonzero rows only,
     and certified invariant under the symmetries of the module docstring.
-    Warm, on a 2-core machine, it took 0.07-0.10 s for E2 (dim 2),
-    0.19-0.21 s for S2 (dim 4), and at dim 8 0.33-0.42 s for S1bar,
-    0.51-0.68 s for W2bar and 1.40-1.56 s for W2(big) (large constants,
-    rank 1,655 of 1,680). When one shape at a time is enough,
+    Warm, on a 2-core machine (BENCH_29.json), it took 0.018-0.021 s for
+    E2 (dim 2), 0.058-0.063 s for S2 (dim 4), and at dim 8 0.14-0.17 s
+    for S1bar, 0.21-0.24 s for W2bar and 0.59-0.69 s for W2(big) (large
+    constants, rank 1,655 of 1,680). When one shape at a time is enough,
     shape_identity_space stays fast even at degree 5.
 
     The answer is kept on a, so a repeat call on the same object returns
-    a new list of the same combinations without certifying again (the
-    degree-5 warning still fires). A full degree-5 basis holds about
-    1 MiB (E2) or 6 MiB (S2) for as long as a lives; no Fraction is made
-    until a caller reads .coeffs or .terms().
+    a new list of the same combinations without certifying again. A full
+    degree-5 basis holds about 1 MiB (E2) or 6 MiB (S2) for as long as a
+    lives; no Fraction is made until a caller reads .coeffs or .terms().
     """
     _check_degree(n)
-    if n == 5 and a.dim >= 4:
-        warnings.warn(
-            "full degree-5 identity space on dim %d certifies a %d x 1680 "
-            "system exactly (about 0.2 s at dim 4 and 0.3-1.6 s at dim 8 "
-            "on a 2-core machine, W2(big) the slowest); shape_identity_space "
-            "handles a single shape quickly"
-            % (a.dim, (a.dim ** 5) * a.dim),
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _nullspace_combinations(a, n, range(len(shapes(n))))
-
-
-def _check_degree(n: int):
-    if not 2 <= n <= 5:
-        raise ValueError("degree must be between 2 and 5")
 
 
 def shape_identity_space(a: Algebra, n: int, shape_index: int):

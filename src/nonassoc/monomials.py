@@ -24,6 +24,13 @@ from typing import Sequence
 MAX_DEGREE = 5
 
 
+def _check_degree(n) -> None:
+    """The one degree rule for monomial lists, identities and their spaces:
+    an integer, not a bool, in 2..MAX_DEGREE."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= MAX_DEGREE:
+        raise ValueError("degree must be between 2 and %d" % MAX_DEGREE)
+
+
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
@@ -245,8 +252,7 @@ def monomial_count(n: int) -> int:
 
 def enumerate_monomials(n: int) -> list[MultilinearMonomial]:
     """All degree-n monomials: shape-major, permutations in lex order."""
-    if n < 2 or n > MAX_DEGREE:
-        raise ValueError("degree %d out of range (2..%d)" % (n, MAX_DEGREE))
+    _check_degree(n)
     return [MultilinearMonomial(sh, perm) for sh in shapes(n) for perm in _permutations(n)]
 
 
@@ -276,6 +282,7 @@ class IdentityCombination:
     __slots__ = ("degree", "index", "nums", "den", "name", "_plan")
 
     def __init__(self, degree: int, coeffs: Sequence, name: str = ""):
+        _check_degree(degree)
         expected = monomial_count(degree)
         coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != expected:
@@ -303,6 +310,7 @@ class IdentityCombination:
     @classmethod
     def from_terms(cls, degree: int, terms, name: str = "") -> "IdentityCombination":
         """terms: iterable of (MultilinearMonomial | (shape, perm), coefficient)."""
+        _check_degree(degree)
         sums: dict = {}
         for mono, c in terms:
             if not isinstance(mono, MultilinearMonomial):
@@ -374,8 +382,7 @@ def st_identity(n: int, variant: int) -> IdentityCombination:
     Variant 2 alternates over the right comb with the arguments reversed:
     x_{s(n)}(... x_{s(3)}(x_{s(2)}x_{s(1)})...).
     """
-    if n < 2 or n > MAX_DEGREE:
-        raise ValueError("degree %d out of range (2..%d)" % (n, MAX_DEGREE))
+    _check_degree(n)
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     terms = []
@@ -400,8 +407,7 @@ def tail_fixed_alternating(n: int, j: int) -> IdentityCombination:
     order. At degree 5 the combination of all five with alternating signs
     +,-,+,-,+ recovers st_identity(5, 2).
     """
-    if n < 2 or n > MAX_DEGREE:
-        raise ValueError("degree %d out of range (2..%d)" % (n, MAX_DEGREE))
+    _check_degree(n)
     if not 1 <= j <= n:
         raise ValueError("fixed variable %d out of range 1..%d" % (j, n))
     others = [v for v in range(1, n + 1) if v != j]

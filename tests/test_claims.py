@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -47,6 +48,42 @@ def test_scope_inventory():
 def test_every_kind_has_a_runner():
     kinds = {r["kind"] for r in load_claims()}
     assert kinds <= set(_RUNNERS)
+
+
+# one perturbed copy of a registry record per claim kind, each made to fail:
+# the registry digest in CI pins only what a passing claim prints
+_PERTURBED = [
+    ("der/W2(big)", lambda r: {"expected": r["expected"] + 1}),
+    ("contract/S1bar", lambda r: {"target": "S5bar"}),
+    ("terminal/B2", lambda r: {"expected": not r["expected"]}),
+    ("conservative/S1_sub", lambda r: {"expected": not r["expected"]}),
+    ("witness/S5_sub", lambda r: {"products": r["products"][1:]}),
+    ("ideal/W2bar", lambda r: {"span": [1, 2]}),
+    ("dimS3/B2", lambda r: {"expected": r["expected"] + 1}),
+    ("S4-equal/B2-C2", lambda r: {"right": "E2"}),
+    ("st/S1bar/st3_1", lambda r: {"expected": not r["expected"]}),
+    ("basis-S3/W2tildetilde", lambda r: {"identities": r["identities"][1:]}),
+    ("shape/W2(big)/01", lambda r: {"expected": r["expected"] + 1}),
+    ("shape-basis/W2(big)/14", lambda r: {"identities": ["tail5_1"] + r["identities"][:-1]}),
+    ("shape-combo/st5_2", lambda r: {"equals": "st5_1"}),
+    ("b2/E2", lambda r: {"expected": r["expected"] + 1}),
+    ("z2/E2/st3_1", lambda r: {"expected": r["expected"] + 1}),
+    ("z2-undef/B2/st3_1", lambda r: {"algebra": "E2"}),
+    ("h2-terminal/E2", lambda r: {"expected_h2": 1, "expected_z2": 0}),
+]
+
+
+def test_every_kind_renders_its_failure_unchanged():
+    registry = {r["id"]: r for r in load_claims()}
+    keep = []
+    for claim_id, change in _PERTURBED:
+        rec = dict(registry[claim_id], **change(registry[claim_id]))
+        res = run_claim(rec)
+        keep.append([rec["kind"], res.expected, res.computed, res.ok])
+    assert sorted(kind for kind, *_ in keep) == sorted(_RUNNERS)
+    assert not any(ok for *_, ok in keep)
+    assert hashlib.sha256(json.dumps(keep).encode()).hexdigest() == (
+        "ee708d02ab57d1eeb62ad0da1b37db29b3d24193c5511d2046efddecc3551fc3")
 
 
 def test_registry_file_matches_loader():

@@ -20,6 +20,7 @@ from nonassoc.catalog import catalog, sab_bar
 from nonassoc.claims import _algebra, load_claims, named_identity, resolve_identity
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
+from nonassoc.formats import identity_from_dict, identity_to_dict
 from nonassoc.identities import (
     _cocycle_rows,
     _digit_table,
@@ -42,6 +43,7 @@ from nonassoc.identities import (
     spaces_equal,
 )
 from nonassoc.monomials import (
+    MAX_DEGREE,
     BracketShape,
     IdentityCombination,
     MultilinearMonomial,
@@ -148,23 +150,37 @@ def test_shape_identity_space_has_the_degree_bounds_of_identity_space(n):
             space()
 
 
-def test_degree_five_warns_on_large_algebras(monkeypatch):
-    import nonassoc.identities as ident
+# every entry point that takes a degree, each refusing it at the call
+_DEGREE_ENTRY_POINTS = {
+    "enumerate_monomials": enumerate_monomials,
+    "st_identity": lambda n: st_identity(n, 1),
+    "tail_fixed_alternating": lambda n: tail_fixed_alternating(n, 1),
+    "IdentityCombination": lambda n: IdentityCombination(n, [1]),
+    "from_terms": lambda n: IdentityCombination.from_terms(n, []),
+    "identity_space": lambda n: identity_space(catalog("E2"), n),
+    "shape_identity_space": lambda n: shape_identity_space(catalog("E2"), n, 1),
+}
 
-    calls = []
-    monkeypatch.setattr(
-        ident, "_nullspace_combinations", lambda a, n, si: calls.append(n) or (0, [])
-    )
-    with pytest.warns(RuntimeWarning):
-        ident.identity_space(catalog("S2"), 5)
-    assert calls == [5]
+
+@pytest.mark.parametrize("n", [0, 1, MAX_DEGREE + 1, True, 5.0])
+@pytest.mark.parametrize("entry", sorted(_DEGREE_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_degree_outside_the_one_rule(entry, n):
+    with pytest.raises(ValueError, match="^degree must be between 2 and %d$" % MAX_DEGREE):
+        _DEGREE_ENTRY_POINTS[entry](n)
 
 
-def test_degree_five_warns_on_a_kept_answer_too():
-    a = catalog("S2")
-    a._identity_spaces = {(5, tuple(range(14))): (0, ())}
-    with pytest.warns(RuntimeWarning):
-        assert identity_space(a, 5) == (0, [])
+@pytest.mark.parametrize("n", [-1, 0, 1, True, *range(2, MAX_DEGREE + 3), 5.0])
+def test_every_combination_that_can_be_made_can_be_read_back(n):
+    # a combination of any degree the constructors accept survives its file
+    ones = [1] * monomial_count(max(1, int(n)))
+    for make in (lambda: IdentityCombination.from_terms(n, []),
+                 lambda: IdentityCombination(n, ones)):
+        try:
+            c = make()
+        except ValueError:
+            assert not 2 <= n <= MAX_DEGREE or type(n) is not int
+            continue
+        assert identity_from_dict(identity_to_dict(c)) == c
 
 
 def test_identity_spaces_are_certified_once_per_algebra(monkeypatch):
