@@ -14,28 +14,14 @@ integer path is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from . import fastrank
+from .fastrank import Subspace, _basis_index, _cleared_rows
 from .linalg import Matrix
-
-
-def _cleared_rows(rows) -> tuple[list[list[int]], int]:
-    """(ints, den) with rows = ints / den: den is the lcm of the entries'
-    reduced denominators, so ints holds Python integers."""
-    fr = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r] for r in rows]
-    den = lcm(*(x.denominator for r in fr for x in r))
-    return [[x.numerator * (den // x.denominator) for x in r] for r in fr], den
-
-
-def _basis_index(i, n: int):
-    """i, when it is an integer in 1..n (a bool is not); else ValueError."""
-    if type(i) is bool or not isinstance(i, (int, np.integer)) or not 1 <= i <= n:
-        raise ValueError("basis index %r is not an integer in 1..%d" % (i, n))
-    return i
 
 
 class BilinearMap:
@@ -56,8 +42,8 @@ class BilinearMap:
             len(p) != dim or any(len(r) != dim for r in p) for p in planes
         ):
             raise ValueError("structure array is not %d^3" % dim)
-        ints, den = _cleared_rows(r for p in planes for r in p)
-        self._set(fastrank._int_array(ints, dim).reshape((dim,) * 3), den)
+        ints, den = _cleared_rows((r for p in planes for r in p), dim)
+        self._set(ints.reshape((dim,) * 3), den)
 
     def _set(self, x: np.ndarray, m: int) -> None:
         """Hold x / m (x an integer array of shape dim^3, m > 0) in canonical
@@ -86,11 +72,10 @@ class BilinearMap:
 
     @classmethod
     def from_products(cls, dim: int, products: dict) -> "BilinearMap":
-        """products: {(i, j): vector} with 1-based basis indices."""
+        """products: {(i, j): vector} with basis indices i, j (_basis_index)."""
         c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), vec in products.items():
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ValueError("product index (%d,%d) out of range" % (i, j))
+            i, j = _basis_index(i, dim), _basis_index(j, dim)
             if len(vec) != dim:
                 raise ValueError("product vector for (%d,%d) has length %d" % (i, j, len(vec)))
             c[i - 1][j - 1] = vec
@@ -211,11 +196,9 @@ def _row_products(u: np.ndarray, v: np.ndarray, carr: np.ndarray) -> np.ndarray:
 def left_mul_operator(a: Algebra, x: Sequence) -> Matrix:
     """Matrix of y -> x y on coordinate columns."""
     n = a.dim
-    if len(x) != n:
-        raise ValueError("argument length mismatch")
     carr, den = a.int_constants()
-    rows, xden = _cleared_rows([x])
-    y = _row_products(fastrank._int_array(rows, n), np.eye(n, dtype=np.int64), carr)[0]
+    row, xden = _cleared_rows([x], n)
+    y = _row_products(row, np.eye(n, dtype=np.int64), carr)[0]
     return Matrix(n, n, [Fraction(v, xden * den) for v in y.T.ravel().tolist()])
 
 
@@ -229,8 +212,8 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
     n = b_map.dim
     if a_map.rows != n or a_map.cols != n:
         raise ValueError("dimension mismatch")
-    rows, tden = _cleared_rows(a_map.row(i) for i in range(n))
-    t, carr, eye = fastrank._int_array(rows, n), b_map.ints, np.eye(n, dtype=np.int64)
+    t, tden = _cleared_rows((a_map.row(i) for i in range(n)), n)
+    carr, eye = b_map.ints, np.eye(n, dtype=np.int64)
     terms = (
         _exact_matmul(carr.reshape(n * n, n), t.T).reshape((n,) * 3),
         _row_products(t.T, eye, carr),  # B(Ae_i, e_j): row i of t.T is Ae_i
@@ -239,60 +222,6 @@ def bracket(a_map: Matrix, b_map: BilinearMap) -> BilinearMap:
     _work, out = fastrank._exact_dtypes(sum(fastrank._abs_max(x) for x in terms), *terms)
     x = terms[0].astype(out) - terms[1] - terms[2]
     return BilinearMap._from_cleared(x, tden * b_map.den)
-
-
-class Subspace:
-    """A subspace of coordinate space, held as its canonical RREF: pivot
-    columns and rows num / den, den the lcm of the reduced denominators.
-    Equality and the hash come from these; basis is built on each read."""
-
-    __slots__ = ("ambient", "pivots", "num", "den")
-
-    def __init__(self, ambient: int, vectors: Sequence[Sequence]):
-        self.ambient = ambient
-        self.pivots, num, den = fastrank.rref_int(self._ints(vectors), ambient)
-        g = gcd(den, int(np.gcd.reduce(num, axis=None)))
-        self.num, self.den = num // g, den // g
-        self.num.setflags(write=False)
-
-    @classmethod
-    def span_of_basis_indices(cls, ambient: int, indices) -> "Subspace":
-        """The span of e_i for the 1-based indices i; any other index is a
-        ValueError."""
-        indices = [_basis_index(i, ambient) for i in indices]
-        return cls(ambient, [[int(k == i) for k in range(1, ambient + 1)] for i in indices])
-
-    @property
-    def basis(self):
-        return fastrank.rref_basis(self.ambient, self.pivots, self.num, self.den)
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def _ints(self, vectors) -> np.ndarray:
-        """The vectors cleared of denominators, as one integer array."""
-        rows, _den = _cleared_rows(vectors)
-        for r in rows:
-            if len(r) != self.ambient:
-                raise ValueError("vector length %d, expected %d" % (len(r), self.ambient))
-        return fastrank._int_array(rows, self.ambient)
-
-    def contains(self, vector: Sequence) -> bool:
-        x = self._ints([vector])
-        return not fastrank._outside_span(x, self.pivots, self.num, self.den).size
-
-    def _key(self) -> tuple:
-        return self.ambient, self.pivots, self.den, tuple(self.num.ravel().tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Subspace(ambient=%d, dim=%d)" % (self.ambient, self.dim)
 
 
 def _span_products(a: Algebra, s: Subspace, u: np.ndarray, v: np.ndarray):
@@ -345,28 +274,22 @@ def change_of_basis(a: Algebra, columns: Sequence[Sequence], name: str = "") -> 
     for j, col in enumerate(columns, start=1):
         if len(col) != n:
             raise ValueError("basis vector f_%d has %d coordinates, need %d" % (j, len(col), n))
-    cols, tden = _cleared_rows(columns)
-    aug = [[col[i] for col in cols] + [int(k == i) for k in range(n)] for i in range(n)]
-    pivots, num, rden = fastrank.rref_int(aug, 2 * n)
+    f, tden = _cleared_rows(columns, n)  # row j is tden f_j
+    pivots, num, rden = fastrank.rref_int(np.concatenate([f.T, np.eye(n, dtype=np.int64)], 1), 2 * n)
     if pivots != tuple(range(n)):
         raise ValueError("basis vectors are linearly dependent")
     carr, den = a.int_constants()
-    f = fastrank._int_array(cols, n)  # row j is tden f_j
     x = _row_products(f, f, carr)  # x[i, j, l]
     x = _exact_matmul(x.reshape(n * n, n), num[:, n:].T).reshape(n, n, n)
     mult = BilinearMap._from_cleared(x, tden * rden * den)
     return Algebra(name or (a.name + "|chg"), n, mult)
 
 
-def derivation_algebra(a: Algebra):
-    """(dimension, basis of derivations as matrices).
-
-    A derivation satisfies D(e_i e_j) = D(e_i) e_j + e_i D(e_j); with
-    unknowns D[k][q] this is one linear equation per (i, j, k).
-    """
+def _derivation_span(a: Algebra) -> Subspace:
+    """The derivations D of a, as the kernel span of the n*n unknowns
+    D[p][q]: D(e_i e_j) = D(e_i) e_j + e_i D(e_j) is one linear equation
+    per (i, j, k)."""
     n = a.dim
-    if n == 0:
-        return 0, []
     carr, eye = a.mult.ints, np.eye(n, dtype=np.int64)
     # row (i, j, k), column (p, q): the coefficient of D[p][q] in
     # D(e_i e_j)_k - (D(e_i) e_j)_k - (e_i D(e_j))_k
@@ -375,8 +298,13 @@ def derivation_algebra(a: Algebra):
             - np.einsum("ipk,jq->ijkpq", carr, eye)).reshape(n ** 3, n * n)
     # nullspace_int checks its lift against every row: one exact elimination
     _rank, free, prim = fastrank.nullspace_int(rows, n * n)
-    null = fastrank.null_basis(n * n, free, prim)
-    return null.rank, [Matrix(n, n, list(row)) for row in null.rows]
+    return Subspace._kernel(n * n, free, prim)
+
+
+def derivation_algebra(a: Algebra):
+    """(dimension, basis of derivations as matrices)."""
+    der = _derivation_span(a)
+    return der.dim, [Matrix(a.dim, a.dim, list(row)) for row in der.basis.rows]
 
 
 def is_derivation(a: Algebra, d: Matrix) -> bool:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 from .algebras import Algebra
 from .conservative import terminal_identity
-from .fastrank import certified_nullspace
+from .fastrank import Subspace, _certified_kernel
 from .identities import (
     _checked_cocycle_rows,
     _parallel_blocks,
@@ -65,7 +65,7 @@ from .identities import (
 # Unused here: benchmark/test_bench.py checks that its tracer rebinds these
 # bindings too. Drop them together.
 from .identities import _shape_tables, first_violation  # noqa: F401
-from .linalg import Matrix, RankSink, RowEchelonBasis
+from .linalg import Matrix, RankSink
 from .monomials import IdentityCombination
 
 BilinearForm = Matrix
@@ -86,18 +86,15 @@ def coborder_space(a: Algebra):
     return basis.rank, [Matrix(d, d, row) for row in basis.rows]
 
 
-def _cocycle_rref(a: Algebra, p: IdentityCombination) -> RowEchelonBasis:
+def _cocycle_span(a: Algebra, p: IdentityCombination) -> Subspace:
     d = a.dim
-    if d == 0:
-        return RowEchelonBasis(0, [], [])
     rows = _checked_cocycle_rows(a, p)
     chunks = _tuple_blocks(_tuple_indices(p, d), d * d)
 
     def block_source():
         return _parallel_blocks(chunks, rows)
 
-    _rank, null = certified_nullspace(d * d, block_source)
-    return null
+    return _certified_kernel(d * d, block_source)
 
 
 def cocycle_space(a: Algebra, p: IdentityCombination):
@@ -106,9 +103,8 @@ def cocycle_space(a: Algebra, p: IdentityCombination):
     Raises ValueError when the base algebra itself violates p; no
     extension can repair that.
     """
-    null = _cocycle_rref(a, p)
-    d = a.dim
-    return null.rank, [Matrix(d, d, row) for row in null.rows]
+    z2 = _cocycle_span(a, p)
+    return z2.dim, [Matrix(a.dim, a.dim, row) for row in z2.basis.rows]
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,7 @@ class CohomologyReport:
 
 
 def cohomology(a: Algebra, p: IdentityCombination) -> CohomologyReport:
-    z2_dim = _cocycle_rref(a, p).rank
+    z2_dim = _cocycle_span(a, p).dim
     b2_dim, _ = coborder_space(a)
     return CohomologyReport(b2_dim, z2_dim, z2_dim - b2_dim)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebras import Algebra, BilinearMap
+from .algebras import Algebra, BilinearMap, _basis_index
 
 
 class ContractionError(ValueError):
@@ -32,7 +32,7 @@ def laurent_constants(a: Algebra, scaled_indices) -> dict:
     vectors do not span a subalgebra; the message names the first such
     (i, j, k).
     """
-    e, carr, den = _exponents(a, scaled_indices)
+    _scaled, e, carr, den = _exponents(a, scaled_indices)
     el, cl = e.tolist(), carr.tolist()
     return {
         (i + 1, j + 1, k + 1): (el[i][j][k], Fraction(cl[i][j][k], den))
@@ -41,12 +41,15 @@ def laurent_constants(a: Algebra, scaled_indices) -> dict:
 
 
 def _exponents(a: Algebra, scaled_indices):
-    """(e, ints, den): e[i, j, k] = s_i + s_j - s_k and a's cleared
-    constants ints / den, after the checks of laurent_constants."""
-    scaled = set(scaled_indices)
-    for i in sorted(scaled):
-        if not 1 <= i <= a.dim:
-            raise ContractionError("basis index %r out of range" % (i,))
+    """(scaled, e, ints, den): the scaled indices, sorted, each checked by
+    _basis_index; e[i, j, k] = s_i + s_j - s_k; and a's cleared constants
+    ints / den. Raises as laurent_constants says."""
+    scaled = set()
+    for i in scaled_indices:
+        try:
+            scaled.add(_basis_index(i, a.dim))
+        except ValueError:
+            raise ContractionError("basis index %r out of range" % (i,)) from None
     s = np.array([int(i in scaled) for i in range(1, a.dim + 1)], dtype=np.int64)
     e = s[:, None, None] + s[None, :, None] - s[None, None, :]
     carr, den = a.int_constants()
@@ -56,7 +59,7 @@ def _exponents(a: Algebra, scaled_indices):
         raise ContractionError(
             "not a subalgebra: e_%d e_%d has component %s e_%d"
             % (i + 1, j + 1, Fraction(int(carr[i, j, k]), den), k + 1))
-    return e, carr, den
+    return sorted(scaled), e, carr, den
 
 
 def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
@@ -64,8 +67,7 @@ def iw_contract(a: Algebra, scaled_indices, name: str = "") -> Algebra:
     basis vectors, keeping the exponent-zero constants; errors out if a
     scaled index is out of range or the unscaled vectors span no
     subalgebra."""
-    scaled = sorted(set(scaled_indices))
-    e, carr, den = _exponents(a, scaled)
+    scaled, e, carr, den = _exponents(a, scaled_indices)
     label = name or "%s~contracted{%s}" % (a.name, ",".join(map(str, scaled)))
     return Algebra(label, a.dim, BilinearMap._from_cleared(np.where(e == 0, carr, 0), den))
 

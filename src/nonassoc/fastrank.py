@@ -75,14 +75,14 @@ three stages:
    of three or more primes are object, whatever the lift's size). The
    pivot P_i of each row R_i is its last nonzero column in the original
    order, so each free column f gives the null vector
-   e_f - sum_i R[i][f] e_{P_i}: 1 at f and zero at every other free
-   column. These vectors already are the canonical RREF of the
+   e_f - sum_i R[i][f] e_{P_i}: 1 at f, zero at every other free column
+   and left of f. These vectors already are the canonical RREF of the
    candidate nullspace; no second elimination is needed. nullspace_int
-   returns them in integers, as one array of primitive rows (den at f,
-   -num at the pivots, divided by the row's gcd) with the rank and the
-   free columns. Fractions are made at one boundary, _fraction_basis,
-   behind null_basis and rref_basis: once per answer, at its nonzero
-   entries only.
+   returns them as primitive integer rows (den at f, -num at the pivots,
+   divided by the row's gcd) with the rank and the free columns. A
+   Subspace holds a span as its canonical RREF in these integers, and
+   makes its Fractions at one boundary, Subspace.basis, when a caller
+   reads it, at the nonzero entries only.
 
    Because rref_int checks its lift against every row it is given, the
    lift is a proof on its own (the modular-then-verify scheme of Dixon,
@@ -150,8 +150,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from math import isqrt
-from typing import NamedTuple
+from math import gcd, isqrt, lcm
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,6 +197,25 @@ def _int_array(rows, cols: int) -> np.ndarray:
         return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
     except OverflowError:
         return np.array(rows, dtype=object).reshape(len(rows), cols)
+
+
+def _cleared_rows(rows, cols: int) -> tuple[np.ndarray, int]:
+    """(ints, den) with rows = ints / den, ints an integer array (_int_array)
+    and den the lcm of the entries' reduced denominators; each row must
+    have cols entries."""
+    fr = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r] for r in rows]
+    for r in fr:
+        if len(r) != cols:
+            raise ValueError("vector length %d, expected %d" % (len(r), cols))
+    den = lcm(*(x.denominator for r in fr for x in r))
+    return _int_array([[x.numerator * (den // x.denominator) for x in r] for r in fr], cols), den
+
+
+def _basis_index(i, n: int):
+    """i, when it is an integer in 1..n (a bool is not); else ValueError."""
+    if type(i) is bool or not isinstance(i, (int, np.integer)) or not 1 <= i <= n:
+        raise ValueError("basis index %r is not an integer in 1..%d" % (i, n))
+    return i
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -292,8 +311,9 @@ def nullspace_int(rows, cols: int, filt: ModularFilter | None = None):
     is the canonical nullspace basis row of free[i] made primitive: den at
     the free column, -num at the pivots, divided by the row's gcd. The
     basis row itself is prim's row over its (positive) entry at the free
-    column; null_basis makes it. filt, if given, is rref_int's: a filter at
-    PRIME holding the RREF mod PRIME of the rows with their columns reversed.
+    column; Subspace._kernel holds the span they make. filt, if given, is
+    rref_int's: a filter at PRIME holding the RREF mod PRIME of the rows
+    with their columns reversed.
     """
     rev_pivots, num, den = rref_int([row[::-1] for row in rows], cols, filt)
     pivots = [cols - 1 - p for p in rev_pivots]
@@ -305,6 +325,76 @@ def nullspace_int(rows, cols: int, filt: ModularFilter | None = None):
     if prim.dtype == object:
         prim = _int_array(prim, cols)
     return len(pivots), free, prim
+
+
+class Subspace:
+    """A subspace of coordinate space, held as its canonical RREF: pivot
+    columns and rows num / den, gcd(den, num) = 1. Equality and the hash
+    come from these, since a canonical RREF is unique."""
+
+    __slots__ = ("ambient", "pivots", "num", "den")
+
+    def __init__(self, ambient: int, vectors: Sequence[Sequence]):
+        self._set(ambient, *rref_int(_cleared_rows(vectors, ambient)[0], ambient))
+
+    def _set(self, ambient: int, pivots, num: np.ndarray, den: int) -> "Subspace":
+        g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+        self.ambient, self.pivots, self.num, self.den = ambient, tuple(pivots), num // g, den // g
+        self.num.setflags(write=False)
+        return self
+
+    @classmethod
+    def _from_rref(cls, ambient: int, pivots, num: np.ndarray, den: int) -> "Subspace":
+        return cls.__new__(cls)._set(ambient, pivots, num, den)
+
+    @classmethod
+    def _kernel(cls, ambient: int, free, prim: np.ndarray) -> "Subspace":
+        """The span of nullspace_int's (free, prim), whose rows over their
+        entries at free already are its RREF: den is the lcm of those
+        entries, and each row is scaled to it."""
+        lead = prim[np.arange(len(free)), free].tolist()
+        den = lcm(*lead)
+        scale = _int_array([[den // x] for x in lead], 1)
+        out = _exact_dtypes(_abs_max(prim) * _abs_max(scale), prim, scale)[1]
+        return cls._from_rref(ambient, free, prim.astype(out) * scale, den)
+
+    @classmethod
+    def span_of_basis_indices(cls, ambient: int, indices) -> "Subspace":
+        """The span of e_i for the 1-based indices i; any other index is a
+        ValueError."""
+        indices = [_basis_index(i, ambient) for i in indices]
+        return cls(ambient, [[int(k == i) for k in range(1, ambient + 1)] for i in indices])
+
+    @property
+    def basis(self) -> RowEchelonBasis:
+        """The rows num / den as Fractions, made at the nonzero entries only:
+        the one place where an answer's Fractions are made."""
+        zero = Fraction(0)
+        rows = [[zero] * self.ambient for _ in self.pivots]
+        ii, jj = np.nonzero(self.num)
+        for i, j, x in zip(ii.tolist(), jj.tolist(), self.num[ii, jj].tolist()):
+            rows[i][j] = Fraction(x, self.den)
+        return RowEchelonBasis._from_fractions(self.ambient, [tuple(r) for r in rows], self.pivots)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def contains(self, vector: Sequence) -> bool:
+        x, _den = _cleared_rows([vector], self.ambient)
+        return not _outside_span(x, self.pivots, self.num, self.den).size
+
+    def _key(self) -> tuple:
+        return self.ambient, self.pivots, self.den, tuple(self.num.ravel().tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subspace) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Subspace(ambient=%d, dim=%d)" % (self.ambient, self.dim)
 
 
 def _residues(rows: np.ndarray, p: int = PRIME) -> np.ndarray:
@@ -587,8 +677,14 @@ def certified_nullspace(cols: int, block_source, symmetries=()):
     The blocks then need only generate the system: its rows are the images
     of the blocks' rows under the group the g generate.
     """
+    null = _certified_kernel(cols, block_source, symmetries)
+    return cols - null.dim, null.basis
+
+
+def _certified_kernel(cols: int, block_source, symmetries=()) -> Subspace:
+    """certified_nullspace's nullspace as a span, before any Fraction."""
     cand, _accepted = _certify(cols, block_source, symmetries)
-    return cand.rank, null_basis(cols, cand.free, cand.prim)
+    return Subspace._kernel(cols, cand.free, cand.prim)
 
 
 def certified_rank(cols: int, block_source, symmetries=()) -> int:
@@ -601,27 +697,5 @@ def certified_rowspace(cols: int, block_source, symmetries=()):
     the canonical answer; at full rank it is the identity."""
     cand, accepted = _certify(cols, block_source, symmetries)
     if cand.rank == cols:
-        return cols, rref_basis(cols, range(cols), np.eye(cols, dtype=np.int64), 1)
-    return cand.rank, rref_basis(cols, *rref_int(accepted, cols))
-
-
-def _fraction_basis(cols: int, lead, ints: np.ndarray, dens) -> RowEchelonBasis:
-    """The RowEchelonBasis with rows ints[i] / dens[i] and leading columns
-    lead: the one place where an answer's Fractions are made, at its
-    nonzero entries only."""
-    zero = Fraction(0)
-    rows = [[zero] * cols for _ in lead]
-    ii, jj = np.nonzero(ints)
-    for i, j, x in zip(ii.tolist(), jj.tolist(), ints[ii, jj].tolist()):
-        rows[i][j] = Fraction(x, dens[i])
-    return RowEchelonBasis._from_fractions(cols, [tuple(r) for r in rows], lead)
-
-
-def null_basis(cols: int, free, prim: np.ndarray) -> RowEchelonBasis:
-    """The canonical nullspace basis of nullspace_int's (free, prim)."""
-    return _fraction_basis(cols, free, prim, prim[np.arange(len(free)), free].tolist())
-
-
-def rref_basis(cols: int, pivots, num: np.ndarray, den: int) -> RowEchelonBasis:
-    """The RREF num / den of rref_int as a RowEchelonBasis."""
-    return _fraction_basis(cols, pivots, num, [den] * len(pivots))
+        return cols, Subspace._from_rref(cols, range(cols), np.eye(cols, dtype=np.int64), 1).basis
+    return cand.rank, Subspace._from_rref(cols, *rref_int(accepted, cols)).basis

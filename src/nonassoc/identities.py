@@ -555,18 +555,15 @@ def evaluate_combination_table(a: Algebra, c: IdentityCombination):
 
 
 def combination_in_span(c: IdentityCombination, basis) -> bool:
-    """True iff c is a rational combination of the given identities: its
-    row checked against the RREF of theirs (fastrank._outside_span)."""
-    if not basis:
-        return not c.index
+    """True iff c is a rational combination of the given identities (the
+    span of none is {0}): the span of their integer rows contains c's."""
     if any(b.degree != c.degree for b in basis):
         raise ValueError("degree mismatch")
     cols = monomial_count(c.degree)
     x = np.zeros((len(basis) + 1, cols), dtype=object)
     for row, b in zip(x, [*basis, c]):  # b times its den
         row[list(b.index)] = b.nums
-    pivots, num, den = fastrank.rref_int(x[:-1], cols)
-    return not fastrank._outside_span(fastrank._int_array(x[-1:], cols), pivots, num, den).size
+    return fastrank.Subspace._from_rref(cols, *fastrank.rref_int(x[:-1], cols)).contains(x[-1])
 
 
 def spaces_equal(basis_a, basis_b) -> bool:

@@ -210,16 +210,13 @@ class MultilinearMonomial:
 
 
 def perm_index(perm: Sequence[int]) -> int:
-    """Lexicographic rank of a permutation of 1..n."""
-    perm = list(perm)
-    n = len(perm)
-    rest = sorted(perm)
-    idx = 0
-    for i, v in enumerate(perm):
-        k = rest.index(v)
-        idx += k * factorial(n - 1 - i)
-        del rest[k]
-    return idx
+    """Lexicographic rank of a permutation of 1..n, n at most MAX_DEGREE
+    (the permutations of a monomial's leaves); else ValueError."""
+    perm = tuple(perm)
+    rank = _perm_ranks(len(perm)).get(perm) if len(perm) <= MAX_DEGREE else None
+    if rank is None:
+        raise ValueError("%r is not a permutation of 1..n with n <= %d" % (list(perm), MAX_DEGREE))
+    return rank
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -244,6 +241,12 @@ def _permutations(n: int) -> tuple:
     """The permutations of 1..n in lexicographic order: the one at
     position r has perm_index r."""
     return tuple(permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _perm_ranks(n: int) -> dict:
+    """Permutation of 1..n -> its position in _permutations(n)."""
+    return {p: r for r, p in enumerate(_permutations(n))}
 
 
 def monomial_count(n: int) -> int:

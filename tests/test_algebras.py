@@ -104,6 +104,16 @@ def test_left_mul_operator_columns_are_products():
             assert col == multiply(a, x, a.basis_vector(j))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: left_mul_operator(catalog("E2"), [1, 2, 3]),
+    lambda: Subspace(2, [[1, 0], [1, 2, 3]]),
+    lambda: Subspace(2, [[1, 0]]).contains([1]),
+])
+def test_a_vector_of_the_wrong_length_is_refused_with_its_length(build):
+    with pytest.raises(ValueError, match=r"vector length [13], expected 2"):
+        build()
+
+
 def test_left_mul_operator_is_linear_in_x():
     a = catalog("W2bar")
     rng = random.Random(3)
@@ -315,11 +325,27 @@ def test_change_of_basis_rejects_vectors_of_the_wrong_length(columns):
         change_of_basis(catalog("E2"), columns)
 
 
+def test_derivations_of_dimension_zero():
+    assert derivation_algebra(Algebra("0", 0, [])) == (0, [])
+
+
 def test_from_products_validation():
     with pytest.raises(ValueError):
         BilinearMap.from_products(2, {(3, 1): [1, 0]})
     with pytest.raises(ValueError):
         BilinearMap.from_products(2, {(1, 1): [1, 0, 0]})
+
+
+@pytest.mark.parametrize("key", [(True, 1), (1, True), (1.0, 2), (2, 1.5), ("1", 1), (0, 1), (1, 3)])
+def test_from_products_takes_basis_indices_by_the_one_rule(key):
+    # an integer, not a bool, in 1..dim, as every other basis index
+    with pytest.raises(ValueError, match="basis index .* is not an integer in 1..2"):
+        BilinearMap.from_products(2, {key: [1, 0]})
+
+
+def test_from_products_takes_numpy_integer_indices():
+    i, j = np.int64(2), np.int32(1)
+    assert BilinearMap.from_products(2, {(i, j): [0, 5]}) == BilinearMap.from_products(2, {(2, 1): [0, 5]})
 
 
 def test_bilinear_map_zero_and_equality():

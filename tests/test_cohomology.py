@@ -95,6 +95,14 @@ def test_cocycle_space_requires_satisfying_base():
     assert str(exc.value).startswith("base does not satisfy P")
 
 
+@pytest.mark.parametrize("p", [st_identity(3, 1), terminal_identity()], ids=["st3_1", "terminal"])
+def test_dimension_zero_has_no_cocycle_and_no_cohomology(p):
+    # no tuple, no row and no column: the empty system's nullspace is {0}
+    zero = Algebra("0", 0, [])
+    assert cocycle_space(zero, p) == (0, [])
+    assert cohomology(zero, p) == CohomologyReport(0, 0, 0)
+
+
 def test_cocycle_dimensions_spot_values():
     assert cocycle_space(catalog("D2"), st_identity(3, 1))[0] == 8
     assert cocycle_space(catalog("E2"), st_identity(3, 1))[0] == 4

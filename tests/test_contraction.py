@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nonassoc.catalog import catalog, sab_adapted, sab_bar
@@ -68,6 +70,23 @@ def test_iw_contract_rejects_out_of_range_indices():
             iw_contract(a, {bad})
     with pytest.raises(ContractionError, match="basis index 9 out of range"):
         iw_contract(a, {2, 9})
+
+
+@pytest.mark.parametrize("compute", [iw_contract, laurent_constants])
+@pytest.mark.parametrize("bad", [1.5, 2.5, 2.0, True, "1"])
+def test_scaled_indices_are_basis_indices_by_the_one_rule(compute, bad):
+    # an integer, not a bool, in 1..dim: a float, a bool or a string is
+    # refused like an index out of range, whatever the others are
+    for scaled in ([bad], [3, bad]):
+        with pytest.raises(ContractionError, match="basis index %s out of range" % re.escape(repr(bad))):
+            compute(catalog("W2(big)"), scaled)
+
+
+def test_scaled_indices_may_be_numpy_integers():
+    a = catalog("W2(big)")
+    assert iw_contract(a, [np.int64(2)]) == iw_contract(a, [2])
+    assert iw_contract(a, [np.int64(2)]).name == "W2(big)~contracted{2}"
+    assert laurent_constants(a, np.array([2])) == laurent_constants(a, [2])
 
 
 def test_laurent_constants_bookkeeping():

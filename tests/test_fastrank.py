@@ -15,12 +15,12 @@ from nonassoc import fastrank
 from nonassoc.fastrank import (
     PRIME,
     ModularFilter,
+    Subspace,
     _mod_p,
     _primes,
     certified_nullspace,
     certified_rank,
     certified_rowspace,
-    null_basis,
     nullspace_int,
     rref_int,
 )
@@ -278,7 +278,7 @@ def test_nullspace_int_rows_are_the_basis_rows_made_primitive(size, data):
     arr, cols, _step, _symmetries = data.draw(adversarial_systems([size]))
     m = Matrix.from_rows(arr.tolist())
     rank, free, prim = nullspace_int(arr.tolist(), cols)
-    basis = null_basis(cols, free, prim)
+    basis = Subspace._kernel(cols, free, prim).basis
     assert (rank, basis) == (rref(m).rank, nullspace(m))
     assert list(basis.pivot_cols) == free
     assert prim.shape == (len(basis.rows), cols)
@@ -897,6 +897,32 @@ def zero_padded_systems(draw):
     return padded, compact, cols, symmetries
 
 
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_kernel_span_is_the_subspace_of_its_basis_rows(size, data):
+    # the null vector of free column f is 1 at f, 0 at every other free
+    # column and nonzero elsewhere only at pivots right of f: it already is
+    # a row of the kernel's RREF, so both constructors give one triple
+    arr, cols, _step, _symmetries = data.draw(adversarial_systems([size]))
+    _rank, free, prim = nullspace_int(arr.tolist(), cols)
+    kernel = Subspace._kernel(cols, free, prim)
+    span = Subspace(cols, kernel.basis.rows)
+    assert kernel == span and hash(kernel) == hash(span)
+    assert (kernel.pivots, kernel.num.tolist(), kernel.den) == (span.pivots, span.num.tolist(), span.den)
+    assert kernel.basis == nullspace(Matrix.from_rows(arr.tolist()))
+    assert all(kernel.contains(row) for row in kernel.basis.rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_an_empty_kernel_is_the_zero_subspace_in_integers(dtype):
+    kernel = Subspace._kernel(3, [], np.zeros((0, 3), dtype=dtype))
+    assert kernel == Subspace(3, []) and kernel.dim == 0 and kernel.den == 1
+    assert kernel.num.shape == (0, 3) and kernel.num.dtype.kind in "iO"
+    assert kernel.basis.rows == [] and not kernel.contains([0, 1, 0])
+    assert kernel.contains([0, 0, 0])
+
+
 # e_0 and e_1 in blocks of one row, one of them padded to two; g swaps
 # columns 1 and 2. Translate blocks sized by the source's blocks would hold
 # one row compacted, where e_0[g] = e_0 accepts nothing and stops the
@@ -919,7 +945,7 @@ def test_zero_rows_change_no_decision_of_the_filter_or_certification(system, bud
         with mock.patch.object(fastrank, "_TRANSLATE_ENTRIES", budget), \
                 mock.patch.object(fastrank, "_candidate", wraps=fastrank._candidate) as spy:
             cand, accepted = fastrank._certify(cols, CountingSource(blocks), symmetries)
-        answers.append((cand.rank, null_basis(cols, cand.free, cand.prim),
+        answers.append((cand.rank, Subspace._kernel(cols, cand.free, cand.prim).basis,
                         [row.tolist() for row in accepted], spy.call_count))
     assert answers[0] == answers[1]
     assert answers[0][0] == exact_rank(_orbit([r for b in compact for r in b], symmetries))

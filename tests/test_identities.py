@@ -15,9 +15,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonassoc.algebras import Algebra, Subspace, change_of_basis, is_ideal, multiply, restrict
+from nonassoc.algebras import (
+    Algebra,
+    Subspace,
+    _derivation_span,
+    change_of_basis,
+    is_ideal,
+    multiply,
+    restrict,
+)
 from nonassoc.catalog import catalog, sab_bar
 from nonassoc.claims import _algebra, load_claims, named_identity, resolve_identity
+from nonassoc.cohomology import _cocycle_span
 from nonassoc.conservative import terminal_identity
 from nonassoc.fastrank import certified_nullspace
 from nonassoc.formats import identity_from_dict, identity_to_dict
@@ -902,8 +911,11 @@ def test_answers_make_no_fraction_until_read(monkeypatch):
     """Identity bases and subspaces hold cleared integers: no Fraction is
     made until .coeffs, .terms() or .basis is read, and span questions
     (Subspace.contains, combination_in_span) make none. (Before they did,
-    an E2 degree-5 basis alone made 11,297.)"""
+    an E2 degree-5 basis alone made 11,297.) A cocycle space and a
+    derivation kernel are spans too, read the same way; coborder spaces
+    and spaces_equal, which still run linalg.RankSink, are left out."""
     e2, w2 = catalog("E2").renamed("fresh E2"), catalog("W2bar").renamed("fresh W2bar")
+    st3 = st_identity(3, 1)
     made = []
     new = Fraction.__dict__["__new__"]
 
@@ -917,13 +929,15 @@ def test_answers_make_no_fraction_until_read(monkeypatch):
     line = Subspace(8, [[0, 0, 0, 0, 0, 1, -1, 0]])
     sub = restrict(w2, line)
     ideal = is_ideal(w2, Subspace.span_of_basis_indices(8, (2, 3, 4, 6, 7, 8)))
-    assert (dim, len(basis), sub.dim, ideal) == (1674, 1674, 1, True)
+    z2, der = _cocycle_span(e2, st3), _derivation_span(w2)
+    assert (dim, len(basis), sub.dim, ideal, z2.dim, der.dim) == (1674, 1674, 1, True, 4, 3)
     assert shape_dim == len(shape_basis) > 0
     assert line.contains([0, 0, 0, 0, 0, 3, -3, 0]) and not line.contains([0] * 5 + [1, 1, 0])
     assert combination_in_span(basis[0].plus(basis[1]), basis[:2])
     assert not combination_in_span(basis[5], basis[:5])
     assert made == []
-    for read in (lambda: basis[0].coeffs, lambda: shape_basis[0].terms(), lambda: line.basis):
+    for read in (lambda: basis[0].coeffs, lambda: shape_basis[0].terms(), lambda: line.basis,
+                 lambda: z2.basis, lambda: der.basis):
         read()
         assert made
         made.clear()

@@ -74,6 +74,12 @@ def test_permutations_are_numbered_by_perm_index():
         assert all(perm_index(p) == r for r, p in enumerate(perms))
 
 
+@pytest.mark.parametrize("perm", [[1, 1], [0, 1], [1, 3], [2, 3], [1, 2, 2], [1, 2, 4], [1, 2, 3, 4, 5, 6, 7]])
+def test_perm_index_refuses_what_is_not_a_permutation_of_a_monomial(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        perm_index(perm)
+
+
 def test_terms_match_the_enumerate_and_filter_reference():
     named = [st_identity(5, 1), st_identity(5, 2), terminal_identity(),
              tail_fixed_alternating(5, 3)]

@@ -87,8 +87,9 @@ def test_in_algebras_only_bilinear_map_reads_the_fraction_table():
 
 
 # fastrank picks every arithmetic path (_exact_dtypes) and makes every
-# Fraction of an answer (_fraction_basis); an in-memory system is proved by
-# rref_int's own check, so the streamed RREF entry point stays gone.
+# Fraction of an answer (Subspace.basis; _cleared_rows reads its inputs);
+# an in-memory system is proved by rref_int's own check, so the streamed
+# RREF entry point stays gone.
 LIMITS = {"_INT64_LIMIT", "_FLOAT64_LIMIT"}
 
 
@@ -99,12 +100,12 @@ def test_only_fastrank_names_the_limits_and_nothing_names_certified_rref(path):
     assert "certified_rref" not in names
 
 
-def test_in_fastrank_only_fraction_basis_makes_fractions():
+def test_in_fastrank_only_subspace_basis_makes_fractions():
     path = Path(nonassoc.__file__).parent / "fastrank.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     makers = {name for name, node in _definitions(tree) for n in ast.walk(node)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"}
-    assert makers == {"_fraction_basis"}
+    assert makers == {"Subspace.basis", "_cleared_rows"}
 
 
 # Identity bases are the exact core's cleared integers (index, nums, den):
